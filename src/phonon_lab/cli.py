@@ -19,9 +19,7 @@ import datetime
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -105,7 +103,6 @@ REFERENCE_VALUES = {
 }
 
 # allowed override keys per scenario kind, with coercion types
-_COMMON_KEYS = {}
 _KIND_KEYS = {
     "admittance": {
         "f_lo_hz": float, "f_hi_hz": float, "n_points": int,
@@ -137,13 +134,12 @@ class Scenario:
     kind: str
     params: dict = dataclasses.field(default_factory=dict)
     seed: int = 0
-    jobs: int = 1
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "params": self.params, "seed": self.seed}
 
 
-def parse_scenario(doc: dict, seed=None, jobs=None) -> Scenario:
+def parse_scenario(doc: dict, seed=None) -> Scenario:
     validate_document(doc, load_schema("scenario"))
     kind = doc["kind"]
     params = doc.get("params", {})
@@ -170,7 +166,6 @@ def parse_scenario(doc: dict, seed=None, jobs=None) -> Scenario:
         kind=kind,
         params=clean,
         seed=doc.get("seed", 0) if seed is None else seed,
-        jobs=jobs if jobs is not None else 1,
     )
 
 
@@ -183,13 +178,6 @@ def load_config(path) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
-
-
-def _parallel_map(fn, items, jobs):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _write_json(path, doc):
@@ -311,11 +299,7 @@ def run_coupling_sweep(scn: Scenario, out: Path) -> dict:
     cp = circuit.CircuitParams(m=scn.params.get("m", 0.13e-9))
     n = scn.params.get("sweep_points", 1001)
     phi = np.linspace(0.0, 1.0, n)
-
-    def one(x):
-        return circuit.coupling_strength(x, cp, bvd)
-
-    g = np.array(_parallel_map(one, list(phi), scn.jobs))
+    g = np.array([circuit.coupling_strength(x, cp, bvd) for x in phi])
     _write_csv(
         out / "coupling.csv",
         ["phi_g", "g_hz"],
@@ -384,16 +368,12 @@ def run_chevron(scn: Scenario, out: Path) -> dict:
     deltas = TWO_PI * np.linspace(-span / 2, span / 2, n_delta)
     taus = np.linspace(1e-9, tau_max, n_tau)
 
-    rho_e = np.kron(np.diag([0.0, 1.0]).astype(complex), lb.fock_state(params.dim, 0))
     rho0 = lb.thermal_state(params)
     u = lb.qubit_rotation("x", math.pi, 0.0, params.dim)
     rho0 = u @ rho0 @ u.conj().T
-
-    def one(delta):
-        return lb.batched_excited_traces([rho0], params, taus, delta=delta)[0]
-
-    traces = _parallel_map(one, list(deltas), scn.jobs)
-    z = np.array(traces)  # (n_delta, n_tau)
+    z = np.array(
+        [lb.batched_excited_traces([rho0], params, taus, delta=d)[0] for d in deltas]
+    )  # (n_delta, n_tau)
     rows = []
     for i, d in enumerate(deltas):
         for j, t in enumerate(taus):
@@ -419,70 +399,28 @@ def run_chevron(scn: Scenario, out: Path) -> dict:
     return summary
 
 
-def _swap_hold_swap(params, initial_angle, waits, pulses, dt=lb.DEFAULT_DT):
-    """Swap / variable hold / swap-back protocol, staged so the hold is
-    evolved once with snapshots and the swap-back runs on the whole batch.
-
-    Returns P_e arrays per tomography pulse label (``None`` = no pulse).
-    """
-    prop = lb._Propagator(params, dt)
-    dim = params.dim
-    rho = lb.thermal_state(params)
-    u = lb.qubit_rotation("x", initial_angle, 0.0, dim)
-    rho = u @ rho @ u.conj().T
-    swap = lb.swap_segment(params)
-    rho = prop.evolve_couple(rho, swap)
-
-    snapshots = []
-    t_prev = 0.0
-    for t in waits:
-        rho = prop.evolve_const(rho, t - t_prev, params.delta, 0.0)
-        t_prev = t
-        snapshots.append(rho.copy())
-    batch = np.array(snapshots)
-
-    # batched swap-back with the same cosine-ramped envelope
-    ramp, dur, g = swap.ramp, swap.duration, swap.g
-
-    def envelope(t):
-        if ramp <= 0:
-            return 1.0
-        if t < ramp:
-            return 0.5 * (1.0 - math.cos(math.pi * t / ramp))
-        if t > dur - ramp:
-            return 0.5 * (1.0 - math.cos(math.pi * (dur - t) / ramp))
-        return 1.0
-
-    def h_of_t(t):
-        return g * envelope(t) * prop.v_int
-
-    batch = lb._rk4_span(batch, dur, h_of_t, prop.c_ops, prop.cdc_ops, dt)
-
-    out = {}
-    thetas = params.delta * np.asarray(waits)
-    for pulse in pulses:
-        p_e = np.empty(len(waits))
-        for i, rho_i in enumerate(batch):
-            if pulse is None:
-                rho_m = rho_i
-            else:
-                seg = lb.TOMOGRAPHY_PULSES[pulse]
-                u = lb.qubit_rotation(seg.axis, seg.angle, seg.phase + thetas[i], dim)
-                rho_m = u @ rho_i @ u.conj().T
-            p_e[i] = params.visibility * np.trace(rho_m[dim:, dim:]).real
-        out[pulse] = p_e
-    return out
-
-
 def run_lifetimes(scn: Scenario, out: Path) -> dict:
     params = lb.SystemParams(delta=TWO_PI * 53e6)
     t_max = scn.params.get("t_max_s", 450e-9)
     n = scn.params.get("n_points", 31)
     waits = np.linspace(2e-9, t_max, n)
+    swap = lb.swap_segment(params)
 
-    p_t1r = _swap_hold_swap(params, math.pi, waits, [None])[None]
-    tomo = _swap_hold_swap(params, math.pi / 2, waits, ["x90", "y90"])
-    p_x, p_y = tomo["x90"], tomo["y90"]
+    def scan(angle, pulse, holds):
+        """P_e after a rotation, swap, hold, swap back and tomography pulse."""
+        tail = [] if pulse is None else [lb.TOMOGRAPHY_PULSES[pulse]]
+        return np.array([
+            lb.run_sequence(
+                lb.PulseSequence(
+                    [lb.Rotation("x", angle), swap, lb.Idle(w), swap, *tail, lb.Measure()]
+                ),
+                params,
+            ).p_e[0]
+            for w in holds
+        ])
+
+    p_t1r = scan(math.pi, None, waits)
+    p_x, p_y = scan(math.pi / 2, "x90", waits), scan(math.pi / 2, "y90", waits)
 
     _write_csv(
         out / "t1r.csv",
@@ -506,9 +444,8 @@ def run_lifetimes(scn: Scenario, out: Path) -> dict:
     sx = 2.0 * p_y - 1.0
     sy = 1.0 - 2.0 * p_x
     far = np.array([1.5e-6, 1.5e-6 + 9.4e-9])
-    tomo_far = _swap_hold_swap(params, math.pi / 2, far, ["x90", "y90"])
-    cx = float(np.mean(2.0 * tomo_far["y90"] - 1.0))
-    cy = float(np.mean(1.0 - 2.0 * tomo_far["x90"]))
+    cx = float(np.mean(2.0 * scan(math.pi / 2, "y90", far) - 1.0))
+    cy = float(np.mean(1.0 - 2.0 * scan(math.pi / 2, "x90", far)))
     envelope = np.hypot(sx - cx, sy - cy)
     popt2, _ = curve_fit(
         _exponential, waits, envelope,
@@ -518,7 +455,7 @@ def run_lifetimes(scn: Scenario, out: Path) -> dict:
 
     # separate finely sampled short window resolves the oscillation itself
     fine = np.linspace(2e-9, 42e-9, 17)
-    p_fine = _swap_hold_swap(params, math.pi / 2, fine, ["x90"])["x90"]
+    p_fine = scan(math.pi / 2, "x90", fine)
     popt3, _ = curve_fit(
         _damped_cosine, fine, p_fine,
         p0=[0.45, 53e6, 0.0, 400e-9, 0.5], maxfev=40000,
@@ -621,16 +558,11 @@ def run_fock2(scn: Scenario, out: Path) -> dict:
         scn.params.get("tau_hi_s", 40e-9),
         scn.params.get("n_tau", 27),
     )
-
-    def one(tau):
-        res = lb.run_sequence(lb.fock2_sequence(params, tau), params)
-        pops = lb.resonator_populations(res.rho_final)
-        return res.p_e[0], pops
-
-    results = _parallel_map(one, list(taus), scn.jobs)
     rows = []
     best = None
-    for tau, (p_e, pops) in zip(taus, results):
+    for tau in taus:
+        res = lb.run_sequence(lb.fock2_sequence(params, tau), params)
+        p_e, pops = res.p_e[0], lb.resonator_populations(res.rho_final)
         rows.append(
             [f"{tau:.4e}", f"{p_e:.6f}"] + [f"{p:.6f}" for p in pops[:3]]
         )
@@ -662,7 +594,7 @@ def run_large_alpha(scn: Scenario, out: Path) -> dict:
         np.diag([1.0, 0.0]).astype(complex), lb.fock_state(dim, initial_fock)
     )
     rhos = [lb.displacement(base, complex(a), check=False) for a in mags]
-    z = lb.batched_excited_traces(rhos, params, taus, dt=0.2e-9)
+    z = lb.batched_excited_traces(rhos, params, taus)
     rows = []
     for i, a in enumerate(mags):
         for j, t in enumerate(taus):
@@ -725,14 +657,14 @@ def execute_scenario(scn: Scenario, out_dir) -> Path:
     return out
 
 
-def reproduce(figure_id: str, out_dir, jobs: int = 1) -> dict:
+def reproduce(figure_id: str, out_dir) -> dict:
     """Run the preset scenario for a figure and emit target-vs-computed values."""
     if figure_id not in FIGURE_PRESETS:
         raise ConfigError(
             f"unknown figure id {figure_id!r}; supported: {', '.join(sorted(FIGURE_PRESETS))}"
         )
     preset = FIGURE_PRESETS[figure_id]
-    scn = parse_scenario(dict(preset), jobs=jobs)
+    scn = parse_scenario(dict(preset))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     execute_scenario(scn, out)
@@ -757,19 +689,19 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--jobs", type=int, default=None)
 
     p_rep = sub.add_parser("reproduce", help="run a preset figure scenario")
     p_rep.add_argument("figure_id")
     p_rep.add_argument("--out", default=None)
-    p_rep.add_argument("--jobs", type=int, default=None)
+    # worker counts are accepted for older scripts and ignored: every sweep
+    # runs in one thread
+    for p_sub in (p_run, p_rep):
+        p_sub.add_argument("--jobs", type=int, default=None, help="ignored")
 
     p_val = sub.add_parser("validate", help="validate a scenario config")
     p_val.add_argument("config")
 
     args = parser.parse_args(argv)
-    env_jobs = os.environ.get("PHONON_LAB_JOBS")
-    default_jobs = int(env_jobs) if env_jobs else 1
 
     try:
         if args.command == "validate":
@@ -779,16 +711,14 @@ def main(argv=None) -> int:
             return 0
         if args.command == "run":
             doc = load_config(args.config)
-            jobs = args.jobs if args.jobs is not None else default_jobs
-            scn = parse_scenario(doc, seed=args.seed, jobs=jobs)
+            scn = parse_scenario(doc, seed=args.seed)
             out_dir = args.out or f"{Path(args.config).stem}-out"
             out = execute_scenario(scn, out_dir)
             print(f"wrote artifacts to {out}")
             return 0
         if args.command == "reproduce":
-            jobs = args.jobs if args.jobs is not None else default_jobs
             out_dir = args.out or f"reproduce-{args.figure_id}"
-            comparison = reproduce(args.figure_id, out_dir, jobs=jobs)
+            comparison = reproduce(args.figure_id, out_dir)
             print(json.dumps(comparison, indent=2, sort_keys=True))
             return 0
     except ConfigError as exc:

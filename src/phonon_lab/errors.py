@@ -38,9 +38,5 @@ class ConfigError(PhononLabError, ValueError):
     """A scenario configuration failed validation."""
 
 
-class NumericalError(PhononLabError, RuntimeError):
-    """A numerical routine failed downstream of valid inputs."""
-
-
 class IllConditionedFitWarning(UserWarning):
     """The fit is formally solvable but poorly conditioned."""

@@ -15,8 +15,12 @@ Conventions:
   precesses at the instantaneous detuning; the sequence runner tracks the
   accumulated phase and applies it to each rotation.
 
-Integration is fixed-step RK4 (default 0.05 ns), deterministic and
-sufficient for the sub-GHz energy scales of this system.
+Propagation has no time step: the Liouvillian is block diagonal in
+k = N_ket - N_bra, so a constant span is one matrix exponential per
+k-sector, and a cosine-ramped coupling pulse is a time-ordered product of
+fourth-order Magnus steps on its ramps (Blanes, Casas, Oteo & Ros,
+Phys. Rep. 470, 151 (2009)) and one exponential on its flat top.  Products
+are cached per (params, detuning, coupling, span).
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from scipy.linalg import expm
 from .errors import DomainError, GridError, TruncationError
 
 TWO_PI = 2.0 * math.pi
-DEFAULT_DT = 0.05e-9
 DEFAULT_RAMP = 5e-9
 
 # pulse-timing overheads of the standard sequences: idle padding charged per
@@ -316,72 +319,132 @@ class PulseSequence:
 
 
 # ---------------------------------------------------------------------------
-# integrator
+# propagator
+#
+# The Liouvillian conserves k = N_ket - N_bra, where N counts qubit plus
+# phonon excitations, so it is exponentiated one k-sector at a time
+# (Buca & Prosen, NJP 14, 073007 (2012)).  Sector propagators act on the
+# row-major flattened density matrix; ``sectors`` is None for all sectors or
+# a tuple of k values.
+
+# fourth-order Magnus steps per full cosine ramp; 64 steps put a 5 ns ramp
+# within 2e-12 of the converged product
+_RAMP_STEPS = 64
+_SQRT3 = math.sqrt(3.0)
+_GAUSS_NODES = (0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0)
 
 
-def _lindblad_rhs(rho, h, c_ops, cdc_ops):
-    out = -1j * (h @ rho - rho @ h)
-    for c, cdc in zip(c_ops, cdc_ops):
-        out += c[0] @ rho @ c[1] - 0.5 * (cdc @ rho + rho @ cdc)
-    return out
+def _span_key(span: float) -> float:
+    """Cache key of a span: rounding to 1e-21 s merges the round-off spread of
+    a uniform grid's steps without shifting a sampled time measurably."""
+    return round(span, 21)
 
 
-def _rk4_span(rho, duration, h_of_t, c_ops, cdc_ops, dt):
-    """Propagate over ``duration`` with H(t) sampled at the RK4 stages."""
-    if duration <= 0:
+@lru_cache(maxsize=16)
+def _sector_indices(dim: int, sectors) -> tuple:
+    """(rows, cols, flat index) of the density-matrix entries in each sector."""
+    excitations = np.add.outer(np.arange(2), np.arange(dim)).ravel()
+    k_all = excitations[:, None] - excitations[None, :]
+    out = []
+    for k in np.unique(k_all) if sectors is None else sectors:
+        rows, cols = np.nonzero(k_all == k)
+        out.append((rows, cols, rows * 2 * dim + cols))
+    return tuple(out)
+
+
+@lru_cache(maxsize=4)
+def _generators(params: SystemParams, sectors) -> tuple:
+    """Sector blocks (D, N, V) of L(delta, g) = D + delta*N + g*V."""
+    dim = params.dim
+    eye = np.eye(2 * dim)
+    a = lowering_operator(dim)
+    v_int = np.kron(SIGMA_PLUS, a) + np.kron(SIGMA_MINUS, a.conj().T)
+    # each term (A, B) maps rho to A rho B^T
+    dissipator = []
+    for c in collapse_operators(params):
+        cdc = c.conj().T @ c
+        dissipator += [(c, c.conj()), (-0.5 * cdc, eye), (eye, -0.5 * cdc.T)]
+
+    def commutator(h):
+        return [(-1j * h, eye), (eye, 1j * h.T)]
+
+    parts = (dissipator, commutator(np.kron(NUMBER_Q, np.eye(dim))), commutator(v_int))
+    out = []
+    for rows, cols, _ in _sector_indices(dim, sectors):
+        blocks = []
+        for terms in parts:
+            block = np.zeros((rows.size, rows.size), dtype=complex)
+            for a_op, b_op in terms:
+                block += a_op[np.ix_(rows, rows)] * b_op[np.ix_(cols, cols)]
+            blocks.append(block)
+        out.append(tuple(blocks))
+    return tuple(out)
+
+
+def _envelope(t, ramp: float, duration: float):
+    """Cosine-ramped coupling envelope at times ``t`` into a pulse."""
+    edge = np.minimum(t, duration - t)
+    return np.where(edge < ramp, 0.5 * (1.0 - np.cos(np.pi * edge / ramp)), 1.0)
+
+
+def _magnus(blocks, delta, g, ramp, duration, t0, t1) -> tuple:
+    """Time-ordered fourth-order Magnus product over [t0, t1] of a ramped pulse."""
+    steps = max(1, math.ceil(_RAMP_STEPS * (t1 - t0) / ramp - 1e-9))
+    h = (t1 - t0) / steps
+    t = t0 + h * np.arange(steps)
+    e1 = g * _envelope(t + _GAUSS_NODES[0] * h, ramp, duration)
+    e2 = g * _envelope(t + _GAUSS_NODES[1] * h, ramp, duration)
+    mean = 0.5 * h * (e1 + e2)
+    skew = _SQRT3 / 12.0 * h * h * (e2 - e1)
+    out = []
+    for d, n_q, v in blocks:
+        l0 = d + delta * n_q
+        comm = v @ l0 - l0 @ v
+        prop = np.eye(l0.shape[0], dtype=complex)
+        for m, k in zip(mean, skew):
+            prop = expm(h * l0 + m * v + k * comm) @ prop
+        out.append(prop)
+    return tuple(out)
+
+
+# an all-sector entry is 0.2 MB at dim 10 and 21 MB at dim 50
+@lru_cache(maxsize=16)
+def _propagator(params, sectors, delta, g, span, ramp=0.0, duration=0.0, start=0.0) -> tuple:
+    """Sector propagators over [start, start + span] of a segment at (delta, g).
+
+    With ``ramp`` > 0 the coupling follows the cosine envelope of a pulse of
+    length ``duration``: the flat top is one exponential and the ramps are
+    Magnus products, multiplied in time order.
+    """
+    blocks = _generators(params, sectors)
+    if ramp <= 0:
+        return tuple(expm(span * (d + delta * n_q + g * v)) for d, n_q, v in blocks)
+    end = start + span
+    cuts = [start] + [c for c in (ramp, duration - ramp) if start < c < end] + [end]
+    props = None
+    for t0, t1 in zip(cuts, cuts[1:]):
+        if ramp <= t0 and t1 <= duration - ramp:
+            piece = _propagator(params, sectors, delta, g, _span_key(t1 - t0))
+        else:
+            piece = _magnus(blocks, delta, g, ramp, duration, t0, t1)
+        props = piece if props is None else tuple(p @ q for p, q in zip(piece, props))
+    return props
+
+
+def _advance(rho, params, delta, g, ramp, duration, t0, t1):
+    """Propagate the full state over [t0, t1] of a segment (all sectors)."""
+    span = _span_key(t1 - t0)
+    if span <= 0:
         return rho
-    n_steps = max(1, int(math.ceil(duration / dt)))
-    h_step = duration / n_steps
-    t = 0.0
-    for _ in range(n_steps):
-        h1 = h_of_t(t)
-        k1 = _lindblad_rhs(rho, h1, c_ops, cdc_ops)
-        h2 = h_of_t(t + 0.5 * h_step)
-        k2 = _lindblad_rhs(rho + 0.5 * h_step * k1, h2, c_ops, cdc_ops)
-        k3 = _lindblad_rhs(rho + 0.5 * h_step * k2, h2, c_ops, cdc_ops)
-        h4 = h_of_t(t + h_step)
-        k4 = _lindblad_rhs(rho + h_step * k3, h4, c_ops, cdc_ops)
-        rho = rho + (h_step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h_step
-    return rho
-
-
-class _Propagator:
-    """Caches operators for one (params, dim) context."""
-
-    def __init__(self, params: SystemParams, dt: float = DEFAULT_DT):
-        self.params = params
-        self.dt = dt
-        dim = params.dim
-        self.number_q = np.kron(NUMBER_Q, np.eye(dim))
-        a = lowering_operator(dim)
-        self.v_int = np.kron(SIGMA_PLUS, a) + np.kron(SIGMA_MINUS, a.conj().T)
-        raw = collapse_operators(params)
-        self.c_ops = [(c, c.conj().T) for c in raw]
-        self.cdc_ops = [c.conj().T @ c for c in raw]
-
-    def evolve_const(self, rho, duration, delta, g):
-        h = delta * self.number_q + g * self.v_int
-        return _rk4_span(rho, duration, lambda _t: h, self.c_ops, self.cdc_ops, self.dt)
-
-    def evolve_couple(self, rho, segment: Couple):
-        if segment.ramp <= 0:
-            return self.evolve_const(rho, segment.duration, segment.delta, segment.g)
-        h_detune = segment.delta * self.number_q
-        ramp = segment.ramp
-        dur = segment.duration
-
-        def envelope(t):
-            if t < ramp:
-                return 0.5 * (1.0 - math.cos(math.pi * t / ramp))
-            if t > dur - ramp:
-                return 0.5 * (1.0 - math.cos(math.pi * (dur - t) / ramp))
-            return 1.0
-
-        def h_of_t(t):
-            return h_detune + segment.g * envelope(t) * self.v_int
-
-        return _rk4_span(rho, dur, h_of_t, self.c_ops, self.cdc_ops, self.dt)
+    if ramp > 0:
+        props = _propagator(params, None, delta, g, span, ramp, duration, t0)
+    else:
+        props = _propagator(params, None, delta, g, span)
+    flat = rho.reshape(-1)
+    out = np.zeros_like(flat)
+    for (_, _, idx), prop in zip(_sector_indices(params.dim, None), props):
+        out[idx] = prop @ flat[idx]
+    return out.reshape(rho.shape)
 
 
 def qubit_rotation(axis: str, angle: float, phase: float, dim: int) -> np.ndarray:
@@ -449,12 +512,52 @@ class Trajectory:
                 )
 
 
+def _walk(rho, schedule: PulseSequence, params: SystemParams, samples=(), sample=None):
+    """Run ``schedule`` on ``rho``; the one segment walker.
+
+    Calls ``sample(rho)`` at each time of the increasing ``samples`` (seconds
+    from the start), after the continuous segment that reaches it.  Returns
+    the final state and the (label, P_e) of every Measure.
+    """
+    dim = params.dim
+    pending = list(samples)
+    measured = []
+    now = 0.0
+    theta = 0.0  # accumulated qubit-frame phase, sum of delta*duration
+    for seg in schedule.segments:
+        if isinstance(seg, Rotation):
+            u = qubit_rotation(seg.axis, seg.angle, seg.phase + theta, dim)
+            rho = u @ rho @ u.conj().T
+        elif isinstance(seg, Displace):
+            rho = displacement(rho, seg.alpha)
+        elif isinstance(seg, Measure):
+            measured.append((seg.label, excited_probability(rho, params)))
+        elif isinstance(seg, (Detune, Idle, Couple)):
+            delta = params.delta if isinstance(seg, Idle) else seg.delta
+            g = seg.g if isinstance(seg, Couple) else 0.0
+            ramp = seg.ramp if isinstance(seg, Couple) else 0.0
+            dur = seg.duration
+            local = 0.0
+            while pending and pending[0] <= now + dur + 1e-15:
+                t = max(local, min(pending.pop(0) - now, dur))
+                rho = _advance(rho, params, delta, g, ramp, dur, local, t)
+                local = t
+                sample(rho)
+            rho = _advance(rho, params, delta, g, ramp, dur, local, dur)
+            now += dur
+            theta += delta * dur
+        else:
+            raise DomainError(f"unknown segment {seg!r}")
+    for _ in pending:
+        sample(rho)
+    return rho, measured
+
+
 def evolve(
     rho0: np.ndarray,
     schedule: PulseSequence,
     params: SystemParams,
     t_grid: np.ndarray,
-    dt: float = DEFAULT_DT,
 ) -> Trajectory:
     """Run a schedule, sampling observables at ``t_grid`` (seconds).
 
@@ -466,103 +569,20 @@ def evolve(
         raise GridError("t_grid must be a non-empty 1-d array")
     if np.any(np.diff(t_grid) <= 0):
         raise GridError("t_grid must be strictly increasing")
-    total = schedule.duration()
-    if t_grid[0] < 0 or t_grid[-1] > total + 1e-15:
+    if t_grid[0] < 0 or t_grid[-1] > schedule.duration() + 1e-15:
         raise GridError("t_grid extends outside the schedule duration")
-
     check_density_matrix(rho0)
-    prop = _Propagator(params, dt)
-    dim = params.dim
 
-    rho = rho0.astype(complex)
-    records_t, records = [], []
-    grid_iter = list(t_grid)
-    cursor = 0.0
-    theta = 0.0  # accumulated qubit-frame phase, sum of delta*dt
+    records = []
 
-    def record(t_now):
-        records_t.append(t_now)
+    def sample(rho):
         records.append(
-            (
-                excited_probability(rho, params),
-                resonator_populations(rho),
-                bloch_vector(rho),
-            )
+            (excited_probability(rho, params), resonator_populations(rho), bloch_vector(rho))
         )
 
-    def take_due(t_end):
-        nonlocal rho, cursor
-        while grid_iter and grid_iter[0] <= t_end + 1e-15:
-            t_target = grid_iter.pop(0)
-            span = t_target - cursor
-            if span > 1e-18:
-                rho = advance(span)
-            cursor = t_target
-            record(t_target)
-
-    advance = None  # set per continuous segment
-
-    for seg in schedule.segments:
-        if isinstance(seg, Rotation):
-            u = qubit_rotation(seg.axis, seg.angle, seg.phase + theta, dim)
-            rho = u @ rho @ u.conj().T
-        elif isinstance(seg, Displace):
-            rho = displacement(rho, seg.alpha)
-        elif isinstance(seg, Measure):
-            pass  # sampling is grid-driven in evolve()
-        elif isinstance(seg, (Detune, Idle, Couple)):
-            duration = seg.duration
-            if isinstance(seg, Couple):
-                delta_seg = seg.delta
-                g_seg = seg.g
-            elif isinstance(seg, Detune):
-                delta_seg = seg.delta
-                g_seg = 0.0
-            else:
-                delta_seg = params.delta
-                g_seg = 0.0
-            seg_start = cursor
-            if isinstance(seg, Couple) and seg.ramp > 0:
-
-                def advance(span, _seg=seg, _start=seg_start):
-                    offset = cursor - _start
-                    # integrate the remaining window [offset, offset+span]
-                    h_detune = _seg.delta * prop.number_q
-                    ramp, dur = _seg.ramp, _seg.duration
-
-                    def envelope(t):
-                        t = t + offset
-                        if t < ramp:
-                            return 0.5 * (1.0 - math.cos(math.pi * t / ramp))
-                        if t > dur - ramp:
-                            return 0.5 * (1.0 - math.cos(math.pi * max(dur - t, 0.0) / ramp))
-                        return 1.0
-
-                    def h_of_t(t):
-                        return h_detune + _seg.g * envelope(t) * prop.v_int
-
-                    return _rk4_span(rho, span, h_of_t, prop.c_ops, prop.cdc_ops, dt)
-
-            else:
-
-                def advance(span, _d=delta_seg, _g=g_seg):
-                    return prop.evolve_const(rho, span, _d, _g)
-
-            seg_end = seg_start + duration
-            take_due(seg_end)
-            if cursor < seg_end - 1e-18:
-                rho = advance(seg_end - cursor)
-                cursor = seg_end
-            theta += delta_seg * duration
-        else:
-            raise DomainError(f"unknown segment {seg!r}")
-
-    take_due(total)
-
-    p_e = np.array([r[0] for r in records])
-    pops = np.array([r[1] for r in records])
-    bloch = np.array([r[2] for r in records])
-    return Trajectory(np.array(records_t), p_e, pops, bloch, rho)
+    rho, _ = _walk(rho0.astype(complex), schedule, params, t_grid, sample)
+    p_e, pops, bloch = (np.array(column) for column in zip(*records))
+    return Trajectory(t_grid.copy(), p_e, pops, bloch, rho)
 
 
 def batched_excited_traces(
@@ -571,33 +591,32 @@ def batched_excited_traces(
     t_grid: np.ndarray,
     g: float | None = None,
     delta: float = 0.0,
-    dt: float = DEFAULT_DT,
 ) -> np.ndarray:
     """P_e(t) for a stack of initial states under one constant Hamiltonian.
 
-    All states share (delta, g), so the RK4 sweep runs once on the batched
-    array; identical in result to evolving each state separately.  Returns
-    an array of shape (batch, len(t_grid)); visibility is applied.
+    P_e lies in the k = 0 sector, which the Liouvillian never couples to the
+    others, so only that sector is propagated.  Returns an array of shape
+    (batch, len(t_grid)); visibility is applied.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < 0) or np.any(np.diff(t_grid) <= 0):
         raise GridError("t_grid must be nonnegative and strictly increasing")
-    prop = _Propagator(params, dt)
-    h = delta * prop.number_q + (params.g if g is None else g) * prop.v_int
     rho = np.array(rhos, dtype=complex)
     if rho.ndim != 3:
         raise DomainError("rhos must be a stack of density matrices")
-    dim = params.dim
+    g = params.g if g is None else g
+    rows, cols, idx = _sector_indices(params.dim, (0,))[0]
+    vec = rho.reshape(rho.shape[0], -1)[:, idx]
+    excited = params.visibility * ((rows == cols) & (rows >= params.dim))
     out = np.empty((rho.shape[0], t_grid.size))
     t_prev = 0.0
     for i, t in enumerate(t_grid):
-        span = t - t_prev
-        if span > 1e-18:
-            rho = _rk4_span(rho, span, lambda _t: h, prop.c_ops, prop.cdc_ops, dt)
+        span = _span_key(t - t_prev)
+        if span > 0:
+            (prop,) = _propagator(params, (0,), delta, g, span)
+            vec = vec @ prop.T
         t_prev = t
-        out[:, i] = params.visibility * np.trace(
-            rho[:, dim:, dim:], axis1=1, axis2=2
-        ).real
+        out[:, i] = (vec @ excited).real
     return out
 
 
@@ -614,35 +633,11 @@ def run_sequence(
     seq: PulseSequence,
     params: SystemParams,
     rho0: np.ndarray | None = None,
-    dt: float = DEFAULT_DT,
 ) -> SequenceResult:
     """Execute a sequence from the thermal state, recording each Measure."""
-    prop = _Propagator(params, dt)
-    dim = params.dim
     rho = thermal_state(params) if rho0 is None else rho0.astype(complex)
-    theta = 0.0
-    p_e, labels = [], []
-    for seg in seq.segments:
-        if isinstance(seg, Rotation):
-            u = qubit_rotation(seg.axis, seg.angle, seg.phase + theta, dim)
-            rho = u @ rho @ u.conj().T
-        elif isinstance(seg, Displace):
-            rho = displacement(rho, seg.alpha)
-        elif isinstance(seg, Measure):
-            p_e.append(excited_probability(rho, params))
-            labels.append(seg.label)
-        elif isinstance(seg, Detune):
-            rho = prop.evolve_const(rho, seg.duration, seg.delta, 0.0)
-            theta += seg.delta * seg.duration
-        elif isinstance(seg, Idle):
-            rho = prop.evolve_const(rho, seg.duration, params.delta, 0.0)
-            theta += params.delta * seg.duration
-        elif isinstance(seg, Couple):
-            rho = prop.evolve_couple(rho, seg)
-            theta += seg.delta * seg.duration
-        else:
-            raise DomainError(f"unknown segment {seg!r}")
-    return SequenceResult(p_e, labels, rho)
+    rho, measured = _walk(rho, seq, params)
+    return SequenceResult([p for _, p in measured], [label for label, _ in measured], rho)
 
 
 # ---------------------------------------------------------------------------
@@ -753,9 +748,7 @@ TOMOGRAPHY_PULSES = {
 }
 
 
-def measure_qubit_tomography(
-    base: PulseSequence, params: SystemParams, pulses=None, dt: float = DEFAULT_DT
-) -> dict:
+def measure_qubit_tomography(base: PulseSequence, params: SystemParams, pulses=None) -> dict:
     """Run ``base`` once per tomography pulse and collect P_e values."""
     out = {}
     for name in pulses if pulses is not None else TOMOGRAPHY_PULSES:
@@ -764,6 +757,6 @@ def measure_qubit_tomography(
         if pulse is not None:
             seq.append(pulse)
         seq.append(Measure(name))
-        res = run_sequence(seq, params, dt=dt)
+        res = run_sequence(seq, params)
         out[name] = res.p_e[-1]
     return out

@@ -155,11 +155,6 @@ class PMatrix:
     def p23(self) -> np.ndarray:
         return -0.5 * self.p32
 
-    @classmethod
-    def inert(cls, n: int) -> "PMatrix":
-        z = np.zeros(n, dtype=complex)
-        return cls(z.copy(), np.ones(n, dtype=complex), z.copy(), z.copy(), z.copy(), z.copy())
-
 
 @dataclass
 class AdmittanceSpectrum:

@@ -21,6 +21,42 @@ def qubit_excited(dim):
     return np.kron(np.diag([0.0, 1.0]).astype(complex), lb.fock_state(dim, 0))
 
 
+def rk4_states(rho, t_grid, h_of_t, c_ops, dt):
+    """Fixed-step RK4 of the master equation: the state at each grid time.
+
+    An oracle independent of the library's propagator; ``h_of_t`` gives the
+    Hamiltonian at absolute time t.
+    """
+
+    def rhs(r, h):
+        out = -1j * (h @ r - r @ h)
+        for c in c_ops:
+            cdc = c.conj().T @ c
+            out += c @ r @ c.conj().T - 0.5 * (cdc @ r + r @ cdc)
+        return out
+
+    states, t = [], 0.0
+    for t_end in t_grid:
+        n_steps = int(math.ceil((t_end - t) / dt - 1e-9))
+        step = (t_end - t) / n_steps if n_steps else 0.0
+        for _ in range(n_steps):
+            k1 = rhs(rho, h_of_t(t))
+            k2 = rhs(rho + 0.5 * step * k1, h_of_t(t + 0.5 * step))
+            k3 = rhs(rho + 0.5 * step * k2, h_of_t(t + 0.5 * step))
+            k4 = rhs(rho + step * k3, h_of_t(t + step))
+            rho = rho + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += step
+        t = t_end
+        states.append(rho)
+    return states
+
+
+def excitation_sectors(dim):
+    """k = N_ket - N_bra of every density-matrix entry, N = qubit + phonons."""
+    n_exc = np.add.outer(np.arange(2), np.arange(dim)).ravel()
+    return n_exc[:, None] - n_exc[None, :]
+
+
 class TestHamiltonian:
     def test_zero_when_uncoupled_resonant(self):
         h = lb.build_hamiltonian(0.0, 0.0, 6)
@@ -136,14 +172,32 @@ class TestEvolve:
         total = n_exc + p_e_raw
         assert np.max(np.abs(total - total[0])) < 1e-8
 
-    def test_step_halving_convergence(self):
+    def test_matches_fine_step_rk4(self):
+        # a constant and a cosine-ramped pulse; the 1.25 ns grid samples
+        # inside both ramps
         p = lb.SystemParams(visibility=1.0)
-        rho0 = qubit_excited(p.dim)
-        seq = lb.PulseSequence([lb.Couple(p.g, 60e-9)])
-        t = np.linspace(0.0, 60e-9, 31)
-        coarse = lb.evolve(rho0, seq, p, t, dt=lb.DEFAULT_DT)
-        fine = lb.evolve(rho0, seq, p, t, dt=lb.DEFAULT_DT / 2)
-        assert np.max(np.abs(coarse.p_e - fine.p_e)) < 1e-6
+        delta, duration = TWO_PI * 3e6, 40e-9
+        t = np.linspace(0.0, duration, 33)
+        rho0 = lb.thermal_state(p)
+        u = lb.qubit_rotation("x", 2.0, 0.0, p.dim)
+        rho0 = u @ rho0 @ u.conj().T
+        n_q = np.kron(np.diag([0.0, 1.0]), np.eye(p.dim))
+        v_int = lb.build_hamiltonian(0.0, 1.0, p.dim)
+        for ramp in (0.0, 5e-9):
+            seq = lb.PulseSequence([lb.Couple(p.g, duration, delta, ramp)])
+            traj = lb.evolve(rho0, seq, p, t)
+
+            def h_of_t(time, ramp=ramp):
+                edge = min(time, duration - time)
+                env = 0.5 * (1.0 - math.cos(math.pi * edge / ramp)) if edge < ramp else 1.0
+                return delta * n_q + p.g * env * v_int
+
+            ref = rk4_states(rho0, t, h_of_t, lb.collapse_operators(p), 0.01e-9)
+            p_e = [np.trace(r[p.dim:, p.dim:]).real for r in ref]
+            assert np.max(np.abs(traj.p_e - p_e)) < 1e-9
+            pops = [lb.resonator_populations(r) for r in ref]
+            assert np.max(np.abs(traj.populations - pops)) < 1e-9
+            assert np.max(np.abs(traj.rho_final - ref[-1])) < 1e-9
 
     def test_global_frame_offset_leaves_qubit_invariant(self):
         # adding the same offset to qubit and resonator only shifts the frame
@@ -158,12 +212,37 @@ class TestEvolve:
         h_off = lb.build_hamiltonian(delta, p.g, 5) + offset * (
             np.kron(np.diag([0.0, 1.0]), np.eye(5)) + np.kron(np.eye(2), np.diag(np.arange(5.0)))
         )
-        rho = qubit_excited(5)
-        p_e = [1.0]
-        for i in range(1, len(t)):
-            rho = lb._rk4_span(rho, t[i] - t[i - 1], lambda _t: h_off, [], [], 0.05e-9)
-            p_e.append(np.trace(rho[5:, 5:]).real)
+        states = rk4_states(qubit_excited(5), t, lambda _t: h_off, [], 0.05e-9)
+        p_e = [np.trace(rho[5:, 5:]).real for rho in states]
         assert np.max(np.abs(ref.p_e - np.array(p_e))) < 1e-7
+
+    def test_liouvillian_never_leaves_an_excitation_sector(self):
+        # dense row-major superoperator: rho -> A rho B is kron(A, B.T)
+        p = lb.SystemParams(dim=6, delta=TWO_PI * 2e6)
+        h = lb.build_hamiltonian(p.delta, p.g, p.dim)
+        eye = np.eye(2 * p.dim)
+        sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        for c in lb.collapse_operators(p):
+            cdc = c.conj().T @ c
+            sup += np.kron(c, c.conj()) - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+        k = excitation_sectors(p.dim).ravel()
+        assert np.max(np.abs(sup)) > 1e6
+        assert np.all(sup[k[:, None] != k[None, :]] == 0)
+
+    def test_traces_propagate_only_the_population_sector(self):
+        # a displaced, partly rotated state puts weight in every sector, and
+        # the k = 0 traces still match the all-sector walker
+        p = lb.SystemParams()
+        u = lb.qubit_rotation("x", 1.1, 0.4, p.dim)
+        rho0 = lb.displacement(u @ lb.thermal_state(p) @ u.conj().T, 0.9 - 0.6j)
+        k = excitation_sectors(p.dim)
+        assert min(np.max(np.abs(rho0[k == kk])) for kk in np.unique(k)) > 1e-6
+        delta = TWO_PI * 4e6
+        t = np.linspace(0.0, 80e-9, 41)
+        seq = lb.PulseSequence([lb.Couple(p.g, 80e-9, delta)])
+        traj = lb.evolve(rho0, seq, p, t)
+        traces = lb.batched_excited_traces([rho0], p, t, delta=delta)
+        assert np.max(np.abs(traces[0] - traj.p_e)) < 1e-12
 
     def test_grid_validation(self):
         p = closed_params()

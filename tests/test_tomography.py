@@ -240,6 +240,33 @@ class TestFidelity:
         value2, sigma2 = tg.fidelity(rho, psi, cov, n_samples=400, seed=3)
         assert sigma == sigma2
 
+    def test_inflated_covariance_scores_every_sample(
+        self, closed_params, closed_responses, monkeypatch
+    ):
+        # 1e4 times a fitted covariance drives most samples far from physical;
+        # each one is still projected and scored, so sigma stays finite
+        t, resp = closed_responses
+        rng = np.random.default_rng(4)
+        fits = []
+        for a in tg.default_alpha_grid():
+            d = tg.tomography_displacement(-a, 10)
+            pn = np.diag(d @ lb.fock_state(10, 1) @ d.conj().T).real
+            rec = tg.TraceRecord(a, t, resp.T @ pn + 0.01 * rng.standard_normal(t.size), 0.03)
+            fits.append(tg.fit_populations(rec, closed_params, responses=resp))
+        recon = tg.reconstruct_density_matrix(fits)
+        project = tg.project_physical
+        projected = []
+
+        def counting_projection(rho):
+            projected.append(rho)
+            return project(rho)
+
+        monkeypatch.setattr(tg, "project_physical", counting_projection)
+        psi = np.array([0, 1, 0, 0], dtype=complex)
+        _, sigma = tg.fidelity(recon.rho, psi, 1e4 * recon.covariance, n_samples=1000)
+        assert len(projected) == 1000
+        assert math.isfinite(sigma) and 0 < sigma < 1
+
     def test_invalid_covariance_rejected(self):
         rho = np.zeros((10, 10), dtype=complex)
         rho[0, 0] = 1.0
