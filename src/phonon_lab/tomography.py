@@ -9,8 +9,9 @@ Analysis conventions (matching the measurement procedure they invert):
   D(-alpha)^dag`` and the Wigner value at ``alpha`` is their alternating
   sum times 2/pi.
 * The qubit trace is linear in the displaced populations, so the fit uses
-  precomputed single-Fock responses; the simplex search runs over a softmax
-  parameterization and is polished locally.
+  precomputed single-Fock responses; the simplex-constrained least squares
+  is solved exactly by an active-set method, and each population's
+  uncertainty comes from the analytic curvature of the quadratic cost.
 * Density matrices are fitted as 4x4 expansions over the 15 generalized
   Gell-Mann generators, displaced inside a 10-level space with the exactly
   unitary truncated-generator displacement (the same operator the forward
@@ -27,7 +28,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares, minimize, nnls
+from scipy.optimize import least_squares
 
 from .errors import (
     ConvergenceError,
@@ -159,10 +160,47 @@ def basis_responses(
     return lb.batched_excited_traces(rhos, params, t_grid)
 
 
-def _softmax(z):
-    z = z - np.max(z)
-    e = np.exp(z)
-    return e / e.sum()
+def _simplex_lstsq(r_mat: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """Exact minimiser and minimum of ||r_mat p - y||^2 over the simplex.
+
+    Primal active-set method (Lawson & Hanson, Solving Least Squares
+    Problems, ch. 23; Nocedal & Wright, Numerical Optimization, Sec. 16.5)
+    from the best vertex: solve the sum-constrained problem on the free
+    levels, step back to the first bound crossed, else free the level with
+    the most negative bound multiplier; none negative certifies the minimum.
+    """
+    dim = r_mat.shape[1]
+    free = np.zeros(dim, dtype=bool)
+    free[np.argmin(np.sum((r_mat - y[:, None]) ** 2, axis=0))] = True
+    p, best, best_cost = free.astype(float), None, math.inf
+    for _ in range(10 * dim):
+        idx = np.flatnonzero(free)
+        # sum(z) = 1 eliminates the last level; QR keeps cond(r_mat) unsquared
+        last = r_mat[:, idx[-1]]
+        w = np.linalg.lstsq(r_mat[:, idx[:-1]] - last[:, None], y - last, rcond=None)[0]
+        z = np.append(w, 1.0 - w.sum())
+        crossing = z < 0.0
+        if crossing.any():
+            ratios = p[idx][crossing] / (p[idx][crossing] - z[crossing])
+            p[idx] = np.maximum(p[idx] + ratios.min() * (z - p[idx]), 0.0)
+            at_bound = idx[crossing][ratios == ratios.min()]
+            p[at_bound], free[at_bound] = 0.0, False
+            continue
+        p[idx] = z  # bound levels are exactly zero
+        residual = r_mat @ p - y
+        cost = float(residual @ residual)
+        # exact steps strictly lower the cost: a stationary point that does not is round-off
+        if cost >= best_cost:
+            return best, best_cost
+        best, best_cost = p.copy(), cost
+        gradient = r_mat.T @ residual
+        multipliers = np.where(free, np.inf, gradient - gradient[idx].mean())
+        j = int(np.argmin(multipliers))
+        if multipliers[j] >= 0.0:
+            return best, best_cost
+        free[j] = True
+    raise ConvergenceError(f"population fit did not converge in {10 * dim} active-set steps",
+                           best=best, residual=best_cost)
 
 
 def fit_populations(
@@ -173,13 +211,15 @@ def fit_populations(
     """Fit the displaced-state populations to one qubit trace.
 
     Cost is the summed squared error between the measured trace and the
-    model prediction (a convex combination of single-Fock responses);
-    uncertainties come from the numerical second derivative of the cost
-    with respect to each probability.
+    model prediction (a convex combination of single-Fock responses),
+    minimised exactly over the simplex.  Uncertainties come from its exact
+    curvature: sigma_n^2 = s^2 / ||R_n||^2, s^2 the residual variance.
     """
     y = record.p_e
     if y.size < 30:
         raise FitError("trace too short to constrain ten populations")
+    if not np.all(np.isfinite(y)):
+        raise DomainError("trace contains non-finite values")
     if np.ptp(y) < 1e-4:
         warnings.warn(
             "trace is nearly constant; the population fit is ill-posed",
@@ -188,53 +228,12 @@ def fit_populations(
     if responses is None:
         responses = basis_responses(params, record.t_s, record.initial_p_e)
     r_mat = responses.T  # (T, dim)
-
-    def cost_p(p):
-        r = r_mat @ p - y
-        return float(r @ r)
-
-    # simplex-constrained quadratic solved by nnls with a sum-to-one penalty
-    # row, then a softmax simplex search polishes per the analysis recipe
-    penalty = 1e4
-    a_aug = np.vstack([r_mat, penalty * np.ones((1, params.dim))])
-    y_aug = np.concatenate([y, [penalty]])
-    sol, _ = nnls(a_aug, y_aug)
-    total = sol.sum()
-    p0 = sol / total if total > 0 else np.full(params.dim, 1.0 / params.dim)
-    e0 = cost_p(p0)
-
-    def cost_z(z):
-        return cost_p(_softmax(z))
-
-    z0 = np.log(np.maximum(p0, 1e-8))
-    nm = minimize(cost_z, z0, method="Nelder-Mead",
-                  options={"maxiter": 4000, "xatol": 1e-9, "fatol": 1e-15})
-    polish = minimize(cost_z, nm.x, method="BFGS",
-                      options={"maxiter": 500, "gtol": 1e-12})
-    z_best = polish.x if polish.fun <= nm.fun else nm.x
-    candidates = [_softmax(z_best), p0]
-    p_best = min(candidates, key=cost_p)
-    # exact simplex projection against round-off
-    p_best = np.maximum(p_best, 0.0)
-    p_best = p_best / p_best.sum()
-    e_min = cost_p(p_best)
-
-    if e_min > e0 + 1e-12:
-        raise ConvergenceError(
-            "population fit failed to improve on its starting point",
-            best=p_best, residual=e_min,
-        )
-
-    # curvature of the cost in probability space, central differences
-    dof = max(y.size - params.dim, 1)
-    s2 = e_min / dof
-    step = 1e-3
-    sigma = np.empty(params.dim)
-    for n in range(params.dim):
-        d = np.zeros(params.dim)
-        d[n] = step
-        h_nn = (cost_p(p_best + d) - 2.0 * e_min + cost_p(p_best - d)) / step**2
-        sigma[n] = math.sqrt(2.0 * s2 / h_nn) if h_nn > 0 else math.inf
+    p_best, e_min = _simplex_lstsq(r_mat, y)
+    s2 = e_min / max(y.size - params.dim, 1)
+    # a level with an all-zero response column is unconstrained: sigma = inf
+    curvature = np.sum(r_mat * r_mat, axis=0)
+    sigma = np.sqrt(np.divide(s2, curvature, out=np.full(params.dim, math.inf),
+                              where=curvature > 0))
     return PopulationFit(p_n=p_best, sigma_n=sigma, residual=e_min, alpha=record.alpha)
 
 

@@ -1,8 +1,10 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phonon_lab import lindblad as lb
 from phonon_lab import tomography as tg
@@ -65,16 +67,99 @@ class TestFitPopulations:
         assert np.all(fit.p_n >= 0)
         assert fit.p_n.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_sigma_is_the_cost_curvature(self, device_params, trace_grid, responses):
+        # sigma_n = sqrt(2 s^2 / h_nn), h_nn the central-difference second
+        # derivative of the cost along level n
+        rng = np.random.default_rng(3)
+        p_true = np.zeros(10)
+        p_true[:3] = [0.5, 0.3, 0.2]
+        trace = responses.T @ p_true + 0.015 * rng.standard_normal(trace_grid.size)
+        rec = tg.TraceRecord(0j, trace_grid, trace, 0.03)
+        fit = tg.fit_populations(rec, device_params, responses=responses)
+
+        def cost(p):
+            r = responses.T @ p - trace
+            return float(r @ r)
+
+        s2 = fit.residual / (trace.size - 10)
+        step = 1e-3
+        for n in range(10):
+            d = step * np.eye(10)[n]
+            h_nn = (cost(fit.p_n + d) - 2.0 * cost(fit.p_n) + cost(fit.p_n - d)) / step**2
+            assert fit.sigma_n[n] == pytest.approx(math.sqrt(2.0 * s2 / h_nn), rel=1e-6)
+
+    def test_zero_response_column_has_infinite_sigma(self, closed_params, trace_grid):
+        # with no residual qubit excitation the vacuum leaves the qubit in |g>
+        responses = tg.basis_responses(closed_params, trace_grid, 0.0)
+        assert not responses[0].any()
+        rng = np.random.default_rng(9)
+        trace = responses.T @ rng.dirichlet(np.ones(10)) + 0.01 * rng.standard_normal(
+            trace_grid.size
+        )
+        rec = tg.TraceRecord(0j, trace_grid, trace, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = tg.fit_populations(rec, closed_params, responses=responses)
+        assert fit.sigma_n[0] == math.inf
+        assert np.all(np.isfinite(fit.sigma_n[1:]))
+
     def test_short_trace_rejected(self, device_params):
         t = np.linspace(0, 50e-9, 10)
         rec = tg.TraceRecord(0j, t, np.zeros(10), 0.0)
         with pytest.raises(FitError):
             tg.fit_populations(rec, device_params)
 
+    def test_non_finite_trace_rejected(self, device_params, trace_grid, responses):
+        trace = responses.T @ np.eye(10)[1]
+        trace[5] = np.nan
+        rec = tg.TraceRecord(0j, trace_grid, trace, 0.03)
+        with pytest.raises(DomainError):
+            tg.fit_populations(rec, device_params, responses=responses)
+
     def test_constant_trace_warns(self, device_params, trace_grid, responses):
         rec = tg.TraceRecord(0j, trace_grid, np.full(trace_grid.size, 0.03), 0.03)
         with pytest.warns(IllConditionedFitWarning):
             tg.fit_populations(rec, device_params, responses=responses)
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    concentration=st.floats(0.1, 2.0),
+    noise=st.floats(0.0, 0.02),
+    initial_p_e=st.floats(0.0, 0.05),
+)
+def test_fit_is_the_simplex_minimum(seed, concentration, noise, initial_p_e):
+    # oracle: the KKT conditions of min ||R p - y||^2 over the simplex, and
+    # no cost above that of the truth or of any vertex
+    params = lb.SystemParams()
+    t = np.linspace(2e-9, 360e-9, 90)
+    rng = np.random.default_rng(seed)
+    responses = tg.basis_responses(params, t, initial_p_e)
+    r_mat = responses.T
+    p_true = rng.dirichlet(np.full(10, concentration))
+    y = r_mat @ p_true + noise * rng.standard_normal(t.size)
+    fit = tg.fit_populations(tg.TraceRecord(0j, t, y, initial_p_e), params, responses=responses)
+    p = fit.p_n
+    assert np.all(p >= 0.0)
+    assert abs(p.sum() - 1.0) <= 1e-12
+
+    gradient = 2.0 * r_mat.T @ (r_mat @ p - y)
+    tol = 1e-10 * np.max(np.abs(2.0 * r_mat.T @ y))
+    support = p > 0.0
+    level = gradient[support].mean()
+    assert np.max(np.abs(gradient[support] - level)) <= tol
+    assert np.all(gradient[~support] >= level - tol)
+
+    def cost(q):
+        r = r_mat @ q - y
+        return float(r @ r)
+
+    # 1e-24 bounds the round-off in a squared residual over 90 samples
+    bound = fit.residual - 1e-24
+    assert fit.residual == pytest.approx(cost(p), rel=1e-12, abs=1e-24)
+    assert bound <= cost(p_true)
+    assert all(bound <= cost(vertex) for vertex in np.eye(10))
 
 
 class TestWignerPoint:
