@@ -20,8 +20,6 @@ its open-circuit point (``delta = pi/2``) and is resonantly enhanced around
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass, asdict
@@ -344,27 +342,3 @@ def fit_circuit(
     cov = scale @ cov_log @ scale
     return fitted, cov
 
-
-def export_frequency_csv(path, phi_values, params: CircuitParams, sidecar_json=None):
-    """Write ``phi_g,omega_ge_hz`` rows for a flux sweep."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["phi_g", "omega_ge_hz"])
-        for phi in phi_values:
-            writer.writerow([f"{phi:.6f}", f"{qubit_frequency(phi, params) / TWO_PI:.3f}"])
-    if sidecar_json is not None:
-        with open(sidecar_json, "w") as fh:
-            json.dump(params.to_dict(), fh, indent=2, sort_keys=True)
-
-
-def export_coupling_csv(path, phi_values, params: CircuitParams, bvd: BvdParams, sidecar_json=None):
-    """Write ``phi_g,g_hz`` rows for a flux sweep."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["phi_g", "g_hz"])
-        for phi in phi_values:
-            g = coupling_strength(phi, params, bvd)
-            writer.writerow([f"{phi:.6f}", f"{g / TWO_PI:.3f}"])
-    if sidecar_json is not None:
-        with open(sidecar_json, "w") as fh:
-            json.dump(params.to_dict(), fh, indent=2, sort_keys=True)

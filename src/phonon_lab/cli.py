@@ -32,18 +32,6 @@ from .schema_io import load_schema, validate_document
 
 TWO_PI = 2.0 * math.pi
 
-SCENARIO_KINDS = (
-    "admittance",
-    "coupling-sweep",
-    "loss-spectrum",
-    "chevron",
-    "lifetimes",
-    "thermometry",
-    "wigner",
-    "fock2",
-    "large-alpha",
-)
-
 FIGURE_PRESETS = {
     "fig1e": {"kind": "coupling-sweep", "params": {}},
     "fig2": {"kind": "admittance", "params": {}},

@@ -19,8 +19,9 @@ Propagation has no time step: the Liouvillian is block diagonal in
 k = N_ket - N_bra, so a constant span is one matrix exponential per
 k-sector, and a cosine-ramped coupling pulse is a time-ordered product of
 fourth-order Magnus steps on its ramps (Blanes, Casas, Oteo & Ros,
-Phys. Rep. 470, 151 (2009)) and one exponential on its flat top.  Products
-are cached per (params, detuning, coupling, span).
+Phys. Rep. 470, 151 (2009)) and one exponential on its flat top.  The
+ramps are the two windows of one cosine bump, cached per (params,
+detuning, coupling, ramp) whatever the pulse length.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -280,42 +281,36 @@ class PulseSequence:
     def to_json(self) -> str:
         out = []
         for s in self.segments:
-            if isinstance(s, Rotation):
-                out.append({"type": "rotation", "axis": s.axis, "angle": s.angle, "phase": s.phase})
-            elif isinstance(s, Detune):
-                out.append({"type": "detune", "delta": s.delta, "duration": s.duration})
-            elif isinstance(s, Couple):
-                out.append({"type": "couple", "g": s.g, "duration": s.duration, "delta": s.delta, "ramp": s.ramp})
-            elif isinstance(s, Displace):
-                out.append({"type": "displace", "alpha": [s.alpha.real, s.alpha.imag]})
-            elif isinstance(s, Idle):
-                out.append({"type": "idle", "duration": s.duration})
-            elif isinstance(s, Measure):
-                out.append({"type": "measure", "label": s.label})
+            item = {"type": type(s).__name__.lower()}
+            for f in fields(s):
+                value = getattr(s, f.name)
+                item[f.name] = [value.real, value.imag] if f.name == "alpha" else value
+            out.append(item)
         return json.dumps({"segments": out}, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "PulseSequence":
-        doc = json.loads(text)
+        """Inverse of ``to_json``; a malformed document raises DomainError."""
         seq = cls()
-        for item in doc["segments"]:
-            kind = item["type"]
-            if kind == "rotation":
-                seq.append(Rotation(item["axis"], item["angle"], item.get("phase", 0.0)))
-            elif kind == "detune":
-                seq.append(Detune(item["delta"], item["duration"]))
-            elif kind == "couple":
-                seq.append(Couple(item["g"], item["duration"], item.get("delta", 0.0), item.get("ramp", 0.0)))
-            elif kind == "displace":
-                re, im = item["alpha"]
-                seq.append(Displace(complex(re, im)))
-            elif kind == "idle":
-                seq.append(Idle(item["duration"]))
-            elif kind == "measure":
-                seq.append(Measure(item.get("label", "")))
-            else:
-                raise DomainError(f"unknown segment type {kind!r}")
+        try:
+            for item in json.loads(text)["segments"]:
+                kwargs = {**item}
+                kind = kwargs.pop("type", None)
+                seg_cls = _SEGMENT_TYPES.get(kind)
+                if seg_cls is None:
+                    raise DomainError(f"unknown segment type {kind!r}")
+                unknown = set(kwargs) - {f.name for f in fields(seg_cls)}
+                if unknown:
+                    raise DomainError(f"unknown {kind} fields {sorted(unknown)}")
+                if "alpha" in kwargs:
+                    kwargs["alpha"] = complex(*kwargs["alpha"])
+                seq.append(seg_cls(**kwargs))
+        except (KeyError, TypeError) as exc:
+            raise DomainError(f"malformed pulse sequence: {exc!r}") from exc
         return seq
+
+
+_SEGMENT_TYPES = {cls.__name__.lower(): cls for cls in Segment.__args__}
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +330,8 @@ _GAUSS_NODES = (0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0)
 
 
 def _span_key(span: float) -> float:
-    """Cache key of a span: rounding to 1e-21 s merges the round-off spread of
-    a uniform grid's steps without shifting a sampled time measurably."""
+    """Cache key of a span or bump time: rounding to 1e-21 s merges the
+    round-off spread of a uniform grid's steps, shifting no time measurably."""
     return round(span, 21)
 
 
@@ -381,19 +376,14 @@ def _generators(params: SystemParams, sectors) -> tuple:
     return tuple(out)
 
 
-def _envelope(t, ramp: float, duration: float):
-    """Cosine-ramped coupling envelope at times ``t`` into a pulse."""
-    edge = np.minimum(t, duration - t)
-    return np.where(edge < ramp, 0.5 * (1.0 - np.cos(np.pi * edge / ramp)), 1.0)
-
-
-def _magnus(blocks, delta, g, ramp, duration, t0, t1) -> tuple:
-    """Time-ordered fourth-order Magnus product over [t0, t1] of a ramped pulse."""
-    steps = max(1, math.ceil(_RAMP_STEPS * (t1 - t0) / ramp - 1e-9))
-    h = (t1 - t0) / steps
-    t = t0 + h * np.arange(steps)
-    e1 = g * _envelope(t + _GAUSS_NODES[0] * h, ramp, duration)
-    e2 = g * _envelope(t + _GAUSS_NODES[1] * h, ramp, duration)
+def _magnus(blocks, delta, g, ramp, tau0, tau1) -> tuple:
+    """Time-ordered fourth-order Magnus product over the window [tau0, tau1]
+    of the cosine bump g*(1 - cos(pi*tau/ramp))/2, 0 <= tau <= 2*ramp."""
+    steps = max(1, math.ceil(_RAMP_STEPS * (tau1 - tau0) / ramp - 1e-9))
+    h = (tau1 - tau0) / steps
+    tau = tau0 + h * np.arange(steps)
+    e1 = 0.5 * g * (1.0 - np.cos(np.pi * (tau + _GAUSS_NODES[0] * h) / ramp))
+    e2 = 0.5 * g * (1.0 - np.cos(np.pi * (tau + _GAUSS_NODES[1] * h) / ramp))
     mean = 0.5 * h * (e1 + e2)
     skew = _SQRT3 / 12.0 * h * h * (e2 - e1)
     out = []
@@ -409,42 +399,47 @@ def _magnus(blocks, delta, g, ramp, duration, t0, t1) -> tuple:
 
 # an all-sector entry is 0.2 MB at dim 10 and 21 MB at dim 50
 @lru_cache(maxsize=16)
-def _propagator(params, sectors, delta, g, span, ramp=0.0, duration=0.0, start=0.0) -> tuple:
-    """Sector propagators over [start, start + span] of a segment at (delta, g).
+def _propagator(params, sectors, delta, g, span, ramp=0.0, start=0.0) -> tuple:
+    """Sector propagators over a span at (delta, g).
 
-    With ``ramp`` > 0 the coupling follows the cosine envelope of a pulse of
-    length ``duration``: the flat top is one exponential and the ramps are
-    Magnus products, multiplied in time order.
+    With ``ramp`` > 0 the coupling is the cosine bump of ``_magnus`` and the
+    span is its window [start, start + span]; otherwise it is constant.
     """
     blocks = _generators(params, sectors)
     if ramp <= 0:
         return tuple(expm(span * (d + delta * n_q + g * v)) for d, n_q, v in blocks)
-    end = start + span
-    cuts = [start] + [c for c in (ramp, duration - ramp) if start < c < end] + [end]
-    props = None
-    for t0, t1 in zip(cuts, cuts[1:]):
-        if ramp <= t0 and t1 <= duration - ramp:
-            piece = _propagator(params, sectors, delta, g, _span_key(t1 - t0))
-        else:
-            piece = _magnus(blocks, delta, g, ramp, duration, t0, t1)
-        props = piece if props is None else tuple(p @ q for p, q in zip(piece, props))
-    return props
+    return _magnus(blocks, delta, g, ramp, start, start + span)
 
 
 def _advance(rho, params, delta, g, ramp, duration, t0, t1):
-    """Propagate the full state over [t0, t1] of a segment (all sectors)."""
-    span = _span_key(t1 - t0)
-    if span <= 0:
-        return rho
+    """Propagate the full state over [t0, t1] of a segment (all sectors).
+
+    A ramped pulse is a cosine bump cut open at its peak by a flat top:
+    pulse time t is bump time t on the rising edge and
+    t - (duration - 2*ramp) on the falling edge.
+    """
     if ramp > 0:
-        props = _propagator(params, None, delta, g, span, ramp, duration, t0)
+        top = duration - ramp
+        fall = max(t0, top)
+        windows = (
+            (t0, min(t1, ramp), ramp, t0),
+            (max(t0, ramp), min(t1, top), 0.0, 0.0),
+            (fall, t1, ramp, fall - top + ramp),
+        )
     else:
-        props = _propagator(params, None, delta, g, span)
+        windows = ((t0, t1, 0.0, 0.0),)
     flat = rho.reshape(-1)
-    out = np.zeros_like(flat)
-    for (_, _, idx), prop in zip(_sector_indices(params.dim, None), props):
-        out[idx] = prop @ flat[idx]
-    return out.reshape(rho.shape)
+    # (start, end, bump ramp or 0 for a constant coupling, bump time at start)
+    for lo, hi, bump, tau in windows:
+        span = _span_key(hi - lo)
+        if span <= 0:
+            continue
+        props = _propagator(params, None, delta, g, span, bump, _span_key(tau))
+        out = np.zeros_like(flat)
+        for (_, _, idx), prop in zip(_sector_indices(params.dim, None), props):
+            out[idx] = prop @ flat[idx]
+        flat = out
+    return flat.reshape(rho.shape)
 
 
 def qubit_rotation(axis: str, angle: float, phase: float, dim: int) -> np.ndarray:

@@ -235,22 +235,3 @@ class TestFitCircuit:
         with pytest.raises(IdentifiabilityError):
             circuit.fit_circuit(np.column_stack([phi, omega]))
 
-
-class TestExports:
-    def test_frequency_csv(self, tmp_path):
-        p = circuit.CircuitParams()
-        path = tmp_path / "freq.csv"
-        side = tmp_path / "freq.params.json"
-        circuit.export_frequency_csv(path, np.linspace(0, 1, 5), p, side)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "phi_g,omega_ge_hz"
-        assert len(lines) == 6
-        assert side.exists()
-
-    def test_coupling_csv(self, tmp_path, bvd):
-        p = circuit.CircuitParams()
-        path = tmp_path / "g.csv"
-        circuit.export_coupling_csv(path, [0.0, 0.5], p, bvd)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "phi_g,g_hz"
-        assert len(lines) == 3

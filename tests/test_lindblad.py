@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -49,6 +50,45 @@ def rk4_states(rho, t_grid, h_of_t, c_ops, dt):
         t = t_end
         states.append(rho)
     return states
+
+
+GOLDEN_SEQUENCE_JSON = """{
+  "segments": [
+    {
+      "type": "rotation",
+      "axis": "x",
+      "angle": 1.5,
+      "phase": 0.25
+    },
+    {
+      "type": "detune",
+      "delta": 200000000.0,
+      "duration": 1e-08
+    },
+    {
+      "type": "couple",
+      "g": 45000000.0,
+      "duration": 4e-08,
+      "delta": 0.0,
+      "ramp": 5e-09
+    },
+    {
+      "type": "displace",
+      "alpha": [
+        0.5,
+        -0.25
+      ]
+    },
+    {
+      "type": "idle",
+      "duration": 5e-09
+    },
+    {
+      "type": "measure",
+      "label": "end"
+    }
+  ]
+}"""
 
 
 def excitation_sectors(dim):
@@ -198,6 +238,71 @@ class TestEvolve:
             pops = [lb.resonator_populations(r) for r in ref]
             assert np.max(np.abs(traj.populations - pops)) < 1e-9
             assert np.max(np.abs(traj.rho_final - ref[-1])) < 1e-9
+
+    def test_bump_windows_match_fine_step_rk4(self):
+        # two ramped pulses of different lengths and ramps around an idle,
+        # then a pure bump with the first pulse's ramp; the grid samples
+        # inside every edge and on every edge boundary.  One (delta, g)
+        # throughout makes a cache key that drops the span or the window
+        # start share entries, and keeps the Hamiltonian continuous at the
+        # boundaries, where the RK4 oracle cannot tell which segment a step
+        # belongs to.
+        p = lb.SystemParams(dim=6, delta=TWO_PI * 3e6, visibility=1.0)
+        seq = lb.PulseSequence([
+            lb.Couple(p.g, 20e-9, p.delta, 4e-9),
+            lb.Idle(3e-9),
+            lb.Couple(p.g, 16e-9, p.delta, 6e-9),
+            lb.Couple(p.g, 8e-9, p.delta, 4e-9),
+        ])
+        pulses, times, begin = [], [], 0.0
+        for seg in seq.segments:
+            if isinstance(seg, lb.Couple):
+                pulses.append((begin, seg))
+                for edge in (0.0, seg.duration - seg.ramp):
+                    times += [begin + edge + f * seg.ramp for f in (0.0, 0.3, 0.7, 1.0)]
+            begin += seg.duration
+        t = np.unique(times)
+        n_q = np.kron(np.diag([0.0, 1.0]), np.eye(p.dim))
+        v_int = lb.build_hamiltonian(0.0, 1.0, p.dim)
+
+        def h_of_t(time):
+            for start, seg in pulses:
+                if 0.0 <= time - start <= seg.duration:
+                    edge = min(time - start, start + seg.duration - time)
+                    env = 0.5 * (1.0 - math.cos(math.pi * edge / seg.ramp)) if edge < seg.ramp else 1.0
+                    return seg.delta * n_q + seg.g * env * v_int
+            return p.delta * n_q
+
+        rho0 = lb.thermal_state(p)
+        u = lb.qubit_rotation("x", 2.0, 0.0, p.dim)
+        rho0 = u @ rho0 @ u.conj().T
+        traj = lb.evolve(rho0, seq, p, t)
+        ref = rk4_states(rho0, t, h_of_t, lb.collapse_operators(p), 0.01e-9)
+        p_e = [np.trace(r[p.dim:, p.dim:]).real for r in ref]
+        assert np.max(np.abs(traj.p_e - p_e)) < 1e-9
+        pops = [lb.resonator_populations(r) for r in ref]
+        assert np.max(np.abs(traj.populations - pops)) < 1e-9
+        assert np.max(np.abs(traj.rho_final - ref[-1])) < 1e-9
+
+    def test_length_scan_builds_each_ramp_once(self, monkeypatch):
+        # the rising and falling ramp products do not depend on the pulse
+        # length, so five lengths at fixed (params, delta, g, ramp) build two
+        p = lb.SystemParams()
+        builds = []
+        magnus = lb._magnus
+
+        def counting(*args):
+            builds.append(args)
+            return magnus(*args)
+
+        monkeypatch.setattr(lb, "_magnus", counting)
+        lb._propagator.cache_clear()
+        for duration in np.linspace(30e-9, 46e-9, 5):
+            seq = lb.PulseSequence(
+                [lb.Rotation("x", math.pi), lb.Couple(p.g, duration, 0.0, 5e-9), lb.Measure()]
+            )
+            lb.run_sequence(seq, p)
+        assert len(builds) == 2
 
     def test_global_frame_offset_leaves_qubit_invariant(self):
         # adding the same offset to qubit and resonator only shifts the frame
@@ -369,6 +474,35 @@ class TestRunSequence:
         clone = lb.PulseSequence.from_json(seq.to_json())
         assert clone.segments == seq.segments
 
+
+    def test_sequence_json_golden(self):
+        seq = lb.PulseSequence(
+            [
+                lb.Rotation("x", 1.5, 0.25),
+                lb.Detune(2e8, 1e-8),
+                lb.Couple(4.5e7, 4e-8, 0.0, 5e-9),
+                lb.Displace(0.5 - 0.25j),
+                lb.Idle(5e-9),
+                lb.Measure("end"),
+            ]
+        )
+        assert seq.to_json() == GOLDEN_SEQUENCE_JSON
+        assert lb.PulseSequence.from_json(GOLDEN_SEQUENCE_JSON).segments == seq.segments
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"segments": [{"type": "idle"}]},
+            {"segments": [{"type": "idle", "duration": 1e-9, "ramp": 0.0}]},
+            {"segments": [{"type": "wait", "duration": 1e-9}]},
+            {"segments": [{"type": "displace", "alpha": 0.5}]},
+            {"segments": ["idle"]},
+            {"steps": []},
+        ],
+    )
+    def test_malformed_sequence_json_rejected(self, doc):
+        with pytest.raises(DomainError):
+            lb.PulseSequence.from_json(json.dumps(doc))
 
 class TestBlochTomography:
     def test_ground_state_vector(self):
