@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from phonon_lab import circuit, saw
+from phonon_lab import circuit, cli, saw
 from phonon_lab.errors import DomainError, GridError, IdentifiabilityError
 
 TWO_PI = 2 * math.pi
@@ -235,3 +235,21 @@ class TestFitCircuit:
         with pytest.raises(IdentifiabilityError):
             circuit.fit_circuit(np.column_stack([phi, omega]))
 
+
+class TestExports:
+    """coupling.csv and qubit_frequency.csv have one writer, the coupling-sweep scenario."""
+
+    def test_frequency_csv(self, tmp_path):
+        scn = cli.parse_scenario({"kind": "coupling-sweep", "params": {"sweep_points": 5}})
+        cli.run_coupling_sweep(scn, tmp_path)
+        lines = (tmp_path / "qubit_frequency.csv").read_text().strip().splitlines()
+        assert lines[0] == "phi_g,omega_ge_hz"
+        assert len(lines) == 6
+        assert (tmp_path / "params.json").exists()
+
+    def test_coupling_csv(self, tmp_path):
+        scn = cli.parse_scenario({"kind": "coupling-sweep", "params": {"sweep_points": 2}})
+        cli.run_coupling_sweep(scn, tmp_path)
+        lines = (tmp_path / "coupling.csv").read_text().strip().splitlines()
+        assert lines[0] == "phi_g,g_hz"
+        assert len(lines) == 3

@@ -111,21 +111,6 @@ class TestRunScenarios:
         assert np.allclose(z[0], z[-1], atol=1e-6)
         assert np.allclose(z[1], z[-2], atol=1e-6)
 
-    def test_coupling_sweep_artifacts(self, tmp_path):
-        config = write_config(
-            tmp_path, {"kind": "coupling-sweep", "params": {"sweep_points": 5}}
-        )
-        out = tmp_path / "out"
-        assert cli.main(["run", str(config), "--out", str(out)]) == 0
-        for name, header in (
-            ("coupling.csv", "phi_g,g_hz"),
-            ("qubit_frequency.csv", "phi_g,omega_ge_hz"),
-        ):
-            lines = (out / name).read_text().strip().splitlines()
-            assert lines[0] == header
-            assert len(lines) == 6
-        assert (out / "params.json").exists()
-
     def test_fock2_artifacts(self, tmp_path):
         doc = {"kind": "fock2", "params": {"tau_lo_s": 20e-9, "tau_hi_s": 28e-9, "n_tau": 5}}
         config = write_config(tmp_path, doc)
