@@ -302,6 +302,10 @@ class PulseSequence:
                 unknown = set(kwargs) - {f.name for f in fields(seg_cls)}
                 if unknown:
                     raise DomainError(f"unknown {kind} fields {sorted(unknown)}")
+                for f in fields(seg_cls):
+                    if f.name in kwargs and not _FIELD_CHECKS[f.type](kwargs[f.name]):
+                        raise DomainError(f"{kind}.{f.name} must be {f.type}, "
+                                          f"got {kwargs[f.name]!r}")
                 if "alpha" in kwargs:
                     kwargs["alpha"] = complex(*kwargs["alpha"])
                 seq.append(seg_cls(**kwargs))
@@ -311,6 +315,18 @@ class PulseSequence:
 
 
 _SEGMENT_TYPES = {cls.__name__.lower(): cls for cls in Segment.__args__}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# JSON value check per segment field annotation; a complex is written [re, im]
+_FIELD_CHECKS = {
+    "str": lambda v: isinstance(v, str),
+    "float": _is_number,
+    "complex": lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
+}
 
 
 # ---------------------------------------------------------------------------

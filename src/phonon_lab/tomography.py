@@ -12,11 +12,13 @@ Analysis conventions (matching the measurement procedure they invert):
   precomputed single-Fock responses; the simplex-constrained least squares
   is solved exactly by an active-set method, and each population's
   uncertainty comes from the analytic curvature of the quadratic cost.
-* Density matrices are fitted as 4x4 expansions over the 15 generalized
-  Gell-Mann generators, displaced inside a 10-level space with the exactly
-  unitary truncated-generator displacement (the same operator the forward
-  fits use), and compared to the fitted populations in linear least
-  squares, giving the parameter covariance directly.
+* The analysis runs at the dataset's Fock dimension ``params.dim``: the
+  population fits have that many levels, and the reconstruction displaces
+  in that space with the exactly unitary truncated-generator displacement
+  (the same operator the forward fits use).  The state is reconstructed on
+  its lowest ``STATE_LEVELS`` levels as an expansion over the generalized
+  Gell-Mann generators, compared to the fitted populations in unweighted
+  linear least squares, giving the parameter covariance directly.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -38,9 +40,10 @@ from .errors import (
     IllConditionedFitWarning,
 )
 from . import lindblad as lb
+from .schema_io import load_schema, validate_document
 
 TWO_PI = 2.0 * math.pi
-FIT_LEVELS = 10
+STATE_LEVELS = 4  # the reconstructed subspace: Fock levels 0 .. STATE_LEVELS - 1
 
 
 @dataclass
@@ -82,12 +85,18 @@ class TomographyDataset:
                 for r in self.records
             ],
         }
+        validate_document(doc, load_schema("dataset"))
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "TomographyDataset":
+        """Inverse of ``to_json``; a document off the dataset schema raises ConfigError."""
         doc = json.loads(text)
-        params = lb.SystemParams(**doc["params"]) if "params" in doc else lb.SystemParams()
+        validate_document(doc, load_schema("dataset"))
+        unknown = set(doc.get("params", {})) - {f.name for f in fields(lb.SystemParams)}
+        if unknown:
+            raise DomainError(f"unknown params fields {sorted(unknown)}")
+        params = lb.SystemParams(**doc.get("params", {}))
         records = [
             TraceRecord(
                 alpha=complex(r["alpha_re"], r["alpha_im"]),
@@ -125,7 +134,7 @@ class PopulationFit:
 
 @dataclass
 class ReconstructedState:
-    """4x4 density-matrix fit embedded in the 10-level analysis space."""
+    """Density-matrix fit on the lowest STATE_LEVELS levels, embedded at the data's dim."""
 
     rho: np.ndarray
     parameters: np.ndarray
@@ -135,10 +144,10 @@ class ReconstructedState:
 
     @property
     def rho_small(self) -> np.ndarray:
-        return self.rho[:4, :4]
+        return self.rho[:STATE_LEVELS, :STATE_LEVELS]
 
 
-def tomography_displacement(alpha: complex, dim: int = FIT_LEVELS) -> np.ndarray:
+def tomography_displacement(alpha: complex, dim: int) -> np.ndarray:
     """Exactly unitary displacement on the truncated analysis space."""
     return lb.displacement_operator(dim, alpha, check=False)
 
@@ -216,8 +225,9 @@ def fit_populations(
     curvature: sigma_n^2 = s^2 / ||R_n||^2, s^2 the residual variance.
     """
     y = record.p_e
-    if y.size < 30:
-        raise FitError("trace too short to constrain ten populations")
+    if y.size < 3 * params.dim:
+        raise FitError(f"trace of {y.size} points is too short to constrain "
+                       f"{params.dim} populations (need {3 * params.dim})")
     if not np.all(np.isfinite(y)):
         raise DomainError("trace contains non-finite values")
     if np.ptp(y) < 1e-4:
@@ -256,7 +266,7 @@ def wigner_from_state(rho: np.ndarray, alpha: complex) -> float:
     return float(2.0 / math.pi * np.trace(displaced @ parity_operator(dim)).real)
 
 
-def gell_mann_basis(dim: int = 4) -> list[np.ndarray]:
+def gell_mann_basis(dim: int = STATE_LEVELS) -> list[np.ndarray]:
     """Traceless Hermitian generators of SU(dim), (dim^2 - 1) matrices."""
     out = []
     for j in range(dim):
@@ -277,19 +287,13 @@ def gell_mann_basis(dim: int = 4) -> list[np.ndarray]:
     return out
 
 
-def _embed(rho_small: np.ndarray, dim: int) -> np.ndarray:
-    big = np.zeros((dim, dim), dtype=complex)
-    d = rho_small.shape[0]
-    big[:d, :d] = rho_small
-    return big
+# the reconstruction's generators, normalised to tr(l_k l_m) = 2 delta_km
+_GELL_MANN = np.array(gell_mann_basis())
 
 
-def density_from_parameters(c: np.ndarray, dim_small: int = 4) -> np.ndarray:
-    basis = gell_mann_basis(dim_small)
-    rho = np.eye(dim_small, dtype=complex) / dim_small
-    for ci, lam in zip(c, basis):
-        rho = rho + ci * lam
-    return rho
+def density_from_parameters(c: np.ndarray) -> np.ndarray:
+    """Unit-trace state I/STATE_LEVELS + sum_k c_k lambda_k."""
+    return np.eye(STATE_LEVELS, dtype=complex) / STATE_LEVELS + np.tensordot(c, _GELL_MANN, 1)
 
 
 def project_physical(rho: np.ndarray) -> np.ndarray:
@@ -303,64 +307,53 @@ def project_physical(rho: np.ndarray) -> np.ndarray:
     return (vecs * vals) @ vecs.conj().T
 
 
-def reconstruct_density_matrix(
-    fits: list[PopulationFit],
-    dim_small: int = 4,
-    dim_embed: int = FIT_LEVELS,
-) -> ReconstructedState:
-    """Weighted linear least squares over the Gell-Mann expansion.
+def reconstruct_density_matrix(fits: list[PopulationFit]) -> ReconstructedState:
+    """Unweighted linear least squares over the Gell-Mann expansion.
 
     Each fitted distribution contributes its displaced diagonal; requires at
-    least 15 distinct displacements for identifiability.
+    least 15 distinct displacements for identifiability.  The displacements
+    act at the fits' dim, which every fit must share.
     """
-    n_par = dim_small**2 - 1
+    n_par = _GELL_MANN.shape[0]
     alphas = {complex(f.alpha) for f in fits}
     if len(alphas) < n_par:
         raise IdentifiabilityError(
             f"need >= {n_par} distinct displacements, got {len(alphas)}"
         )
+    dim = fits[0].p_n.size
+    if dim < STATE_LEVELS or any(f.p_n.size != dim for f in fits):
+        raise DomainError(
+            f"fits must share one dim of at least {STATE_LEVELS} levels, "
+            f"got {sorted({f.p_n.size for f in fits})}"
+        )
 
-    basis = gell_mann_basis(dim_small)
-    rows_m, rows_b, rows_y = [], [], []
-    for f in fits:
-        d = tomography_displacement(-f.alpha, dim_embed)
-        d_dag = d.conj().T
-        base = d @ _embed(np.eye(dim_small, dtype=complex) / dim_small, dim_embed) @ d_dag
-        rows_b.append(np.diag(base).real)
-        cols = [
-            np.diag(d @ _embed(lam, dim_embed) @ d_dag).real for lam in basis
-        ]
-        rows_m.append(np.column_stack(cols))
-        rows_y.append(f.p_n)
-
-    m = np.vstack(rows_m)
-    b = np.concatenate(rows_b)
-    y = np.concatenate(rows_y)
+    # diag(D X D^dag) of a state X on the lowest levels needs only those columns of D
+    v = np.array([tomography_displacement(-f.alpha, dim)[:, :STATE_LEVELS] for f in fits])
+    b = np.sum(np.abs(v) ** 2, axis=2).ravel() / STATE_LEVELS
+    m = np.einsum("fni,kij,fnj->fnk", v, _GELL_MANN, v.conj()).real.reshape(-1, n_par)
+    y = np.concatenate([f.p_n for f in fits])
 
     gram = m.T @ m
     cond = np.linalg.cond(gram)
     if cond > 1e10:
         warnings.warn(
-            "reconstruction design is rank-deficient; using pseudo-inverse",
+            f"reconstruction design is rank-deficient (cond {cond:.1e}); "
+            "the pseudo-inverse drops its null directions",
             IllConditionedFitWarning,
         )
-        gram_inv = np.linalg.pinv(gram)
-    else:
-        gram_inv = np.linalg.inv(gram)
+    gram_inv = np.linalg.pinv(gram)
     c = gram_inv @ (m.T @ (y - b))
     chi2 = float(np.sum((m @ c - (y - b)) ** 2))
     dof = max(y.size - c.size, 1)
-    residual = chi2
     covariance = gram_inv * (chi2 / dof)
 
-    rho_raw = density_from_parameters(c, dim_small)
-    rho_phys = project_physical(rho_raw)
+    rho_raw = density_from_parameters(c)
     return ReconstructedState(
-        rho=_embed(rho_phys, dim_embed),
+        rho=np.pad(project_physical(rho_raw), (0, dim - STATE_LEVELS)),
         parameters=c,
         covariance=covariance,
         rho_raw=rho_raw,
-        residual=residual,
+        residual=chi2,
     )
 
 
@@ -394,11 +387,9 @@ def fidelity(
     jitter = max(-min_eig, 0.0) + 1e-300
     chol = np.linalg.cholesky(sym + jitter * np.eye(sym.shape[0]))
 
-    # center the resampling on the parameters implied by rho's 4x4 block
-    basis = gell_mann_basis(4)
-    c0 = np.array(
-        [np.trace(rho[:4, :4] @ lam).real / np.trace(lam @ lam).real for lam in basis]
-    )
+    # center the resampling on the parameters implied by rho's reconstructed block
+    block = rho[:STATE_LEVELS, :STATE_LEVELS]
+    c0 = np.einsum("kij,ji->k", _GELL_MANN, block).real / 2.0
     rng = np.random.default_rng(seed)
     samples = np.empty(n_samples)
     for i in range(n_samples):
@@ -584,4 +575,5 @@ def reconstruction_report(recon: ReconstructedState, fidelity_value=None) -> dic
     if fidelity_value is not None:
         value, sigma = fidelity_value
         report["fidelity"] = {"value": value, "sigma": sigma}
+    validate_document(report, load_schema("reconstruction"))
     return report

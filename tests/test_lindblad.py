@@ -29,11 +29,12 @@ def rk4_states(rho, t_grid, h_of_t, c_ops, dt):
     Hamiltonian at absolute time t.
     """
 
+    c_terms = [(c, c.conj().T, c.conj().T @ c) for c in c_ops]
+
     def rhs(r, h):
         out = -1j * (h @ r - r @ h)
-        for c in c_ops:
-            cdc = c.conj().T @ c
-            out += c @ r @ c.conj().T - 0.5 * (cdc @ r + r @ cdc)
+        for c, c_dag, cdc in c_terms:
+            out += c @ r @ c_dag - 0.5 * (cdc @ r + r @ cdc)
         return out
 
     states, t = [], 0.0
@@ -498,6 +499,9 @@ class TestRunSequence:
             {"segments": [{"type": "displace", "alpha": 0.5}]},
             {"segments": ["idle"]},
             {"steps": []},
+            {"segments": [{"type": "displace", "alpha": ["1"]}]},
+            {"segments": [{"type": "measure", "label": 5}]},
+            {"segments": [{"type": "idle", "duration": True}]},
         ],
     )
     def test_malformed_sequence_json_rejected(self, doc):

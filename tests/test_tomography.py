@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from phonon_lab import lindblad as lb
 from phonon_lab import tomography as tg
 from phonon_lab.errors import (
+    ConfigError,
     DomainError,
     FitError,
     IdentifiabilityError,
@@ -191,10 +193,10 @@ class TestWignerPoint:
                 assert abs(tg.wigner_from_state(rho, alpha) - via_parity) < 1e-10
 
 
-def _ideal_fits(rho_res, params, t_grid, responses, alphas):
+def _ideal_fits(rho_res, params, t_grid, responses, alphas, dim=10):
     fits = []
     for a in alphas:
-        d = tg.tomography_displacement(-a, 10)
+        d = tg.tomography_displacement(-a, dim)
         pn = np.diag(d @ rho_res @ d.conj().T).real
         rec = tg.TraceRecord(a, t_grid, responses.T @ pn, 0.03)
         fits.append(tg.fit_populations(rec, params, responses=responses))
@@ -236,18 +238,55 @@ class TestReconstruction:
         assert np.max(np.abs(off)) < 0.02
         assert np.allclose(np.diag(recon.rho_small).real, 0.25, atol=0.02)
 
-    def test_random_state_roundtrip(self, closed_params, closed_responses):
-        t, resp = closed_responses
+    @pytest.mark.parametrize("dim", [10, 12])
+    def test_random_state_roundtrip(self, closed_params, dim):
+        params = dataclasses.replace(closed_params, dim=dim)
+        t = np.linspace(2e-9, 300e-9, 75)
+        resp = tg.basis_responses(params, t, 0.03)
         rng = np.random.default_rng(5)
         x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         rho4 = x @ x.conj().T
         rho4 /= np.trace(rho4).real
-        rho = np.zeros((10, 10), dtype=complex)
+        rho = np.zeros((dim, dim), dtype=complex)
         rho[:4, :4] = rho4
-        fits = _ideal_fits(rho, closed_params, t, resp, tg.default_alpha_grid())
+        fits = _ideal_fits(rho, params, t, resp, tg.default_alpha_grid(), dim)
         recon = tg.reconstruct_density_matrix(fits)
+        assert recon.rho.shape == (dim, dim)
         dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(recon.rho_small - rho4)))
         assert dist < 0.01
+
+    def test_fits_of_mixed_levels_rejected(self):
+        fits = [
+            tg.PopulationFit(np.eye(dim)[0], np.zeros(dim), 0.0, a)
+            for dim, a in zip([10, 12] * 13, tg.default_alpha_grid())
+        ]
+        with pytest.raises(DomainError):
+            tg.reconstruct_density_matrix(fits)
+
+    def test_analysis_follows_dataset_dim(self):
+        psi = np.array([0, 1, 0, 0], dtype=complex)
+        values = {}
+        for dim in (10, 12):
+            ds = tg.synthesize_dataset("1", lb.SystemParams(dim=dim))
+            fits, recon = tg.analyze_dataset(ds)
+            assert all(f.p_n.size == dim for f in fits)
+            assert recon.rho.shape == (dim, dim)
+            values[dim], _ = tg.fidelity(recon.rho, psi)
+        assert abs(values[12] - values[10]) < 0.005
+
+    def test_real_axis_design_warns_and_leaves_imaginary_parts_zero(self):
+        # real displacements of a real state never see the antisymmetric
+        # generators, so the Gram matrix is singular in exactly those directions
+        rho = lb.fock_state(10, 1)
+        fits = []
+        for a in np.linspace(-2.0, 2.0, 16):
+            d = tg.tomography_displacement(-a, 10)
+            pn = np.clip(np.diag(d @ rho @ d.conj().T).real, 0.0, None)
+            fits.append(tg.PopulationFit(pn / pn.sum(), np.zeros(10), 0.0, complex(a)))
+        with pytest.warns(IllConditionedFitWarning):
+            recon = tg.reconstruct_density_matrix(fits)
+        assert np.max(np.abs(recon.parameters[1:12:2])) < 1e-12
+        assert np.max(np.abs(recon.rho_small - rho[:4, :4])) < 1e-9
 
     def test_too_few_displacements(self, closed_params, closed_responses):
         t, resp = closed_responses
@@ -351,6 +390,19 @@ class TestFidelity:
         _, sigma = tg.fidelity(recon.rho, psi, 1e4 * recon.covariance, n_samples=1000)
         assert len(projected) == 1000
         assert math.isfinite(sigma) and 0 < sigma < 1
+
+    def test_resampling_centres_on_the_state(self, monkeypatch):
+        # with a negligible covariance every sample is the given (complex) state
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        rho4 = x @ x.conj().T
+        rho4 /= np.trace(rho4).real
+        sampled = []
+        monkeypatch.setattr(tg, "project_physical", lambda r: sampled.append(r) or r)
+        psi = np.array([1, 1j, 0, 0], dtype=complex)
+        tg.fidelity(np.pad(rho4, (0, 6)), psi, 1e-20 * np.eye(15), n_samples=3)
+        assert len(sampled) == 3
+        assert all(np.max(np.abs(r - rho4)) < 1e-8 for r in sampled)
 
     def test_invalid_covariance_rejected(self):
         rho = np.zeros((10, 10), dtype=complex)
@@ -461,6 +513,24 @@ class TestDatasetIO:
         assert clone.records[0].alpha == 0.5 - 0.25j
         assert np.allclose(clone.records[0].p_e, rec.p_e)
         json.loads(ds.to_json())  # valid JSON document
+
+    @pytest.mark.parametrize(
+        "doc,error,field",
+        [
+            ({}, ConfigError, "records"),
+            ({"records": [{"alpha_re": "0.5", "alpha_im": 0.0, "t_s": [0.0], "p_e": [0.1]}]},
+             ConfigError, "alpha_re"),
+            ({"params": {"dim": 6, "kappa": 1.0}, "records": []}, DomainError, "kappa"),
+        ],
+    )
+    def test_malformed_dataset_json_rejected(self, doc, error, field):
+        with pytest.raises(error, match=field):
+            tg.TomographyDataset.from_json(json.dumps(doc))
+
+    def test_dataset_json_output_is_checked(self):
+        rec = tg.TraceRecord(0j, np.linspace(0, 50e-9, 40), np.zeros(40))
+        with pytest.raises(ConfigError, match="state"):
+            tg.TomographyDataset([rec], state_label=1).to_json()
 
     def test_wigner_csv(self, tmp_path):
         fits = [
