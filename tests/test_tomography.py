@@ -238,11 +238,8 @@ class TestReconstruction:
         assert np.max(np.abs(off)) < 0.02
         assert np.allclose(np.diag(recon.rho_small).real, 0.25, atol=0.02)
 
-    @pytest.mark.parametrize("dim", [10, 12])
-    def test_random_state_roundtrip(self, closed_params, dim):
-        params = dataclasses.replace(closed_params, dim=dim)
-        t = np.linspace(2e-9, 300e-9, 75)
-        resp = tg.basis_responses(params, t, 0.03)
+    def _random_state_roundtrip(self, params, t, resp):
+        dim = params.dim
         rng = np.random.default_rng(5)
         x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         rho4 = x @ x.conj().T
@@ -254,6 +251,16 @@ class TestReconstruction:
         assert recon.rho.shape == (dim, dim)
         dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(recon.rho_small - rho4)))
         assert dist < 0.01
+
+    def test_random_state_roundtrip(self, closed_params, closed_responses):
+        t, resp = closed_responses
+        self._random_state_roundtrip(closed_params, t, resp)
+
+    def test_random_state_roundtrip_dim12(self, closed_params):
+        params = dataclasses.replace(closed_params, dim=12)
+        t = np.linspace(2e-9, 300e-9, 75)
+        resp = tg.basis_responses(params, t, 0.03)
+        self._random_state_roundtrip(params, t, resp)
 
     def test_fits_of_mixed_levels_rejected(self):
         fits = [
