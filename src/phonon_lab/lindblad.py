@@ -17,11 +17,13 @@ Conventions:
 
 Propagation has no time step: the Liouvillian is block diagonal in
 k = N_ket - N_bra, so a constant span is one matrix exponential per
-k-sector, and a cosine-ramped coupling pulse is a time-ordered product of
-fourth-order Magnus steps on its ramps (Blanes, Casas, Oteo & Ros,
-Phys. Rep. 470, 151 (2009)) and one exponential on its flat top.  The
-ramps are the two windows of one cosine bump, cached per (params,
-detuning, coupling, ramp) whatever the pulse length.
+occupied k-sector, and a cosine-ramped coupling pulse is a time-ordered
+product of fourth-order Magnus steps on its ramps (Blanes, Casas, Oteo &
+Ros, Phys. Rep. 470, 151 (2009)) and one exponential on its flat top.  The
+ramps are the two windows of one cosine bump, so they do not depend on the
+pulse length.  Only the sectors in which the state holds non-zero entries
+are propagated; a segment window's sector propagators are cached together
+and each is built the first time its sector is occupied.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ class SystemParams:
     visibility: float = 0.97
 
     def __post_init__(self):
+        if any(math.isnan(getattr(self, f.name)) for f in fields(self)):
+            raise DomainError("parameters must not be NaN")
         if self.dim < 2:
             raise DomainError("resonator dimension must be >= 2")
         if self.t1 <= 0 or self.t1r <= 0 or self.t2_ramsey <= 0:
@@ -335,8 +339,9 @@ _FIELD_CHECKS = {
 # The Liouvillian conserves k = N_ket - N_bra, where N counts qubit plus
 # phonon excitations, so it is exponentiated one k-sector at a time
 # (Buca & Prosen, NJP 14, 073007 (2012)).  Sector propagators act on the
-# row-major flattened density matrix; ``sectors`` is None for all sectors or
-# a tuple of k values.
+# row-major flattened density matrix.  A rotation can move weight by up to
+# two sectors and a displacement into every sector, so the occupied sectors
+# are read from the state itself at the start of each continuous segment.
 
 # fourth-order Magnus steps per full cosine ramp; 64 steps put a 5 ns ramp
 # within 2e-12 of the converged product
@@ -351,21 +356,43 @@ def _span_key(span: float) -> float:
     return round(span, 21)
 
 
+class _PerSector(dict):
+    """Map from k to a sector's matrix, built by ``build(k)`` on first access."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, k):
+        self[k] = value = self.build(k)
+        return value
+
+
 @lru_cache(maxsize=16)
-def _sector_indices(dim: int, sectors) -> tuple:
-    """(rows, cols, flat index) of the density-matrix entries in each sector."""
+def _sector_indices(dim: int) -> dict:
+    """(rows, cols, flat index) of the density-matrix entries of each sector k."""
     excitations = np.add.outer(np.arange(2), np.arange(dim)).ravel()
-    k_all = excitations[:, None] - excitations[None, :]
-    out = []
-    for k in np.unique(k_all) if sectors is None else sectors:
-        rows, cols = np.nonzero(k_all == k)
-        out.append((rows, cols, rows * 2 * dim + cols))
-    return tuple(out)
+    k_all = np.subtract.outer(excitations, excitations).ravel()
+    # a stable sort keeps each sector's entries in row-major order
+    order = np.argsort(k_all, kind="stable")
+    ends = np.cumsum(np.bincount(k_all + dim))
+    out = {}
+    for k, idx in zip(range(-dim, dim + 1), np.split(order, ends[:-1])):
+        rows, cols = np.divmod(idx, 2 * dim)
+        out[k] = (rows, cols, idx)
+    return out
+
+
+def _occupied(rho) -> tuple:
+    """The sectors k in which ``rho`` has a non-zero entry."""
+    flat = rho.reshape(-1)
+    indices = _sector_indices(rho.shape[0] // 2)
+    return tuple(k for k, (_, _, idx) in indices.items() if flat[idx].any())
 
 
 @lru_cache(maxsize=4)
-def _generators(params: SystemParams, sectors) -> tuple:
-    """Sector blocks (D, N, V) of L(delta, g) = D + delta*N + g*V."""
+def _generators(params: SystemParams) -> _PerSector:
+    """Sector blocks (D, N, V) of L(delta, g) = D + delta*N + g*V, per k."""
     dim = params.dim
     eye = np.eye(2 * dim)
     a = lowering_operator(dim)
@@ -380,21 +407,24 @@ def _generators(params: SystemParams, sectors) -> tuple:
         return [(-1j * h, eye), (eye, 1j * h.T)]
 
     parts = (dissipator, commutator(np.kron(NUMBER_Q, np.eye(dim))), commutator(v_int))
-    out = []
-    for rows, cols, _ in _sector_indices(dim, sectors):
-        blocks = []
+    indices = _sector_indices(dim)
+
+    def blocks(k):
+        rows, cols, _ = indices[k]
+        out = []
         for terms in parts:
             block = np.zeros((rows.size, rows.size), dtype=complex)
             for a_op, b_op in terms:
                 block += a_op[np.ix_(rows, rows)] * b_op[np.ix_(cols, cols)]
-            blocks.append(block)
-        out.append(tuple(blocks))
-    return tuple(out)
+            out.append(block)
+        return tuple(out)
+
+    return _PerSector(blocks)
 
 
-def _magnus(blocks, delta, g, ramp, tau0, tau1) -> tuple:
-    """Time-ordered fourth-order Magnus product over the window [tau0, tau1]
-    of the cosine bump g*(1 - cos(pi*tau/ramp))/2, 0 <= tau <= 2*ramp."""
+def _magnus(params, k, delta, g, ramp, tau0, tau1) -> np.ndarray:
+    """Time-ordered fourth-order Magnus product of sector k over the window
+    [tau0, tau1] of the cosine bump g*(1 - cos(pi*tau/ramp))/2, 0 <= tau <= 2*ramp."""
     steps = max(1, math.ceil(_RAMP_STEPS * (tau1 - tau0) / ramp - 1e-9))
     h = (tau1 - tau0) / steps
     tau = tau0 + h * np.arange(steps)
@@ -402,33 +432,37 @@ def _magnus(blocks, delta, g, ramp, tau0, tau1) -> tuple:
     e2 = 0.5 * g * (1.0 - np.cos(np.pi * (tau + _GAUSS_NODES[1] * h) / ramp))
     mean = 0.5 * h * (e1 + e2)
     skew = _SQRT3 / 12.0 * h * h * (e2 - e1)
-    out = []
-    for d, n_q, v in blocks:
-        l0 = d + delta * n_q
-        comm = v @ l0 - l0 @ v
-        prop = np.eye(l0.shape[0], dtype=complex)
-        for m, k in zip(mean, skew):
-            prop = expm(h * l0 + m * v + k * comm) @ prop
-        out.append(prop)
-    return tuple(out)
+    d, n_q, v = _generators(params)[k]
+    l0 = d + delta * n_q
+    comm = v @ l0 - l0 @ v
+    prop = np.eye(l0.shape[0], dtype=complex)
+    for m, s in zip(mean, skew):
+        prop = expm(h * l0 + m * v + s * comm) @ prop
+    return prop
 
 
-# an all-sector entry is 0.2 MB at dim 10 and 21 MB at dim 50
+# one entry per segment window, holding the sectors propagated through it;
+# all 2*dim + 1 sectors take 0.2 MB at dim 10 and 21 MB at dim 50
 @lru_cache(maxsize=16)
-def _propagator(params, sectors, delta, g, span, ramp=0.0, start=0.0) -> tuple:
-    """Sector propagators over a span at (delta, g).
+def _propagator(params, delta, g, span, ramp=0.0, start=0.0) -> _PerSector:
+    """Sector propagators over a span at (delta, g), per k.
 
     With ``ramp`` > 0 the coupling is the cosine bump of ``_magnus`` and the
     span is its window [start, start + span]; otherwise it is constant.
     """
-    blocks = _generators(params, sectors)
-    if ramp <= 0:
-        return tuple(expm(span * (d + delta * n_q + g * v)) for d, n_q, v in blocks)
-    return _magnus(blocks, delta, g, ramp, start, start + span)
+
+    def build(k):
+        if ramp > 0:
+            return _magnus(params, k, delta, g, ramp, start, start + span)
+        d, n_q, v = _generators(params)[k]
+        return expm(span * (d + delta * n_q + g * v))
+
+    return _PerSector(build)
 
 
-def _advance(rho, params, delta, g, ramp, duration, t0, t1):
-    """Propagate the full state over [t0, t1] of a segment (all sectors).
+def _advance(rho, params, sectors, delta, g, ramp, duration, t0, t1):
+    """Propagate the state's ``sectors`` over [t0, t1] of a segment; every
+    other sector must be zero, and stays zero.
 
     A ramped pulse is a cosine bump cut open at its peak by a flat top:
     pulse time t is bump time t on the rising edge and
@@ -445,15 +479,17 @@ def _advance(rho, params, delta, g, ramp, duration, t0, t1):
     else:
         windows = ((t0, t1, 0.0, 0.0),)
     flat = rho.reshape(-1)
+    indices = _sector_indices(params.dim)
     # (start, end, bump ramp or 0 for a constant coupling, bump time at start)
     for lo, hi, bump, tau in windows:
         span = _span_key(hi - lo)
         if span <= 0:
             continue
-        props = _propagator(params, None, delta, g, span, bump, _span_key(tau))
+        props = _propagator(params, delta, g, span, bump, _span_key(tau))
         out = np.zeros_like(flat)
-        for (_, _, idx), prop in zip(_sector_indices(params.dim, None), props):
-            out[idx] = prop @ flat[idx]
+        for k in sectors:
+            idx = indices[k][2]
+            out[idx] = props[k] @ flat[idx]
         flat = out
     return flat.reshape(rho.shape)
 
@@ -548,13 +584,14 @@ def _walk(rho, schedule: PulseSequence, params: SystemParams, samples=(), sample
             g = seg.g if isinstance(seg, Couple) else 0.0
             ramp = seg.ramp if isinstance(seg, Couple) else 0.0
             dur = seg.duration
+            sectors = _occupied(rho)
             local = 0.0
             while pending and pending[0] <= now + dur + 1e-15:
                 t = max(local, min(pending.pop(0) - now, dur))
-                rho = _advance(rho, params, delta, g, ramp, dur, local, t)
+                rho = _advance(rho, params, sectors, delta, g, ramp, dur, local, t)
                 local = t
                 sample(rho)
-            rho = _advance(rho, params, delta, g, ramp, dur, local, dur)
+            rho = _advance(rho, params, sectors, delta, g, ramp, dur, local, dur)
             now += dur
             theta += delta * dur
         else:
@@ -616,7 +653,7 @@ def batched_excited_traces(
     if rho.ndim != 3:
         raise DomainError("rhos must be a stack of density matrices")
     g = params.g if g is None else g
-    rows, cols, idx = _sector_indices(params.dim, (0,))[0]
+    rows, cols, idx = _sector_indices(params.dim)[0]
     vec = rho.reshape(rho.shape[0], -1)[:, idx]
     excited = params.visibility * ((rows == cols) & (rows >= params.dim))
     out = np.empty((rho.shape[0], t_grid.size))
@@ -624,8 +661,7 @@ def batched_excited_traces(
     for i, t in enumerate(t_grid):
         span = _span_key(t - t_prev)
         if span > 0:
-            (prop,) = _propagator(params, (0,), delta, g, span)
-            vec = vec @ prop.T
+            vec = vec @ _propagator(params, delta, g, span)[0].T
         t_prev = t
         out[:, i] = (vec @ excited).real
     return out

@@ -237,6 +237,9 @@ def fit_populations(
         )
     if responses is None:
         responses = basis_responses(params, record.t_s, record.initial_p_e)
+    if responses.shape != (params.dim, y.size):
+        raise DomainError(f"responses of shape {responses.shape} do not match "
+                          f"{params.dim} levels and {y.size} trace points")
     r_mat = responses.T  # (T, dim)
     p_best, e_min = _simplex_lstsq(r_mat, y)
     s2 = e_min / max(y.size - params.dim, 1)
@@ -371,6 +374,9 @@ def fidelity(
     deviation of the resampled fidelities is returned as the uncertainty.
     """
     psi = np.asarray(psi, dtype=complex)
+    if psi.size > STATE_LEVELS:
+        raise DomainError(f"target state has {psi.size} levels, more than the "
+                          f"STATE_LEVELS = {STATE_LEVELS} reconstructed ones")
     psi = psi / np.linalg.norm(psi)
     d = psi.size
     rho_small = rho[:d, :d]

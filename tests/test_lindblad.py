@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.optimize import curve_fit
 
 from phonon_lab import lindblad as lb
@@ -98,6 +99,34 @@ def excitation_sectors(dim):
     return n_exc[:, None] - n_exc[None, :]
 
 
+def dense_liouvillian(p, delta, g):
+    """Row-major superoperator over every sector: rho -> A rho B is kron(A, B.T)."""
+    h = lb.build_hamiltonian(delta, g, p.dim)
+    eye = np.eye(2 * p.dim)
+    sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for c in lb.collapse_operators(p):
+        cdc = c.conj().T @ c
+        sup += np.kron(c, c.conj()) - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+    return sup
+
+
+def all_sector_reference(seq, p):
+    """Final state of a sequence of rotations, displacements and constant
+    resonant couplings from the thermal state, with dense exponentials."""
+    rho = lb.thermal_state(p)
+    for seg in seq.segments:
+        if isinstance(seg, lb.Rotation):
+            u = lb.qubit_rotation(seg.axis, seg.angle, seg.phase, p.dim)
+            rho = u @ rho @ u.conj().T
+        elif isinstance(seg, lb.Displace):
+            rho = lb.displacement(rho, seg.alpha)
+        elif isinstance(seg, lb.Couple):
+            assert seg.delta == 0.0 and seg.ramp == 0.0
+            prop = expm(seg.duration * dense_liouvillian(p, 0.0, seg.g))
+            rho = (prop @ rho.reshape(-1)).reshape(rho.shape)
+    return rho
+
+
 class TestHamiltonian:
     def test_zero_when_uncoupled_resonant(self):
         h = lb.build_hamiltonian(0.0, 0.0, 6)
@@ -159,6 +188,14 @@ class TestCollapseOperators:
     def test_nonpositive_lifetime_rejected(self):
         with pytest.raises(DomainError):
             lb.SystemParams(t1=-1.0)
+
+    @pytest.mark.parametrize(
+        "name", ["g", "delta", "t1", "t2_ramsey", "t1r", "p_e_th", "p_1_th", "visibility"]
+    )
+    def test_nan_parameter_rejected(self, name):
+        # a NaN t1r would otherwise drop phonon decay without a word
+        with pytest.raises(DomainError, match="NaN"):
+            lb.SystemParams(**{name: math.nan})
 
 
 class TestEvolve:
@@ -323,17 +360,53 @@ class TestEvolve:
         assert np.max(np.abs(ref.p_e - np.array(p_e))) < 1e-7
 
     def test_liouvillian_never_leaves_an_excitation_sector(self):
-        # dense row-major superoperator: rho -> A rho B is kron(A, B.T)
         p = lb.SystemParams(dim=6, delta=TWO_PI * 2e6)
-        h = lb.build_hamiltonian(p.delta, p.g, p.dim)
-        eye = np.eye(2 * p.dim)
-        sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-        for c in lb.collapse_operators(p):
-            cdc = c.conj().T @ c
-            sup += np.kron(c, c.conj()) - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+        sup = dense_liouvillian(p, p.delta, p.g)
         k = excitation_sectors(p.dim).ravel()
         assert np.max(np.abs(sup)) > 1e6
         assert np.all(sup[k[:, None] != k[None, :]] == 0)
+
+    def test_two_rotations_reach_three_sectors_out(self):
+        # each rotation moves k by up to 2: after the second one the state
+        # has weight in k = +-3, which the walker must propagate too
+        p = lb.SystemParams(p_1_th=0.05)
+        seq = lb.PulseSequence([
+            lb.Rotation("x", math.pi / 2), lb.Couple(p.g, 20e-9),
+            lb.Rotation("y", math.pi / 2), lb.Couple(p.g, 15e-9), lb.Measure(),
+        ])
+        ref = all_sector_reference(seq, p)
+        k = excitation_sectors(p.dim)
+        assert np.sum(np.abs(ref[np.abs(k) == 3])) > 1e-3
+        rho = lb.run_sequence(seq, p).rho_final
+        assert np.max(np.abs(rho - ref)) < 1e-12
+
+    def test_displacement_between_couplings_matches_all_sectors(self):
+        p = lb.SystemParams()
+        seq = lb.PulseSequence([
+            lb.Rotation("x", math.pi / 2), lb.Couple(p.g, 20e-9),
+            lb.Displace(0.6 - 0.4j), lb.Couple(p.g, 25e-9), lb.Measure(),
+        ])
+        ref = all_sector_reference(seq, p)
+        k = excitation_sectors(p.dim)
+        assert min(np.max(np.abs(ref[k == kk])) for kk in np.unique(k)) > 0
+        rho = lb.run_sequence(seq, p).rho_final
+        assert np.max(np.abs(rho - ref)) < 1e-12
+
+    def test_thermal_superposition_builds_only_occupied_ramps(self, monkeypatch):
+        # thermal start (k = 0) then a pi/2 rotation: only k = -1, 0, 1 are
+        # occupied, so the swap's ramps are built for those three sectors
+        p = lb.SystemParams()
+        built = set()
+        magnus = lb._magnus
+
+        def counting(params, k, *args):
+            built.add(k)
+            return magnus(params, k, *args)
+
+        monkeypatch.setattr(lb, "_magnus", counting)
+        lb._propagator.cache_clear()
+        lb.run_sequence(lb.prepare_sequence("0+1", p), p)
+        assert built == {-1, 0, 1}
 
     def test_traces_propagate_only_the_population_sector(self):
         # a displaced, partly rotated state puts weight in every sector, and

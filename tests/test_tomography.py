@@ -118,6 +118,17 @@ class TestFitPopulations:
         with pytest.raises(DomainError):
             tg.fit_populations(rec, device_params, responses=responses)
 
+    def test_responses_of_another_dim_rejected(self, device_params, trace_grid):
+        # responses built at dim 12 against dim-10 params, and a response
+        # matrix on a shorter grid, fail before the fit runs
+        wide = tg.basis_responses(lb.SystemParams(dim=12), trace_grid, initial_p_e=0.03)
+        rec = tg.TraceRecord(0j, trace_grid, wide.T @ np.eye(12)[1], 0.03)
+        with pytest.raises(DomainError, match="responses"):
+            tg.fit_populations(rec, device_params, responses=wide)
+        rec = tg.TraceRecord(0j, trace_grid[:-1], wide[:10, :-1].T @ np.eye(10)[1], 0.03)
+        with pytest.raises(DomainError, match="responses"):
+            tg.fit_populations(rec, device_params, responses=wide[:10])
+
     def test_constant_trace_warns(self, device_params, trace_grid, responses):
         rec = tg.TraceRecord(0j, trace_grid, np.full(trace_grid.size, 0.03), 0.03)
         with pytest.warns(IllConditionedFitWarning):
@@ -410,6 +421,13 @@ class TestFidelity:
         tg.fidelity(np.pad(rho4, (0, 6)), psi, 1e-20 * np.eye(15), n_samples=3)
         assert len(sampled) == 3
         assert all(np.max(np.abs(r - rho4)) < 1e-8 for r in sampled)
+
+    @pytest.mark.parametrize("covariance", [None, 1e-6 * np.eye(15)])
+    def test_target_longer_than_state_levels_rejected(self, covariance):
+        rho = np.zeros((10, 10), dtype=complex)
+        rho[1, 1] = 1.0
+        with pytest.raises(DomainError, match="STATE_LEVELS"):
+            tg.fidelity(rho, np.eye(5)[1], covariance)
 
     def test_invalid_covariance_rejected(self):
         rho = np.zeros((10, 10), dtype=complex)
