@@ -25,8 +25,7 @@ import warnings
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.linalg import eig
-from scipy.optimize import brentq, least_squares, minimize_scalar
+from scipy.optimize import brentq, least_squares
 
 from .errors import (
     DomainError,
@@ -86,6 +85,22 @@ class CouplerBias:
     divergent: bool
 
 
+def _junction_inductance(phi_g, l_cj0: float):
+    """Junction phase and inductance for a scalar or array of fluxes.
+
+    The inductance is ``inf`` where ``|cos(delta)|`` falls below
+    ``DIVERGENCE_COS_FLOOR`` (the open junction).
+    """
+    phi = np.asarray(phi_g, dtype=float)
+    if not np.all(np.isfinite(phi)):
+        raise DomainError("phi_g must be finite")
+    delta = TWO_PI * (phi % 1.0)
+    c = np.cos(delta)
+    with np.errstate(divide="ignore"):
+        l_cj = np.where(np.abs(c) < DIVERGENCE_COS_FLOOR, np.inf, l_cj0 / c)
+    return delta, l_cj
+
+
 def coupler_inductance(phi_g: float, params: CircuitParams) -> CouplerBias:
     """Map coupler flux to junction phase and inductance.
 
@@ -94,134 +109,186 @@ def coupler_inductance(phi_g: float, params: CircuitParams) -> CouplerBias:
     inductance diverges; the bias is flagged instead of raising so sweeps
     can pass through the open-circuit point.
     """
-    if not math.isfinite(phi_g):
-        raise DomainError("phi_g must be finite")
-    delta = TWO_PI * (phi_g % 1.0)
-    c = math.cos(delta)
-    if abs(c) < DIVERGENCE_COS_FLOOR:
-        return CouplerBias(phi_g=phi_g, delta=delta, l_cj=math.inf, divergent=True)
-    return CouplerBias(phi_g=phi_g, delta=delta, l_cj=params.l_cj0 / c, divergent=False)
+    delta, l_cj = _junction_inductance(phi_g, params.l_cj0)
+    return CouplerBias(
+        phi_g=phi_g, delta=float(delta), l_cj=float(l_cj), divergent=bool(np.isinf(l_cj))
+    )
 
 
-def _divider_inductance(bias: CouplerBias, params: CircuitParams) -> float:
-    """Inductance seen from node A to ground: L_1 || (L_cj + L_2)."""
-    if bias.divergent:
-        return params.l_1
-    num = params.l_1 * (bias.l_cj + params.l_2)
-    den = params.l_1 + bias.l_cj + params.l_2
-    return num / den
+def _divider_inductance(l_cj, l_1, l_2):
+    """Inductance seen from node A to ground: L_1 || (L_cj + L_2), L_1 when open."""
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isinf(l_cj), l_1, l_1 * (l_cj + l_2) / (l_1 + l_cj + l_2))
 
 
-def _coupling_fraction(bias: CouplerBias, params: CircuitParams) -> float:
-    """Fraction of qubit current routed through the coupling coil."""
-    if bias.divergent:
-        return 0.0
-    return params.l_1 / (params.l_1 + params.l_2 + bias.l_cj)
+def _scalar_or_array(values: np.ndarray):
+    return float(values) if values.ndim == 0 else values
 
 
-def qubit_frequency(phi_g: float, params: CircuitParams) -> float:
+def qubit_frequency(phi_g, params: CircuitParams):
     """Qubit-branch angular frequency of the qubit+coupler network.
 
-    The resonator is excluded (its loading is negligible at the qubit
-    frequency for spectroscopy purposes); at the divergent-inductance flux
-    the open-circuit limit ``L_par = L_1`` applies.
+    Takes a scalar flux (returns a float) or an array (returns an array of
+    its shape).  The resonator is excluded (its loading is negligible at
+    the qubit frequency for spectroscopy purposes); at the divergent-
+    inductance flux the open-circuit limit ``L_par = L_1`` applies.
     """
-    bias = coupler_inductance(phi_g, params)
-    l_par = _divider_inductance(bias, params)
-    return 1.0 / math.sqrt(params.c_q * (params.l_q + l_par))
+    _, l_cj = _junction_inductance(phi_g, params.l_cj0)
+    l_par = _divider_inductance(l_cj, params.l_1, params.l_2)
+    return _scalar_or_array(1.0 / np.sqrt(params.c_q * (params.l_q + l_par)))
 
 
-def _mesh_matrices(bias: CouplerBias, params: CircuitParams, bvd: BvdParams, l_q: float):
-    """Reduced (3-mesh) elastance/inductance matrices of the full network.
-
-    The purely inductive coupler mesh is eliminated by a Schur complement,
-    which also yields the effective qubit-resonator mutual.
-    """
-    zeta = _coupling_fraction(bias, params)
-    if bias.divergent:
-        l_qq = l_q + params.l_1
-        m_eff = 0.0
-        l_rr = params.l_sec
-    else:
-        l_sig = params.l_1 + bias.l_cj + params.l_2
-        l_qq = l_q + params.l_1 - params.l_1**2 / l_sig
-        m_eff = params.l_1 * params.m / l_sig
-        l_rr = params.l_sec - params.m**2 / l_sig
-    l_mat = np.array(
-        [
-            [l_qq, m_eff, 0.0],
-            [m_eff, l_rr, 0.0],
-            [0.0, 0.0, bvd.l_s],
-        ]
-    )
-    s_mat = np.array(
+def _elastance(params: CircuitParams, bvd: BvdParams) -> np.ndarray:
+    """Elastance matrix of the (qubit, coil, acoustic) meshes; independent of flux."""
+    return np.array(
         [
             [1.0 / params.c_q, 0.0, 0.0],
             [0.0, 1.0 / bvd.c_t, -1.0 / bvd.c_t],
             [0.0, -1.0 / bvd.c_t, 1.0 / bvd.c_t + 1.0 / bvd.c_s],
         ]
     )
-    return s_mat, l_mat, zeta
+
+
+def _inductance(l_q: float, l_cj, params: CircuitParams, bvd: BvdParams) -> np.ndarray:
+    """Reduced 3-mesh inductance matrices, one per junction inductance.
+
+    The purely inductive coupler mesh is eliminated by a Schur complement
+    over ``L_sig = L_1 + L_cj + L_2``, which also yields the effective
+    qubit-resonator mutual; an open junction (``L_cj = inf``) leaves
+    ``L_q + L_1``, no mutual and the bare ``l_sec``.
+    """
+    l_sig = params.l_1 + np.asarray(l_cj, dtype=float) + params.l_2
+    l_mat = np.zeros(l_sig.shape + (3, 3))
+    l_mat[..., 0, 0] = l_q + params.l_1 - params.l_1**2 / l_sig
+    l_mat[..., 0, 1] = l_mat[..., 1, 0] = params.l_1 * params.m / l_sig
+    l_mat[..., 1, 1] = params.l_sec - params.m**2 / l_sig
+    l_mat[..., 2, 2] = bvd.l_s
+    return l_mat
+
+
+def _inverse_sqrt(s_mat: np.ndarray) -> np.ndarray:
+    """``S^{-1/2}`` of a symmetric positive-definite matrix."""
+    w, v = np.linalg.eigh(s_mat)
+    return (v / np.sqrt(w)) @ v.T
+
+
+def _modes(reduced: np.ndarray) -> np.ndarray:
+    """Mode frequencies from a stack of reduced matrices ``K L K``.
+
+    With ``K = S^{-1/2}`` the pencil ``S x = omega^2 L x`` becomes the
+    symmetric problem ``(K L K) y = mu y`` with ``omega = mu^{-1/2}``.  Only
+    ``mu > 0`` is a real mode.  Returns the frequencies ascending along the
+    last axis, NaN-padded at the top where ``mu <= 0``.
+    """
+    mu = np.linalg.eigvalsh(reduced)
+    return 1.0 / np.sqrt(np.where(mu > 0, mu, np.nan))[..., ::-1]
 
 
 def network_mode_frequencies(
     bias: CouplerBias, params: CircuitParams, bvd: BvdParams, l_q: float | None = None
 ) -> np.ndarray:
-    """Real angular eigenfrequencies of the lossless network, ascending."""
-    s_mat, l_mat, _ = _mesh_matrices(
-        bias, params, bvd, params.l_q if l_q is None else l_q
-    )
-    vals = eig(s_mat, l_mat, right=False)
-    vals = vals[np.isfinite(vals)]
-    real = vals[np.abs(vals.imag) <= 1e-9 * np.abs(vals.real)].real
-    real = real[real > 0]
-    return np.sort(np.sqrt(real))
+    """Real angular eigenfrequencies of the lossless network, ascending.
+
+    The elastance matrix ``S`` is symmetric positive definite and does not
+    depend on the flux, so the generalized problem ``S x = omega^2 L x`` is
+    reduced with ``K = S^{-1/2}`` to the eigenvalues ``mu`` of ``K L K``;
+    the modes are ``omega = mu^{-1/2}`` for ``mu > 0``.
+    """
+    k_mat = _inverse_sqrt(_elastance(params, bvd))
+    l_mat = _inductance(params.l_q if l_q is None else l_q, bias.l_cj, params, bvd)
+    omegas = _modes(k_mat @ l_mat @ k_mat)
+    return omegas[np.isfinite(omegas)]
 
 
-def _resonator_mode(params: CircuitParams, bvd: BvdParams) -> float:
-    """Resonator-like mode of the loaded acoustic branch alone."""
-    l_mat = np.array([[params.l_sec, 0.0], [0.0, bvd.l_s]])
-    s_mat = np.array(
-        [
-            [1.0 / bvd.c_t, -1.0 / bvd.c_t],
-            [-1.0 / bvd.c_t, 1.0 / bvd.c_t + 1.0 / bvd.c_s],
-        ]
-    )
-    vals = np.sort(np.real(eig(s_mat, l_mat, right=False)))
-    omegas = np.sqrt(vals[vals > 0])
+def _resonator_mode(k_mat: np.ndarray, params: CircuitParams, bvd: BvdParams) -> float:
+    """Resonator-like mode of the loaded acoustic branch alone.
+
+    ``S`` is block-diagonal (qubit | coil and acoustic meshes), so the
+    branch's ``S^{-1/2}`` is the lower block of the full one.
+    """
+    k_res = k_mat[1:, 1:]
+    omegas = _modes(k_res @ np.diag([params.l_sec, bvd.l_s]) @ k_res)
+    omegas = omegas[np.isfinite(omegas)]
     # the acoustic mode is the one near omega_s, far below the coil mode
     return float(omegas[np.argmin(np.abs(omegas - bvd.omega_s))])
 
 
-def coupling_strength(phi_g: float, params: CircuitParams, bvd: BvdParams) -> float:
-    """Signed qubit-resonator coupling g (rad/s).
+# the L_q search stops once each bracket is narrower than this fraction of
+# its upper end; g then sits within 2e-11 of a 40-digit minimum down to
+# |g| = 13 kHz (the error grows as 1/g^2 towards the open junction)
+SEARCH_REL_WIDTH = 1e-10
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-    Half the minimum normal-mode splitting of the full network, found by
-    retuning ``L_q`` through the degeneracy with the resonator-like mode;
-    the sign follows the orientation of the effective mutual.
+
+def _golden_minimum(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Minimum value of a unimodal ``f`` on each bracket ``[lo, hi]``.
+
+    Golden-section search on all brackets at once: ``f`` maps an array of
+    abscissae to an array of values.  Each step evaluates ``f`` once per
+    bracket and shrinks every bracket by the golden ratio, so all of them
+    are narrower than ``SEARCH_REL_WIDTH`` after the same number of steps.
     """
-    bias = coupler_inductance(phi_g, params)
-    if bias.divergent or params.m == 0:
-        return 0.0
-    omega_r = _resonator_mode(params, bvd)
-    l_par = _divider_inductance(bias, params)
+    steps = math.ceil(
+        math.log(SEARCH_REL_WIDTH / np.max((hi - lo) / hi)) / math.log(_INV_GOLDEN)
+    )
+    a, b = lo, hi
+    c, d = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(steps):
+        left = fc < fd  # the minimum lies in [a, d]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a))
+        fx = f(x)
+        c, fc, d, fd = (
+            np.where(left, x, d),
+            np.where(left, fx, fd),
+            np.where(left, c, x),
+            np.where(left, fc, fx),
+        )
+    return np.minimum(fc, fd)
+
+
+def coupling_strength(phi_g, params: CircuitParams, bvd: BvdParams):
+    """Signed qubit-resonator coupling g (rad/s) at one flux or an array.
+
+    Takes a scalar flux (returns a float) or an array (returns an array of
+    its shape); a scalar is a batch of one.  g is half the minimum
+    normal-mode splitting of the full network, found by retuning ``L_q``
+    through the degeneracy with the resonator-like mode over the bracket
+    ``[0.85, 1.15]`` times the decoupled guess.  The splitting is that of
+    the two modes nearest the resonator mode; each ``L_q`` trial is one
+    batched ``eigvalsh`` of ``K L K`` (see ``network_mode_frequencies``),
+    where only ``L_q`` moves, and all fluxes share one golden-section search
+    that stops at ``SEARCH_REL_WIDTH``.  The sign follows the orientation
+    of the effective mutual; g is exactly 0 at the open junction and for
+    ``m == 0``.
+    """
+    _, l_cj = _junction_inductance(phi_g, params.l_cj0)
+    g = np.zeros(l_cj.shape)
+    live = np.isfinite(l_cj)
+    if params.m == 0 or not live.any():
+        return _scalar_or_array(g)
+    l_cj = l_cj[live]
+    k_mat = _inverse_sqrt(_elastance(params, bvd))
+    omega_r = _resonator_mode(k_mat, params, bvd)
+    l_par = _divider_inductance(l_cj, params.l_1, params.l_2)
     l_q_guess = 1.0 / (omega_r**2 * params.c_q) - l_par
+    # K L K is affine in L_q, which enters L only at [0, 0]
+    at_zero = k_mat @ _inductance(0.0, l_cj, params, bvd) @ k_mat
+    per_l_q = np.outer(k_mat[:, 0], k_mat[0])
 
     def split(l_q):
-        omegas = network_mode_frequencies(bias, params, bvd, l_q)
-        idx = np.argsort(np.abs(omegas - omega_r))[:2]
-        pair = omegas[idx]
-        return float(abs(pair[1] - pair[0]))
+        low, mid, high = _modes(at_zero + l_q[:, None, None] * per_l_q).T
+        # the modes are ascending, so the two nearest omega_r are adjacent:
+        # drop the farther end (a NaN top mode is never the nearer one)
+        return np.where(
+            np.abs(low - omega_r) > np.abs(high - omega_r), high - mid, mid - low
+        )
 
-    res = minimize_scalar(
-        split,
-        bounds=(0.85 * l_q_guess, 1.15 * l_q_guess),
-        method="bounded",
-        options={"xatol": 1e-16},
-    )
-    g_mag = 0.5 * res.fun
-    zeta = _coupling_fraction(bias, params)
-    return math.copysign(g_mag, zeta * params.m)
+    g_mag = 0.5 * _golden_minimum(split, 0.85 * l_q_guess, 1.15 * l_q_guess)
+    zeta = params.l_1 / (params.l_1 + l_cj + params.l_2)
+    g[live] = np.copysign(g_mag, zeta * params.m)
+    return _scalar_or_array(g)
 
 
 def flux_for_coupling(
@@ -301,17 +368,11 @@ def fit_circuit(
     start = initial if initial is not None else CircuitParams(l_cj0=fixed_l_cj0)
     c_q = start.c_q if fixed_c_q is None else fixed_c_q
     x_scale = np.array([start.l_q, start.l_1, start.l_2])
-    cos_delta = np.cos(TWO_PI * phi)
+    _, l_cj = _junction_inductance(phi, fixed_l_cj0)
 
     def model(x):
         l_q, l_1, l_2 = np.exp(x) * x_scale
-        with np.errstate(divide="ignore"):
-            l_cj = np.where(
-                np.abs(cos_delta) < DIVERGENCE_COS_FLOOR, np.inf, fixed_l_cj0 / cos_delta
-            )
-        l_par = np.where(
-            np.isinf(l_cj), l_1, l_1 * (l_cj + l_2) / (l_1 + l_cj + l_2)
-        )
+        l_par = _divider_inductance(l_cj, l_1, l_2)
         # keep trial points with unphysical net inductance finite for the solver
         arg = np.maximum(c_q * (l_q + l_par), 1e-36)
         return 1.0 / np.sqrt(arg)

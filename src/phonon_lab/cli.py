@@ -287,13 +287,13 @@ def run_coupling_sweep(scn: Scenario, out: Path) -> dict:
     cp = circuit.CircuitParams(m=scn.params.get("m", 0.13e-9))
     n = scn.params.get("sweep_points", 1001)
     phi = np.linspace(0.0, 1.0, n)
-    g = np.array([circuit.coupling_strength(x, cp, bvd) for x in phi])
+    g = circuit.coupling_strength(phi, cp, bvd)
     _write_csv(
         out / "coupling.csv",
         ["phi_g", "g_hz"],
         [[f"{x:.6f}", f"{v / TWO_PI:.3f}"] for x, v in zip(phi, g)],
     )
-    f_ge = np.array([circuit.qubit_frequency(x, cp) for x in phi])
+    f_ge = circuit.qubit_frequency(phi, cp)
     _write_csv(
         out / "qubit_frequency.csv",
         ["phi_g", "omega_ge_hz"],

@@ -50,6 +50,13 @@ QUBIT_PULSE_PAD = 35e-9
 COUPLER_SETTLE = 15e-9
 
 
+def _check_finite(**values):
+    """Reject a non-finite rate; a negative g is a phase convention and passes."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Quantum-dynamics parameters (rates in rad/s, times in seconds)."""
@@ -67,6 +74,7 @@ class SystemParams:
     def __post_init__(self):
         if any(math.isnan(getattr(self, f.name)) for f in fields(self)):
             raise DomainError("parameters must not be NaN")
+        _check_finite(g=self.g, delta=self.delta)
         if self.dim < 2:
             raise DomainError("resonator dimension must be >= 2")
         if self.t1 <= 0 or self.t1r <= 0 or self.t2_ramsey <= 0:
@@ -227,6 +235,7 @@ class Detune:
     duration: float
 
     def __post_init__(self):
+        _check_finite(delta=self.delta)
         if self.duration < 0:
             raise DomainError("duration must be >= 0")
 
@@ -241,6 +250,7 @@ class Couple:
     ramp: float = 0.0
 
     def __post_init__(self):
+        _check_finite(g=self.g, delta=self.delta)
         if self.duration < 0 or self.ramp < 0:
             raise DomainError("durations must be >= 0")
         if 2 * self.ramp > self.duration:
@@ -615,6 +625,8 @@ def evolve(
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise GridError("t_grid must be a non-empty 1-d array")
+    if not np.all(np.isfinite(t_grid)):
+        raise GridError("t_grid must be finite")
     if np.any(np.diff(t_grid) <= 0):
         raise GridError("t_grid must be strictly increasing")
     if t_grid[0] < 0 or t_grid[-1] > schedule.duration() + 1e-15:
@@ -647,12 +659,15 @@ def batched_excited_traces(
     (batch, len(t_grid)); visibility is applied.
     """
     t_grid = np.asarray(t_grid, dtype=float)
+    if not np.all(np.isfinite(t_grid)):
+        raise GridError("t_grid must be finite")
     if np.any(t_grid < 0) or np.any(np.diff(t_grid) <= 0):
         raise GridError("t_grid must be nonnegative and strictly increasing")
     rho = np.array(rhos, dtype=complex)
     if rho.ndim != 3:
         raise DomainError("rhos must be a stack of density matrices")
     g = params.g if g is None else g
+    _check_finite(g=g, delta=delta)
     rows, cols, idx = _sector_indices(params.dim)[0]
     vec = rho.reshape(rho.shape[0], -1)[:, idx]
     excited = params.visibility * ((rows == cols) & (rows >= params.dim))

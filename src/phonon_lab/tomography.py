@@ -243,10 +243,11 @@ def fit_populations(
     r_mat = responses.T  # (T, dim)
     p_best, e_min = _simplex_lstsq(r_mat, y)
     s2 = e_min / max(y.size - params.dim, 1)
-    # a level with an all-zero response column is unconstrained: sigma = inf
+    # a level whose response column is zero, or so small that its squared
+    # norm is subnormal, is unconstrained: sigma = inf
     curvature = np.sum(r_mat * r_mat, axis=0)
     sigma = np.sqrt(np.divide(s2, curvature, out=np.full(params.dim, math.inf),
-                              where=curvature > 0))
+                              where=curvature >= np.finfo(float).tiny))
     return PopulationFit(p_n=p_best, sigma_n=sigma, residual=e_min, alpha=record.alpha)
 
 

@@ -79,9 +79,7 @@ class TestCriterion3CouplingCurve:
         cp = circuit.CircuitParams()
         g_max = abs(circuit.coupling_strength(0.5, cp, reference_bvd)) / TWO_PI
         phi = np.linspace(0.0, 1.0, 1001)
-        mags = np.abs(
-            [circuit.coupling_strength(x, cp, reference_bvd) for x in phi]
-        )
+        mags = np.abs(circuit.coupling_strength(phi, cp, reference_bvd))
         nonzero = mags[mags > 0]
         ratio = mags.max() / nonzero.min()
         at_half = abs(phi[int(np.argmax(mags))] - 0.5) < 0.01

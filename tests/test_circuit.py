@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from phonon_lab import circuit, cli, saw
 from phonon_lab.errors import DomainError, GridError, IdentifiabilityError
@@ -9,14 +10,16 @@ from phonon_lab.errors import DomainError, GridError, IdentifiabilityError
 TWO_PI = 2 * math.pi
 
 
+# g/2pi (Hz) of the default circuit on the cli._reference_bvd() device: the
+# minimum splitting of the same network in 40-digit mpmath (mp.eig of
+# L^-1 S; golden section over [0.85, 1.15] L_q_guess down to a width of
+# 1e-32 relative), halved and signed as in coupling_strength
+ORACLE_G_HZ = {0.247: 38764.47045114721, 0.256: -80734.85221665032, 0.5: -7306596.786769132}
+
+
 @pytest.fixture(scope="module")
 def bvd():
-    p = saw.SawModelParams()
-    coarse = saw.resonator_admittance(saw.default_grid(n=1001), p)
-    f_pk = coarse.frequencies_hz[int(np.argmax(coarse.y.real))]
-    fine = saw.resonator_admittance(TWO_PI * np.linspace(f_pk - 12e6, f_pk + 12e6, 2001), p)
-    fit, _ = saw.fit_bvd(fine)
-    return fit
+    return cli._reference_bvd()
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +88,14 @@ class TestQubitFrequency:
         assert abs(phi[1:-1][minima][0] - 0.5) < 0.01
         assert np.count_nonzero(maxima) == 0
 
+    def test_array_matches_scalar_calls(self):
+        p = circuit.CircuitParams()
+        phi = np.linspace(-0.5, 1.5, 41).reshape(41, 1)
+        f = circuit.qubit_frequency(phi, p)
+        assert f.shape == phi.shape
+        for x, v in zip(phi.ravel(), f.ravel()):
+            assert circuit.qubit_frequency(float(x), p) == v
+
     def test_continuous_through_divergence(self):
         p = circuit.CircuitParams()
         f_lo = circuit.qubit_frequency(0.25 - 1e-7, p)
@@ -111,15 +122,14 @@ class TestCouplingStrength:
     def test_sweep_on_off_ratio(self, bvd):
         p = circuit.CircuitParams()
         phi = np.linspace(0.0, 1.0, 1001)
-        g = np.array([circuit.coupling_strength(x, p, bvd) for x in phi])
-        mags = np.abs(g)
+        mags = np.abs(circuit.coupling_strength(phi, p, bvd))
         nonzero = mags[mags > 0]
         assert mags.max() / nonzero.min() >= 300
 
     def test_maximum_at_half_quantum(self, bvd):
         p = circuit.CircuitParams()
         phi = np.linspace(0.0, 1.0, 201)
-        mags = np.abs([circuit.coupling_strength(x, p, bvd) for x in phi])
+        mags = np.abs(circuit.coupling_strength(phi, p, bvd))
         assert abs(phi[int(np.argmax(mags))] - 0.5) < 0.01
 
     def test_sign_flips_across_divergence(self, bvd):
@@ -127,6 +137,48 @@ class TestCouplingStrength:
         g_lo = circuit.coupling_strength(0.2, p, bvd)
         g_hi = circuit.coupling_strength(0.3, p, bvd)
         assert g_lo * g_hi < 0
+
+    def test_matches_high_precision_minimum(self, bvd):
+        p = circuit.CircuitParams()
+        g_hz = circuit.coupling_strength(np.array(list(ORACLE_G_HZ)), p, bvd) / TWO_PI
+        want = np.array(list(ORACLE_G_HZ.values()))
+        assert np.all(np.abs(g_hz - want) <= 1e-10 * np.abs(want))
+
+    def test_array_matches_scalar_calls(self, bvd):
+        p = circuit.CircuitParams()
+        phi = np.array([0.0, 0.1, 0.247, 0.25, 0.256, 0.5, 0.75, 0.9, 1.3])
+        g = circuit.coupling_strength(phi, p, bvd)
+        assert isinstance(g, np.ndarray) and g.shape == phi.shape
+        for x, v in zip(phi, g):
+            scalar = circuit.coupling_strength(x, p, bvd)
+            assert isinstance(scalar, float) and scalar == v
+
+    def test_array_zero_at_open_junction_and_without_mutual(self, bvd):
+        phi = np.array([0.1, 0.25, 0.5, 0.75, 1.25])
+        g = circuit.coupling_strength(phi, circuit.CircuitParams(), bvd)
+        assert np.all(g[[1, 3, 4]] == 0.0) and np.all(g[[0, 2]] != 0.0)
+        assert np.all(circuit.coupling_strength(phi, circuit.CircuitParams(m=0.0), bvd) == 0.0)
+
+    def test_sign_flips_across_divergence_in_one_call(self, bvd):
+        g = circuit.coupling_strength(
+            np.array([0.2, 0.247, 0.25, 0.256, 0.3]), circuit.CircuitParams(), bvd
+        )
+        assert np.all(g[:2] > 0) and g[2] == 0.0 and np.all(g[3:] < 0)
+
+    def test_nonfinite_flux_rejected(self, bvd):
+        with pytest.raises(DomainError):
+            circuit.coupling_strength(np.array([0.5, np.nan]), circuit.CircuitParams(), bvd)
+
+    def test_mode_frequencies_match_generalized_eig(self, bvd):
+        # oracle for the S^{-1/2} reduction: scipy's QZ solve of S x = w^2 L x
+        p = circuit.CircuitParams()
+        s_mat = circuit._elastance(p, bvd)
+        for phi in (0.1, 0.25, 0.4, 0.5):
+            bias = circuit.coupler_inductance(phi, p)
+            l_mat = circuit._inductance(p.l_q, bias.l_cj, p, bvd)
+            want = np.sort(np.sqrt(scipy.linalg.eigvals(s_mat, l_mat).real))
+            got = circuit.network_mode_frequencies(bias, p, bvd)
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_mode_frequencies_real_across_sweep(self, bvd):
         p = circuit.CircuitParams()

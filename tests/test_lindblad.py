@@ -197,6 +197,28 @@ class TestCollapseOperators:
         with pytest.raises(DomainError, match="NaN"):
             lb.SystemParams(**{name: math.nan})
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["g", "delta"])
+    def test_infinite_rate_rejected(self, name, value):
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            lb.SystemParams(**{name: value})
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            lb.Couple(**{"g": TWO_PI * 7.3e6, "duration": 10e-9, name: value})
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            lb.batched_excited_traces(
+                [qubit_excited(2)], closed_params(dim=2), [1e-9], **{name: value}
+            )
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_infinite_detuning_hold_rejected(self, value):
+        with pytest.raises(DomainError, match="delta must be finite"):
+            lb.Detune(value, 10e-9)
+
+    def test_negative_coupling_allowed(self):
+        # coupling_strength returns a signed g; the sign is a phase convention
+        assert lb.SystemParams(g=-TWO_PI * 7.3e6).g < 0
+        assert lb.Couple(-TWO_PI * 7.3e6, 10e-9).g < 0
+
 
 class TestEvolve:
     def test_vacuum_rabi_analytic(self):
@@ -430,6 +452,17 @@ class TestEvolve:
             lb.evolve(qubit_excited(p.dim), seq, p, np.array([0.0, 20e-9]))
         with pytest.raises(GridError):
             lb.evolve(qubit_excited(p.dim), seq, p, np.array([5e-9, 1e-9]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_time_rejected(self, bad):
+        # a NaN step used to repeat the previous sample, an infinite one to
+        # return NaN with an expm warning
+        p = closed_params()
+        seq = lb.PulseSequence([lb.Couple(p.g, 10e-9)])
+        with pytest.raises(GridError, match="finite"):
+            lb.evolve(qubit_excited(p.dim), seq, p, np.array([1e-9, bad]))
+        with pytest.raises(GridError, match="finite"):
+            lb.batched_excited_traces([qubit_excited(p.dim)], p, [1e-9, bad])
 
 
 class TestDisplacement:

@@ -105,6 +105,26 @@ class TestFitPopulations:
         assert fit.sigma_n[0] == math.inf
         assert np.all(np.isfinite(fit.sigma_n[1:]))
 
+    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    def test_subnormal_response_column_has_infinite_sigma(
+        self, device_params, trace_grid, noise
+    ):
+        # at this residual excitation the |0> column's squared norm is the
+        # subnormal 7.2e-319: s^2 over it gave 6e143, or overflowed
+        responses = tg.basis_responses(device_params, trace_grid, 2.46e-160)
+        curvature = np.sum(responses[0] ** 2)
+        assert 0.0 < curvature < np.finfo(float).tiny
+        rng = np.random.default_rng(4)
+        trace = responses.T @ rng.dirichlet(np.ones(10)) + noise * rng.standard_normal(
+            trace_grid.size
+        )
+        rec = tg.TraceRecord(0j, trace_grid, trace, 2.46e-160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fit = tg.fit_populations(rec, device_params, responses=responses)
+        assert fit.sigma_n[0] == math.inf
+        assert np.all(np.isfinite(fit.sigma_n[1:]))
+
     def test_short_trace_rejected(self, device_params):
         t = np.linspace(0, 50e-9, 10)
         rec = tg.TraceRecord(0j, t, np.zeros(10), 0.0)
