@@ -291,16 +291,18 @@ def coupling_strength(phi_g, params: CircuitParams, bvd: BvdParams):
     return _scalar_or_array(g)
 
 
-def flux_for_coupling(
-    target_g: float, params: CircuitParams, bvd: BvdParams, bracket=(0.26, 0.5)
-) -> float:
-    """Coupler flux at which |g| equals ``target_g`` (searched on one branch)."""
-    lo, hi = bracket
+# flux_for_coupling searches the branch from just past the open junction
+# (Phi_G = 0.25) to the coupling maximum
+FLUX_BRACKET = (0.26, 0.5)
+
+
+def flux_for_coupling(target_g: float, params: CircuitParams, bvd: BvdParams) -> float:
+    """Coupler flux in ``FLUX_BRACKET`` at which |g| equals ``target_g``."""
 
     def f(phi):
         return abs(coupling_strength(phi, params, bvd)) - abs(target_g)
 
-    return brentq(f, lo, hi, xtol=1e-6)
+    return brentq(f, *FLUX_BRACKET, xtol=1e-6)
 
 
 def qubit_loss_spectrum(

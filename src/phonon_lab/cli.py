@@ -235,12 +235,7 @@ def run_admittance(scn: Scenario, out: Path) -> dict:
         ],
     )
 
-    i_pk = int(np.argmax(spec.y.real))
-    f_pk = float(spec.frequencies_hz[i_pk])
-    fine = saw.resonator_admittance(
-        TWO_PI * np.linspace(f_pk - 12e6, f_pk + 12e6, 3001), p
-    )
-    bvd, residual = saw.fit_bvd(fine)
+    fine, bvd, residual = saw.fit_resonance(spec, p)
     mag = np.abs(gamma)
     f_hz = spec.frequencies_hz
     ic = int(np.argmin(np.abs(f_hz - p.mirror_center_hz)))
@@ -273,17 +268,8 @@ def run_admittance(scn: Scenario, out: Path) -> dict:
     return summary
 
 
-def _reference_bvd() -> saw.BvdParams:
-    p = saw.SawModelParams()
-    coarse = saw.resonator_admittance(saw.default_grid(n=1001), p)
-    f_pk = coarse.frequencies_hz[int(np.argmax(coarse.y.real))]
-    fine = saw.resonator_admittance(TWO_PI * np.linspace(f_pk - 12e6, f_pk + 12e6, 2001), p)
-    bvd, _ = saw.fit_bvd(fine)
-    return bvd
-
-
 def run_coupling_sweep(scn: Scenario, out: Path) -> dict:
-    bvd = _reference_bvd()
+    bvd = saw.reference_bvd()
     cp = circuit.CircuitParams(m=scn.params.get("m", 0.13e-9))
     n = scn.params.get("sweep_points", 1001)
     phi = np.linspace(0.0, 1.0, n)
@@ -321,7 +307,7 @@ def run_loss_spectrum(scn: Scenario, out: Path) -> dict:
         scn.params.get("n_points", 2001),
     )
     spec = saw.resonator_admittance(grid, p_saw)
-    bvd = _reference_bvd()
+    bvd = saw.reference_bvd()
     cp = circuit.CircuitParams()
     phi_mid = circuit.flux_for_coupling(TWO_PI * 2.3e6, cp, bvd)
     loss_max = circuit.qubit_loss_spectrum(grid, 0.5, cp, spec)
@@ -422,7 +408,7 @@ def run_lifetimes(scn: Scenario, out: Path) -> dict:
     )
 
     popt, _ = curve_fit(
-        _exponential, waits, p_t1r, p0=[0.9, 148e-9, 0.02], maxfev=20000
+        _exponential, waits, p_t1r, p0=[0.9, params.t1r, 0.02], maxfev=20000
     )
     t1r_fit = float(popt[1])
 
@@ -437,7 +423,7 @@ def run_lifetimes(scn: Scenario, out: Path) -> dict:
     envelope = np.hypot(sx - cx, sy - cy)
     popt2, _ = curve_fit(
         _exponential, waits, envelope,
-        p0=[envelope[0], 296e-9, 0.0], maxfev=20000,
+        p0=[envelope[0], 2.0 * params.t1r, 0.0], maxfev=20000,
     )
     t2r_fit = float(abs(popt2[1]))
 
@@ -446,7 +432,7 @@ def run_lifetimes(scn: Scenario, out: Path) -> dict:
     p_fine = scan(math.pi / 2, "x90", fine)
     popt3, _ = curve_fit(
         _damped_cosine, fine, p_fine,
-        p0=[0.45, 53e6, 0.0, 400e-9, 0.5], maxfev=40000,
+        p0=[0.45, params.delta / TWO_PI, 0.0, 400e-9, 0.5], maxfev=40000,
     )
     summary = {
         "t1r_s": t1r_fit,

@@ -28,6 +28,7 @@ and each is built the first time its sector is occupied.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import json
 import math
@@ -37,7 +38,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
+from .circuit import CircuitParams, coupling_strength
 from .errors import DomainError, GridError, TruncationError
+from .saw import reference_bvd
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_RAMP = 5e-9
@@ -49,23 +52,37 @@ DEFAULT_RAMP = 5e-9
 QUBIT_PULSE_PAD = 35e-9
 COUPLER_SETTLE = 15e-9
 
+# the modelled device, computed once at import: the coupling at the
+# coupler's maximum (Phi_G = 0.5) and the phonon lifetime Q/omega_s of the
+# fitted resonance; g's sign is a phase convention, and swaps need g > 0
+_DEVICE_BVD = reference_bvd()
+DEVICE_G = abs(coupling_strength(0.5, CircuitParams(), _DEVICE_BVD))
+DEVICE_T1R = _DEVICE_BVD.q / _DEVICE_BVD.omega_s
+
 
 def _check_finite(**values):
-    """Reject a non-finite rate; a negative g is a phase convention and passes."""
+    """Reject a non-finite real or complex value; a negative g is a phase
+    convention and passes."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        if not cmath.isfinite(value):
             raise DomainError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Quantum-dynamics parameters (rates in rad/s, times in seconds)."""
+    """Quantum-dynamics parameters (rates in rad/s, times in seconds).
 
-    g: float = TWO_PI * 7.3e6
+    The defaults of ``g`` and ``t1r`` are the modelled device's
+    ``DEVICE_G`` and ``DEVICE_T1R``, computed from ``saw.reference_bvd()``
+    and the default ``circuit.CircuitParams``; the qubit's lifetimes and
+    thermal populations are measured values.
+    """
+
+    g: float = DEVICE_G
     delta: float = 0.0
     t1: float = 20e-6
     t2_ramsey: float = 2e-6
-    t1r: float = 148e-9
+    t1r: float = DEVICE_T1R
     dim: int = 10
     p_e_th: float = 0.0169
     p_1_th: float = 0.0049
@@ -223,6 +240,7 @@ class Rotation:
     def __post_init__(self):
         if self.axis not in ("x", "y"):
             raise DomainError("rotation axis must be 'x' or 'y'")
+        _check_finite(angle=self.angle, phase=self.phase)
         if abs(self.angle) > TWO_PI:
             raise DomainError("|rotation angle| must not exceed 2*pi")
 
@@ -235,7 +253,7 @@ class Detune:
     duration: float
 
     def __post_init__(self):
-        _check_finite(delta=self.delta)
+        _check_finite(delta=self.delta, duration=self.duration)
         if self.duration < 0:
             raise DomainError("duration must be >= 0")
 
@@ -250,7 +268,7 @@ class Couple:
     ramp: float = 0.0
 
     def __post_init__(self):
-        _check_finite(g=self.g, delta=self.delta)
+        _check_finite(g=self.g, delta=self.delta, duration=self.duration, ramp=self.ramp)
         if self.duration < 0 or self.ramp < 0:
             raise DomainError("durations must be >= 0")
         if 2 * self.ramp > self.duration:
@@ -259,7 +277,12 @@ class Couple:
 
 @dataclass(frozen=True)
 class Displace:
+    """Instantaneous resonator displacement D(alpha)."""
+
     alpha: complex
+
+    def __post_init__(self):
+        _check_finite(alpha=self.alpha)
 
 
 @dataclass(frozen=True)
@@ -269,6 +292,7 @@ class Idle:
     duration: float
 
     def __post_init__(self):
+        _check_finite(duration=self.duration)
         if self.duration < 0:
             raise DomainError("duration must be >= 0")
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -53,6 +54,11 @@ DEFAULT_K2_EFF = 0.0407
 # line lattice, so the physically continuous grating maps onto a nonzero
 # continuum gap; the value is calibrated to the single-mode frequency.
 DEFAULT_GAP_FRACTION = 0.363
+
+# the BvD fit uses the points within this distance of the conductance
+# maximum, with at most this many residual evaluations
+FIT_HALF_WIDTH_HZ = 10e6
+FIT_MAX_NFEV = 200
 
 
 @dataclass(frozen=True)
@@ -445,18 +451,14 @@ def _find_peak(omega: np.ndarray, conductance: np.ndarray) -> int:
     return idx
 
 
-def fit_bvd(
-    spectrum: AdmittanceSpectrum,
-    window: tuple[float, float] | None = None,
-    c_t: float | None = None,
-    max_iter: int = 200,
-):
+def fit_bvd(spectrum: AdmittanceSpectrum, c_t: float | None = None):
     """Least-squares BvD fit around the dominant conductance peak.
 
-    ``window`` is an angular-frequency interval; default is +-10 MHz around
-    the global Re[Y] maximum.  ``c_t`` is held fixed (taken from the
-    spectrum metadata when not given) to remove the degenerate direction.
-    Returns ``(BvdParams, residual_norm)``.
+    The fit window is +-``FIT_HALF_WIDTH_HZ`` around the global Re[Y]
+    maximum.  ``c_t`` is held fixed (taken from the spectrum metadata when
+    not given) to remove the degenerate direction.  Returns
+    ``(BvdParams, residual_norm)``; ``ConvergenceError`` when the fit hits
+    ``FIT_MAX_NFEV``.
     """
     omega = spectrum.frequencies
     y = spectrum.y
@@ -465,10 +467,9 @@ def fit_bvd(
     if c_t is None:
         raise FitError("c_t not provided and absent from spectrum metadata")
 
-    if window is None:
-        peak_all = int(np.argmax(y.real))
-        window = (omega[peak_all] - TWO_PI * 10e6, omega[peak_all] + TWO_PI * 10e6)
-    lo, hi = window
+    peak_all = int(np.argmax(y.real))
+    lo = omega[peak_all] - TWO_PI * FIT_HALF_WIDTH_HZ
+    hi = omega[peak_all] + TWO_PI * FIT_HALF_WIDTH_HZ
     mask = (omega >= lo) & (omega <= hi)
     if np.count_nonzero(mask) < 7:
         raise FitError("window contains too few grid points for a fit")
@@ -499,7 +500,7 @@ def fit_bvd(
         return np.concatenate([res.real, res.imag])
 
     sol = least_squares(
-        residuals, np.zeros(3), max_nfev=max_iter, method="lm",
+        residuals, np.zeros(3), max_nfev=FIT_MAX_NFEV, method="lm",
         ftol=1e-14, xtol=1e-14, gtol=1e-14,
     )
     c_s, l_s, r_s = np.exp(sol.x) * scale
@@ -510,6 +511,33 @@ def fit_bvd(
             "BvD fit hit the iteration cap", best=best, residual=residual
         )
     return best, residual
+
+
+def fit_resonance(spectrum: AdmittanceSpectrum, params: SawModelParams):
+    """BvD fit of the resonance whose conductance peak ``spectrum`` holds.
+
+    The admittance of ``params`` is recomputed on 2001 points spanning
+    +-12 MHz around that peak and fitted with ``fit_bvd``.  Returns
+    ``(fine_spectrum, BvdParams, residual_norm)``.
+    """
+    f_pk = spectrum.frequencies_hz[int(np.argmax(spectrum.y.real))]
+    fine = resonator_admittance(TWO_PI * np.linspace(f_pk - 12e6, f_pk + 12e6, 2001), params)
+    bvd, residual = fit_bvd(fine)
+    return fine, bvd, residual
+
+
+@functools.cache
+def reference_bvd() -> BvdParams:
+    """BvD circuit of the modelled device, fitted once per process.
+
+    ``fit_resonance`` of the default ``SawModelParams`` from the peak of a
+    1001-point ``default_grid``.  The coupling-sweep and loss-spectrum
+    scenarios couple the qubit to this circuit, and ``lindblad.SystemParams``
+    takes its default g and T1r from it.
+    """
+    params = SawModelParams()
+    coarse = resonator_admittance(default_grid(n=1001), params)
+    return fit_resonance(coarse, params)[1]
 
 
 def export_spectrum_csv(spectrum: AdmittanceSpectrum, csv_path, sidecar_json_path=None):

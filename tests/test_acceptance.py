@@ -34,7 +34,7 @@ def fig2_summary(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def reference_bvd():
-    return cli._reference_bvd()
+    return saw.reference_bvd()
 
 
 class TestCriterion1SawResonance:

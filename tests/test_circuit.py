@@ -10,7 +10,7 @@ from phonon_lab.errors import DomainError, GridError, IdentifiabilityError
 TWO_PI = 2 * math.pi
 
 
-# g/2pi (Hz) of the default circuit on the cli._reference_bvd() device: the
+# g/2pi (Hz) of the default circuit on the saw.reference_bvd() device: the
 # minimum splitting of the same network in 40-digit mpmath (mp.eig of
 # L^-1 S; golden section over [0.85, 1.15] L_q_guess down to a width of
 # 1e-32 relative), halved and signed as in coupling_strength
@@ -19,7 +19,7 @@ ORACLE_G_HZ = {0.247: 38764.47045114721, 0.256: -80734.85221665032, 0.5: -730659
 
 @pytest.fixture(scope="module")
 def bvd():
-    return cli._reference_bvd()
+    return saw.reference_bvd()
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phonon_lab import cli
+from phonon_lab import cli, saw
 from phonon_lab.errors import ConfigError
 from phonon_lab.schema_io import load_schema, validate_document
 
@@ -70,6 +70,14 @@ class TestRunScenarios:
         assert record["scenario"]["kind"] == "admittance"
         summary = json.loads((out / "summary.json").read_text())
         assert abs(summary["resonance_hz"] - 3.985e9) < 5e6
+
+    def test_default_admittance_fits_the_reference_device(self, tmp_path):
+        cli.execute_scenario(cli.parse_scenario({"kind": "admittance"}), tmp_path)
+        got = json.loads((tmp_path / "summary.json").read_text())["bvd"]
+        ref = saw.reference_bvd()
+        assert (got["c_s_f"], got["l_s_h"], got["r_s_ohm"], got["c_t_f"], got["q"]) == (
+            ref.c_s, ref.l_s, ref.r_s, ref.c_t, ref.q
+        )
 
     def test_determinism_same_seed(self, tmp_path):
         config = write_config(tmp_path, {"kind": "thermometry", "seed": 11})

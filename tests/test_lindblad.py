@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.optimize import curve_fit
 
-from phonon_lab import lindblad as lb
+from phonon_lab import circuit, lindblad as lb, saw
 from phonon_lab.errors import DomainError, GridError, TruncationError
 
 TWO_PI = 2 * math.pi
@@ -91,6 +92,30 @@ GOLDEN_SEQUENCE_JSON = """{
     }
   ]
 }"""
+
+
+_detuning = st.floats(-TWO_PI * 30e6, TWO_PI * 30e6)
+_hold = st.floats(0.0, 40e-9)
+
+
+@st.composite
+def _couple(draw):
+    duration = draw(st.floats(1e-9, 40e-9))
+    ramp = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5])) * duration
+    g = draw(st.floats(-TWO_PI * 10e6, TWO_PI * 10e6))
+    return lb.Couple(g, duration, draw(_detuning), ramp)
+
+
+_continuous = st.one_of(
+    _couple(), st.builds(lb.Idle, _hold), st.builds(lb.Detune, _detuning, _hold)
+)
+_segment = st.one_of(
+    _continuous,
+    st.builds(lb.Rotation, st.sampled_from("xy"), st.floats(-TWO_PI, TWO_PI),
+              st.floats(-math.pi, math.pi)),
+    # |alpha| <= 0.4 keeps D(alpha) inside dim 3 (|alpha|^2 + 4|alpha| < dim)
+    st.builds(lb.Displace, st.complex_numbers(max_magnitude=0.4)),
+)
 
 
 def excitation_sectors(dim):
@@ -218,6 +243,33 @@ class TestCollapseOperators:
         # coupling_strength returns a signed g; the sign is a phase convention
         assert lb.SystemParams(g=-TWO_PI * 7.3e6).g < 0
         assert lb.Couple(-TWO_PI * 7.3e6, 10e-9).g < 0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: lb.Idle(math.nan), id="idle-nan"),
+            pytest.param(lambda: lb.Idle(math.inf), id="idle-inf"),
+            pytest.param(lambda: lb.Detune(0.0, math.nan), id="detune-duration"),
+            pytest.param(lambda: lb.Rotation("x", math.nan), id="rotation-angle"),
+            pytest.param(lambda: lb.Rotation("y", math.pi, math.inf), id="rotation-phase"),
+            pytest.param(lambda: lb.Displace(complex(math.nan, 0.0)), id="displace-alpha"),
+            pytest.param(lambda: lb.Couple(TWO_PI * 7.3e6, math.nan), id="couple-duration"),
+            pytest.param(lambda: lb.Couple(TWO_PI * 7.3e6, 20e-9, 0.0, math.nan),
+                         id="couple-ramp"),
+            pytest.param(lambda: lb.PulseSequence.from_json(
+                '{"segments": [{"type": "idle", "duration": NaN}]}'), id="from-json"),
+        ],
+    )
+    def test_nonfinite_segment_field_rejected(self, make):
+        # each of these used to give p_e = [nan] without an error
+        with pytest.raises(DomainError, match="must be finite"):
+            make()
+
+    def test_defaults_are_the_modelled_device(self):
+        bvd = saw.reference_bvd()
+        p = lb.SystemParams()
+        assert p.g == abs(circuit.coupling_strength(0.5, circuit.CircuitParams(), bvd))
+        assert p.t1r == bvd.q / bvd.omega_s
 
 
 class TestEvolve:
@@ -694,6 +746,33 @@ class TestStateChecks:
             assert abs(np.trace(rho).real - 1) < 1e-9
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
             assert np.min(np.linalg.eigvalsh(rho)) > -1e-8
+
+    @settings(max_examples=25, deadline=None)
+    @given(dim=st.integers(3, 6), seed=st.integers(0, 2**32 - 1),
+           segments=st.lists(_segment, min_size=1, max_size=4))
+    def test_random_sequences_stay_physical(self, dim, seed, segments):
+        # a random pure state fills every sector and has 2*dim - 1 zero
+        # eigenvalues, so any loss of positivity shows
+        rng = np.random.default_rng(seed)
+        psi = rng.standard_normal(2 * dim) + 1j * rng.standard_normal(2 * dim)
+        rho0 = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+        rho = lb.run_sequence(lb.PulseSequence(segments), lb.SystemParams(dim=dim), rho0).rho_final
+        assert abs(np.trace(rho) - 1.0) < 1e-12
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
+        assert np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))) > -1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(dim=st.integers(3, 6), data=st.data(), seed=st.integers(0, 2**32 - 1),
+           segments=st.lists(_continuous, min_size=1, max_size=4))
+    def test_continuous_segments_keep_a_sector(self, dim, data, seed, segments):
+        k = data.draw(st.integers(-dim, dim), label="k")
+        inside = excitation_sectors(dim) == k
+        rng = np.random.default_rng(seed)
+        entries = rng.standard_normal(inside.shape) + 1j * rng.standard_normal(inside.shape)
+        rho0 = np.where(inside, entries, 0.0)
+        rho = lb.run_sequence(lb.PulseSequence(segments), lb.SystemParams(dim=dim), rho0).rho_final
+        assert np.max(np.abs(rho[inside])) > 0
+        assert np.all(rho[~inside] == 0)
 
     def test_check_density_matrix_rejects_bad_states(self):
         good = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)

@@ -345,6 +345,36 @@ class TestBvdFit:
             saw.fit_bvd(spec, c_t=0.75e-12)
 
 
+class TestReferenceDevice:
+    def test_fit_resonance_window(self):
+        p = saw.SawModelParams()
+        coarse = saw.resonator_admittance(saw.default_grid(n=1001), p)
+        fine, bvd, residual = saw.fit_resonance(coarse, p)
+        f_pk = coarse.frequencies_hz[int(np.argmax(coarse.y.real))]
+        assert fine.frequencies.size == 2001
+        assert fine.frequencies_hz[0] == pytest.approx(f_pk - 12e6, abs=1.0)
+        assert fine.frequencies_hz[-1] == pytest.approx(f_pk + 12e6, abs=1.0)
+        assert bvd == saw.reference_bvd()
+        assert residual < 0.2
+
+    def test_reference_bvd_is_fitted_once(self, monkeypatch):
+        calls = []
+        fit_bvd = saw.fit_bvd
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return fit_bvd(*args, **kwargs)
+
+        before = saw.reference_bvd()
+        monkeypatch.setattr(saw, "fit_bvd", counting)
+        saw.reference_bvd.cache_clear()
+        first = saw.reference_bvd()
+        assert len(calls) == 1
+        assert saw.reference_bvd() is first
+        assert len(calls) == 1
+        assert first == before
+
+
 class TestExport:
     def test_csv_and_sidecar(self, tmp_path):
         p = saw.SawModelParams()
