@@ -342,20 +342,16 @@ def qubit_loss_spectrum(
     return y_loaded.real / (omega * params.c_q) + background
 
 
-def fit_circuit(
-    spectroscopy,
-    fixed_l_cj0: float = 1.0e-9,
-    fixed_c_q: float | None = None,
-    initial: CircuitParams | None = None,
-):
+def fit_circuit(spectroscopy):
     """Fit (L_q, L_1, L_2) to (phi_g, omega_ge) pairs.
 
     ``L_cj0`` and ``C_q`` are held fixed: a coupler-flux sweep of the qubit
     frequency follows a Moebius curve in cos(delta) and therefore constrains
     exactly three combinations beyond the junction scale, so the qubit
     capacitance must come from an independent measurement (here: the
-    starting parameter set).  Returns ``(CircuitParams, covariance)`` with
-    the 3x3 covariance ordered (l_q, l_1, l_2).
+    ``CircuitParams`` defaults, which are also the starting point).
+    Returns ``(CircuitParams, covariance)`` with the 3x3 covariance ordered
+    (l_q, l_1, l_2).
     """
     data = np.asarray(spectroscopy, dtype=float)
     if data.ndim != 2 or data.shape[1] != 2:
@@ -367,16 +363,15 @@ def fit_circuit(
     if phi.max() - phi.min() < 0.5:
         raise IdentifiabilityError("data must span at least half a flux period")
 
-    start = initial if initial is not None else CircuitParams(l_cj0=fixed_l_cj0)
-    c_q = start.c_q if fixed_c_q is None else fixed_c_q
+    start = CircuitParams()
     x_scale = np.array([start.l_q, start.l_1, start.l_2])
-    _, l_cj = _junction_inductance(phi, fixed_l_cj0)
+    _, l_cj = _junction_inductance(phi, start.l_cj0)
 
     def model(x):
         l_q, l_1, l_2 = np.exp(x) * x_scale
         l_par = _divider_inductance(l_cj, l_1, l_2)
         # keep trial points with unphysical net inductance finite for the solver
-        arg = np.maximum(c_q * (l_q + l_par), 1e-36)
+        arg = np.maximum(start.c_q * (l_q + l_par), 1e-36)
         return 1.0 / np.sqrt(arg)
 
     def residuals(x):
@@ -384,9 +379,7 @@ def fit_circuit(
 
     sol = least_squares(residuals, np.zeros(3), method="lm", ftol=1e-14, xtol=1e-14)
     values = np.exp(sol.x) * x_scale
-    fitted = CircuitParams(
-        c_q=c_q, l_q=values[0], l_1=values[1], l_2=values[2], l_cj0=fixed_l_cj0
-    )
+    fitted = CircuitParams(l_q=values[0], l_1=values[1], l_2=values[2])
 
     # covariance of the physical parameters from the log-space jacobian
     dof = max(data.shape[0] - 3, 1)

@@ -2,10 +2,15 @@
 
 ``phonon-lab run config.json`` executes one scenario described by a JSON
 document with a ``kind`` discriminator, writes CSV/JSON artifacts (plus an
-SVG heatmap for 2-D scans) into the output directory, and finishes with a
-run record carrying a content hash over the data artifacts.  ``phonon-lab
-reproduce <figure-id>`` runs a preset scenario and emits the computed
-values next to the published reference numbers.
+SVG heatmap for 2-D scans) and ``summary.json`` into the output directory,
+and finishes with a run record carrying the complete parameter set that ran
+and a content hash over the data artifacts.  ``phonon-lab reproduce
+<figure-id>`` runs a preset scenario and emits the computed values next to
+the published reference numbers.
+
+``KINDS`` is the one place a scenario kind is declared: its runner and the
+default of every parameter a config may set.  ``FIGURES`` holds each
+figure's kind, overrides and reference values.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -13,6 +18,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import dataclasses
 import datetime
@@ -32,90 +38,6 @@ from .schema_io import load_schema, validate_document
 
 TWO_PI = 2.0 * math.pi
 
-FIGURE_PRESETS = {
-    "fig1e": {"kind": "coupling-sweep", "params": {}},
-    "fig2": {"kind": "admittance", "params": {}},
-    "fig3c": {"kind": "chevron", "params": {}},
-    "fig3d": {"kind": "lifetimes", "params": {}},
-    "fig4a": {"kind": "thermometry", "params": {}},
-    "fig4d": {"kind": "wigner", "params": {"states": ["0", "1", "0+1"]}},
-    "figS1": {"kind": "coupling-sweep", "params": {"sweep_points": 401}},
-    "figS5": {"kind": "large-alpha", "params": {}},
-    "figS6": {"kind": "fock2", "params": {}},
-}
-
-# reference values emitted next to computed ones by `reproduce`; sources:
-# device-characterization = measured numbers, model-prediction = numbers the
-# device model itself reported
-REFERENCE_VALUES = {
-    "fig1e": {
-        "max_g_hz": {"value": 7.3e6, "source": "device-characterization"},
-        "on_off_ratio_floor": {"value": 300, "source": "device-characterization"},
-    },
-    "fig2": {
-        "resonance_hz": {"value": 3.985e9, "source": "device-characterization"},
-        "stop_band_lo_hz": {"value": 3.96e9, "source": "device-characterization"},
-        "stop_band_hi_hz": {"value": 4.04e9, "source": "device-characterization"},
-        "c_s_f": {"value": 12.10e-15, "source": "model-prediction"},
-        "l_s_h": {"value": 131.8e-9, "source": "model-prediction"},
-        "r_s_ohm": {"value": 0.890, "source": "model-prediction"},
-    },
-    "fig3c": {
-        "swap_time_s": {"value": 37e-9, "source": "device-characterization"},
-    },
-    "fig3d": {
-        "t1r_s": {"value": 148e-9, "source": "device-characterization"},
-        "t2r_s": {"value": 293e-9, "source": "device-characterization"},
-    },
-    "fig4a": {
-        "qubit_excited_population": {"value": 0.0169, "source": "device-characterization"},
-        "post_swap_population": {"value": 0.0049, "source": "device-characterization"},
-    },
-    "fig4d": {
-        "fidelity_0": {"value": 0.998, "source": "model-prediction"},
-        "fidelity_1": {"value": 0.879, "source": "model-prediction"},
-        "fidelity_superposition": {"value": 0.962, "source": "model-prediction"},
-        "fidelity_0_measured": {"value": 0.985, "source": "device-characterization"},
-        "fidelity_1_measured": {"value": 0.858, "source": "device-characterization"},
-        "fidelity_superposition_measured": {"value": 0.945, "source": "device-characterization"},
-    },
-    "figS1": {
-        "l_q_h": {"value": 10.1e-9, "source": "model-prediction"},
-    },
-    "figS5": {},
-    "figS6": {
-        "p2": {"value": 0.473, "source": "model-prediction"},
-        "p1": {"value": 0.382, "source": "model-prediction"},
-        "p0": {"value": 0.145, "source": "model-prediction"},
-    },
-}
-
-# allowed override keys per scenario kind, with coercion types
-_KIND_KEYS = {
-    "admittance": {
-        "f_lo_hz": float, "f_hi_hz": float, "n_points": int,
-        "v_t": float, "v_m": float, "eta": float,
-        "r_t_im": float, "r_m_im": float, "mirror_lines": int,
-        "transducer_pairs": int, "c_t": float,
-    },
-    "coupling-sweep": {"sweep_points": int, "m": float},
-    "loss-spectrum": {"f_lo_hz": float, "f_hi_hz": float, "n_points": int},
-    "chevron": {
-        "delta_span_hz": float, "n_delta": int, "tau_max_s": float, "n_tau": int,
-    },
-    "lifetimes": {"t_max_s": float, "n_points": int},
-    "thermometry": {
-        "qubit_population": float, "resonator_population": float,
-        "noise": float, "n_points": int,
-    },
-    "wigner": {"states": list, "alpha_radius": float, "noise": float},
-    "fock2": {"tau_lo_s": float, "tau_hi_s": float, "n_tau": int},
-    "large-alpha": {
-        "alpha_max": float, "n_alpha": int, "tau_max_s": float, "n_tau": int,
-        "dim": int, "initial_fock": int,
-    },
-}
-
 
 @dataclasses.dataclass
 class Scenario:
@@ -128,31 +50,34 @@ class Scenario:
 
 
 def parse_scenario(doc: dict, seed=None) -> Scenario:
+    """Check a scenario document and fill in its kind's defaults.
+
+    Each key takes its type from its default in ``KINDS``: an int is
+    accepted for a float and coerced, a bool is never a number.
+    """
     validate_document(doc, load_schema("scenario"))
     kind = doc["kind"]
-    params = doc.get("params", {})
-    allowed = _KIND_KEYS[kind]
-    clean = {}
-    for key, value in params.items():
-        if key not in allowed:
+    params = copy.deepcopy(KINDS[kind][1])  # a caller may edit its own lists
+    for key, value in doc.get("params", {}).items():
+        if key not in params:
             raise ConfigError(
                 f"$.params.{key}: unknown parameter for kind {kind!r}; "
-                f"allowed: {sorted(allowed)}"
+                f"allowed: {sorted(params)}"
             )
-        want = allowed[key]
+        want = type(params[key])
         if want is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-            clean[key] = float(value)
+            params[key] = float(value)
         elif want is int and isinstance(value, int) and not isinstance(value, bool):
-            clean[key] = value
+            params[key] = value
         elif want is list and isinstance(value, list):
-            clean[key] = value
+            params[key] = value
         else:
             raise ConfigError(
                 f"$.params.{key}: expected {want.__name__}, got {type(value).__name__}"
             )
     return Scenario(
         kind=kind,
-        params=clean,
+        params=params,
         seed=doc.get("seed", 0) if seed is None else seed,
     )
 
@@ -190,28 +115,19 @@ def _exponential(t, amp, tau, offset):
 
 
 # ---------------------------------------------------------------------------
-# scenario runners; each returns a summary dict and writes artifacts
-
-
-def _saw_params_from(params: dict) -> saw.SawModelParams:
-    kwargs = {}
-    for key in ("v_t", "v_m", "eta", "mirror_lines", "transducer_pairs", "c_t"):
-        if key in params:
-            kwargs[key] = params[key]
-    if "r_t_im" in params:
-        kwargs["r_t"] = 1j * params["r_t_im"]
-    if "r_m_im" in params:
-        kwargs["r_m"] = 1j * params["r_m_im"]
-    return saw.SawModelParams(**kwargs)
+# scenario runners; each writes its artifacts and returns the summary that
+# execute_scenario writes to summary.json
 
 
 def run_admittance(scn: Scenario, out: Path) -> dict:
-    p = _saw_params_from(scn.params)
-    grid = saw.default_grid(
-        scn.params.get("f_lo_hz", 3.5e9),
-        scn.params.get("f_hi_hz", 4.5e9),
-        scn.params.get("n_points", 2001),
+    s = scn.params
+    # 1j * x, not complex(0, x), keeps the sign of a zero real part
+    p = saw.SawModelParams(
+        v_t=s["v_t"], v_m=s["v_m"], eta=s["eta"], mirror_lines=s["mirror_lines"],
+        transducer_pairs=s["transducer_pairs"], c_t=s["c_t"],
+        r_t=1j * s["r_t_im"], r_m=1j * s["r_m_im"],
     )
+    grid = saw.default_grid(s["f_lo_hz"], s["f_hi_hz"], s["n_points"])
     spec = saw.resonator_admittance(grid, p)
     saw.export_spectrum_csv(spec, out / "admittance.csv", out / "params.json")
 
@@ -248,10 +164,8 @@ def run_admittance(scn: Scenario, out: Path) -> dict:
     while i < f_hz.size - 1 and above[i + 1]:
         i += 1
     hi = float(f_hz[i])
-    summary = {
-        "resonance_hz": float(
-            fine.frequencies_hz[int(np.argmax(fine.y.real))]
-        ),
+    return {
+        "resonance_hz": float(fine.frequencies_hz[int(np.argmax(fine.y.real))]),
         "peak_conductance_s": float(np.max(fine.y.real)),
         "stop_band_lo_hz": lo,
         "stop_band_hi_hz": hi,
@@ -264,15 +178,12 @@ def run_admittance(scn: Scenario, out: Path) -> dict:
             "residual": residual,
         },
     }
-    _write_json(out / "summary.json", summary)
-    return summary
 
 
 def run_coupling_sweep(scn: Scenario, out: Path) -> dict:
     bvd = saw.reference_bvd()
-    cp = circuit.CircuitParams(m=scn.params.get("m", 0.13e-9))
-    n = scn.params.get("sweep_points", 1001)
-    phi = np.linspace(0.0, 1.0, n)
+    cp = circuit.CircuitParams(m=scn.params["m"])
+    phi = np.linspace(0.0, 1.0, scn.params["sweep_points"])
     g = circuit.coupling_strength(phi, cp, bvd)
     _write_csv(
         out / "coupling.csv",
@@ -288,23 +199,19 @@ def run_coupling_sweep(scn: Scenario, out: Path) -> dict:
     _write_json(out / "params.json", cp.to_dict())
     mags = np.abs(g)
     nonzero = mags[mags > 0]
-    summary = {
+    return {
         "max_g_hz": float(mags.max() / TWO_PI),
         "phi_at_max": float(phi[int(np.argmax(mags))]),
         "min_nonzero_g_hz": float(nonzero.min() / TWO_PI),
         "on_off_ratio": float(mags.max() / nonzero.min()),
         "l_q_h": cp.l_q,
     }
-    _write_json(out / "summary.json", summary)
-    return summary
 
 
 def run_loss_spectrum(scn: Scenario, out: Path) -> dict:
     p_saw = saw.SawModelParams()
     grid = TWO_PI * np.linspace(
-        scn.params.get("f_lo_hz", 3.5e9),
-        scn.params.get("f_hi_hz", 4.5e9),
-        scn.params.get("n_points", 2001),
+        scn.params["f_lo_hz"], scn.params["f_hi_hz"], scn.params["n_points"]
     )
     spec = saw.resonator_admittance(grid, p_saw)
     bvd = saw.reference_bvd()
@@ -324,23 +231,19 @@ def run_loss_spectrum(scn: Scenario, out: Path) -> dict:
     _write_json(out / "params.json", cp.to_dict())
     f_hz = grid / TWO_PI
     band = (f_hz >= 3.85e9) & (f_hz <= 3.90e9)
-    summary = {
+    return {
         "phi_moderate": float(phi_mid),
         "band_mean_inv_q_mid": float(loss_mid[band].mean()),
         "inv_q_mid_at_3p95ghz": float(loss_mid[int(np.argmin(np.abs(f_hz - 3.95e9)))]),
     }
-    _write_json(out / "summary.json", summary)
-    return summary
 
 
 def run_chevron(scn: Scenario, out: Path) -> dict:
     params = lb.SystemParams()
-    span = scn.params.get("delta_span_hz", 40e6)
-    n_delta = scn.params.get("n_delta", 41)
-    tau_max = scn.params.get("tau_max_s", 150e-9)
-    n_tau = scn.params.get("n_tau", 76)
-    deltas = TWO_PI * np.linspace(-span / 2, span / 2, n_delta)
-    taus = np.linspace(1e-9, tau_max, n_tau)
+    s = scn.params
+    span = s["delta_span_hz"]
+    deltas = TWO_PI * np.linspace(-span / 2, span / 2, s["n_delta"])
+    taus = np.linspace(1e-9, s["tau_max_s"], s["n_tau"])
 
     rho0 = lb.thermal_state(params)
     u = lb.qubit_rotation("x", math.pi, 0.0, params.dim)
@@ -364,20 +267,12 @@ def run_chevron(scn: Scenario, out: Path) -> dict:
     )
     i0 = int(np.argmin(np.abs(deltas)))
     i_min = int(np.argmin(z[i0]))
-    summary = {
-        "swap_time_s": float(taus[i_min]),
-        "n_delta": n_delta,
-        "n_tau": n_tau,
-    }
-    _write_json(out / "summary.json", summary)
-    return summary
+    return {"swap_time_s": float(taus[i_min]), "n_delta": s["n_delta"], "n_tau": s["n_tau"]}
 
 
 def run_lifetimes(scn: Scenario, out: Path) -> dict:
     params = lb.SystemParams(delta=TWO_PI * 53e6)
-    t_max = scn.params.get("t_max_s", 450e-9)
-    n = scn.params.get("n_points", 31)
-    waits = np.linspace(2e-9, t_max, n)
+    waits = np.linspace(2e-9, scn.params["t_max_s"], scn.params["n_points"])
     swap = lb.swap_segment(params)
 
     def scan(angle, pulse, holds):
@@ -414,10 +309,11 @@ def run_lifetimes(scn: Scenario, out: Path) -> dict:
 
     # the coarsely sampled scan aliases the 53 MHz idle oscillation, so the
     # phase memory comes from the decay of the transverse Bloch magnitude;
-    # the spiral center is measured at waits long past the phonon lifetime
+    # the spiral center is measured at waits long past the phonon lifetime,
+    # half an idle oscillation apart
     sx = 2.0 * p_y - 1.0
     sy = 1.0 - 2.0 * p_x
-    far = np.array([1.5e-6, 1.5e-6 + 9.4e-9])
+    far = np.array([1.5e-6, 1.5e-6 + math.pi / params.delta])
     cx = float(np.mean(2.0 * scan(math.pi / 2, "y90", far) - 1.0))
     cy = float(np.mean(1.0 - 2.0 * scan(math.pi / 2, "x90", far)))
     envelope = np.hypot(sx - cx, sy - cy)
@@ -434,27 +330,24 @@ def run_lifetimes(scn: Scenario, out: Path) -> dict:
         _damped_cosine, fine, p_fine,
         p0=[0.45, params.delta / TWO_PI, 0.0, 400e-9, 0.5], maxfev=40000,
     )
-    summary = {
+    return {
         "t1r_s": t1r_fit,
         "t2r_s": t2r_fit,
         "t2r_over_t1r": t2r_fit / t1r_fit,
         "idle_oscillation_hz": float(abs(popt3[1])),
     }
-    _write_json(out / "summary.json", summary)
-    return summary
 
 
 def run_thermometry(scn: Scenario, out: Path) -> dict:
     rng = np.random.default_rng(scn.seed)
-    noise = scn.params.get("noise", 0.001)
-    n = scn.params.get("n_points", 100)
+    noise, n = scn.params["noise"], scn.params["n_points"]
     contrast = 0.95
     x = np.linspace(-1.0, 1.0, n)
     results = {}
     rows = []
     for label, population in (
-        ("qubit", scn.params.get("qubit_population", 0.0169)),
-        ("post_swap", scn.params.get("resonator_population", 0.0049)),
+        ("qubit", scn.params["qubit_population"]),
+        ("post_swap", scn.params["resonator_population"]),
     ):
         a_e_true = population * contrast
         a_g_true = (1.0 - population) * contrast
@@ -467,21 +360,17 @@ def run_thermometry(scn: Scenario, out: Path) -> dict:
         for xi, ye, yg in zip(x, y_e, y_g):
             rows.append([label, f"{xi:.4f}", f"{ye:.6f}", f"{yg:.6f}"])
     _write_csv(out / "thermometry.csv", ["sequence", "amplitude", "p_excited_trace", "p_ground_trace"], rows)
-    _write_json(out / "summary.json", results)
     return results
 
 
 def run_wigner(scn: Scenario, out: Path) -> dict:
     params = lb.SystemParams()
-    states = scn.params.get("states", ["0", "1", "0+1"])
-    radius = scn.params.get("alpha_radius", 2.0)
-    noise = scn.params.get("noise", 0.0)
-    alphas = tg.default_alpha_grid(radius=radius)
+    alphas = tg.default_alpha_grid(radius=scn.params["alpha_radius"])
     summary = {}
-    for state in states:
+    for state in scn.params["states"]:
         tag = state.replace("+", "plus")
         ds = tg.synthesize_dataset(
-            state, params, alphas=alphas, noise=noise, seed=scn.seed
+            state, params, alphas=alphas, noise=scn.params["noise"], seed=scn.seed
         )
         (out / f"dataset_{tag}.json").write_text(ds.to_json())
         fits, recon = tg.analyze_dataset(ds)
@@ -521,17 +410,12 @@ def run_wigner(scn: Scenario, out: Path) -> dict:
             "fidelity_sigma": sigma,
             "min_wigner": min(tg.wigner_point(f.p_n) for f in fits),
         }
-    _write_json(out / "summary.json", summary)
     return summary
 
 
 def run_fock2(scn: Scenario, out: Path) -> dict:
     params = lb.SystemParams()
-    taus = np.linspace(
-        scn.params.get("tau_lo_s", 14e-9),
-        scn.params.get("tau_hi_s", 40e-9),
-        scn.params.get("n_tau", 27),
-    )
+    taus = np.linspace(scn.params["tau_lo_s"], scn.params["tau_hi_s"], scn.params["n_tau"])
     rows = []
     best = None
     for tau in taus:
@@ -543,26 +427,20 @@ def run_fock2(scn: Scenario, out: Path) -> dict:
         if best is None or pops[2] > best[1][2]:
             best = (tau, pops)
     _write_csv(out / "fock2.csv", ["tau_s", "p_e", "p0", "p1", "p2"], rows)
-    summary = {
+    return {
         "optimal_tau_s": float(best[0]),
         "p2": float(best[1][2]),
         "p1": float(best[1][1]),
         "p0": float(best[1][0]),
     }
-    _write_json(out / "summary.json", summary)
-    return summary
 
 
 def run_large_alpha(scn: Scenario, out: Path) -> dict:
-    dim = scn.params.get("dim", 50)
+    s = scn.params
+    dim, initial_fock = s["dim"], s["initial_fock"]
     params = lb.SystemParams(dim=dim)
-    alpha_max = scn.params.get("alpha_max", 5.0)
-    n_alpha = scn.params.get("n_alpha", 11)
-    tau_max = scn.params.get("tau_max_s", 300e-9)
-    n_tau = scn.params.get("n_tau", 121)
-    initial_fock = scn.params.get("initial_fock", 0)
-    mags = np.linspace(0.0, alpha_max, n_alpha)
-    taus = np.linspace(1e-9, tau_max, n_tau)
+    mags = np.linspace(0.0, s["alpha_max"], s["n_alpha"])
+    taus = np.linspace(1e-9, s["tau_max_s"], s["n_tau"])
 
     base = np.kron(
         np.diag([1.0, 0.0]).astype(complex), lb.fock_state(dim, initial_fock)
@@ -583,21 +461,83 @@ def run_large_alpha(scn: Scenario, out: Path) -> dict:
         y_label="|alpha|",
         title=f"qubit response to displaced Fock |{initial_fock}>",
     )
-    summary = {"n_alpha": n_alpha, "n_tau": n_tau, "dim": dim}
-    _write_json(out / "summary.json", summary)
-    return summary
+    return {"n_alpha": s["n_alpha"], "n_tau": s["n_tau"], "dim": dim}
 
 
-_RUNNERS = {
-    "admittance": run_admittance,
-    "coupling-sweep": run_coupling_sweep,
-    "loss-spectrum": run_loss_spectrum,
-    "chevron": run_chevron,
-    "lifetimes": run_lifetimes,
-    "thermometry": run_thermometry,
-    "wigner": run_wigner,
-    "fock2": run_fock2,
-    "large-alpha": run_large_alpha,
+_SAW = saw.SawModelParams()
+
+# every scenario kind: its runner and the default of each parameter a
+# config may set; a key's type is its default's type
+KINDS = {
+    "admittance": (run_admittance, {
+        "f_lo_hz": 3.5e9, "f_hi_hz": 4.5e9, "n_points": 2001,
+        "v_t": _SAW.v_t, "v_m": _SAW.v_m, "eta": _SAW.eta,
+        "r_t_im": _SAW.r_t.imag, "r_m_im": _SAW.r_m.imag,
+        "mirror_lines": _SAW.mirror_lines, "transducer_pairs": _SAW.transducer_pairs,
+        "c_t": _SAW.c_t,
+    }),
+    "coupling-sweep": (run_coupling_sweep, {"sweep_points": 1001, "m": 0.13e-9}),
+    "loss-spectrum": (run_loss_spectrum, {"f_lo_hz": 3.5e9, "f_hi_hz": 4.5e9, "n_points": 2001}),
+    "chevron": (run_chevron, {
+        "delta_span_hz": 40e6, "n_delta": 41, "tau_max_s": 150e-9, "n_tau": 76,
+    }),
+    "lifetimes": (run_lifetimes, {"t_max_s": 450e-9, "n_points": 31}),
+    "thermometry": (run_thermometry, {
+        "qubit_population": 0.0169, "resonator_population": 0.0049,
+        "noise": 0.001, "n_points": 100,
+    }),
+    "wigner": (run_wigner, {"states": ["0", "1", "0+1"], "alpha_radius": 2.0, "noise": 0.0}),
+    "fock2": (run_fock2, {"tau_lo_s": 14e-9, "tau_hi_s": 40e-9, "n_tau": 27}),
+    "large-alpha": (run_large_alpha, {
+        "alpha_max": 5.0, "n_alpha": 11, "tau_max_s": 300e-9, "n_tau": 121,
+        "dim": 50, "initial_fock": 0,
+    }),
+}
+
+
+def _measured(value):
+    return {"value": value, "source": "device-characterization"}
+
+
+def _predicted(value):
+    return {"value": value, "source": "model-prediction"}
+
+
+# every `reproduce` figure: its scenario kind, the parameters it overrides
+# and the reference values emitted next to the computed ones; measured values
+# come from the device characterization, predicted ones are what the device
+# model itself reported
+FIGURES = {
+    "fig1e": ("coupling-sweep", {}, {
+        "max_g_hz": _measured(7.3e6), "on_off_ratio_floor": _measured(300),
+    }),
+    "fig2": ("admittance", {}, {
+        "resonance_hz": _measured(3.985e9),
+        "stop_band_lo_hz": _measured(3.96e9),
+        "stop_band_hi_hz": _measured(4.04e9),
+        "c_s_f": _predicted(12.10e-15),
+        "l_s_h": _predicted(131.8e-9),
+        "r_s_ohm": _predicted(0.890),
+    }),
+    "fig3c": ("chevron", {}, {"swap_time_s": _measured(37e-9)}),
+    "fig3d": ("lifetimes", {}, {"t1r_s": _measured(148e-9), "t2r_s": _measured(293e-9)}),
+    "fig4a": ("thermometry", {}, {
+        "qubit_excited_population": _measured(0.0169),
+        "post_swap_population": _measured(0.0049),
+    }),
+    "fig4d": ("wigner", {}, {
+        "fidelity_0": _predicted(0.998),
+        "fidelity_1": _predicted(0.879),
+        "fidelity_superposition": _predicted(0.962),
+        "fidelity_0_measured": _measured(0.985),
+        "fidelity_1_measured": _measured(0.858),
+        "fidelity_superposition_measured": _measured(0.945),
+    }),
+    "figS1": ("coupling-sweep", {"sweep_points": 401}, {"l_q_h": _predicted(10.1e-9)}),
+    "figS5": ("large-alpha", {}, {}),
+    "figS6": ("fock2", {}, {
+        "p2": _predicted(0.473), "p1": _predicted(0.382), "p0": _predicted(0.145),
+    }),
 }
 
 
@@ -606,7 +546,7 @@ def execute_scenario(scn: Scenario, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    _RUNNERS[scn.kind](scn, out)
+    _write_json(out / "summary.json", KINDS[scn.kind][0](scn, out))
     finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
     artifacts = {}
@@ -633,20 +573,16 @@ def execute_scenario(scn: Scenario, out_dir) -> Path:
 
 def reproduce(figure_id: str, out_dir) -> dict:
     """Run the preset scenario for a figure and emit target-vs-computed values."""
-    if figure_id not in FIGURE_PRESETS:
+    if figure_id not in FIGURES:
         raise ConfigError(
-            f"unknown figure id {figure_id!r}; supported: {', '.join(sorted(FIGURE_PRESETS))}"
+            f"unknown figure id {figure_id!r}; supported: {', '.join(sorted(FIGURES))}"
         )
-    preset = FIGURE_PRESETS[figure_id]
-    scn = parse_scenario(dict(preset))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    execute_scenario(scn, out)
-    summary = json.loads((out / "summary.json").read_text())
+    kind, overrides, reference = FIGURES[figure_id]
+    out = execute_scenario(parse_scenario({"kind": kind, "params": overrides}), out_dir)
     comparison = {
         "figure": figure_id,
-        "reference": REFERENCE_VALUES[figure_id],
-        "computed": summary,
+        "reference": reference,
+        "computed": json.loads((out / "summary.json").read_text()),
     }
     _write_json(out / "reproduce_summary.json", comparison)
     return comparison
@@ -667,10 +603,6 @@ def main(argv=None) -> int:
     p_rep = sub.add_parser("reproduce", help="run a preset figure scenario")
     p_rep.add_argument("figure_id")
     p_rep.add_argument("--out", default=None)
-    # worker counts are accepted for older scripts and ignored: every sweep
-    # runs in one thread
-    for p_sub in (p_run, p_rep):
-        p_sub.add_argument("--jobs", type=int, default=None, help="ignored")
 
     p_val = sub.add_parser("validate", help="validate a scenario config")
     p_val.add_argument("config")

@@ -187,13 +187,13 @@ def dephase_qubit(rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_density_matrix(rho: np.ndarray, *, herm_tol=1e-10, trace_tol=1e-9, eig_floor=-1e-8):
+def check_density_matrix(rho: np.ndarray):
     """Raise if ``rho`` is not Hermitian/unit-trace/positive within tolerance."""
-    if np.max(np.abs(rho - rho.conj().T)) > herm_tol:
+    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
         raise DomainError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > trace_tol:
+    if abs(np.trace(rho).real - 1.0) > 1e-9:
         raise DomainError("density matrix trace differs from one")
-    if np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))) < eig_floor:
+    if np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))) < -1e-8:
         raise DomainError("density matrix has a significant negative eigenvalue")
 
 
@@ -673,10 +673,10 @@ def batched_excited_traces(
     rhos,
     params: SystemParams,
     t_grid: np.ndarray,
-    g: float | None = None,
     delta: float = 0.0,
 ) -> np.ndarray:
-    """P_e(t) for a stack of initial states under one constant Hamiltonian.
+    """P_e(t) for a stack of initial states under one constant Hamiltonian,
+    coupled at ``params.g`` and detuned by ``delta``.
 
     P_e lies in the k = 0 sector, which the Liouvillian never couples to the
     others, so only that sector is propagated.  Returns an array of shape
@@ -690,8 +690,7 @@ def batched_excited_traces(
     rho = np.array(rhos, dtype=complex)
     if rho.ndim != 3:
         raise DomainError("rhos must be a stack of density matrices")
-    g = params.g if g is None else g
-    _check_finite(g=g, delta=delta)
+    _check_finite(delta=delta)
     rows, cols, idx = _sector_indices(params.dim)[0]
     vec = rho.reshape(rho.shape[0], -1)[:, idx]
     excited = params.visibility * ((rows == cols) & (rows >= params.dim))
@@ -700,7 +699,7 @@ def batched_excited_traces(
     for i, t in enumerate(t_grid):
         span = _span_key(t - t_prev)
         if span > 0:
-            vec = vec @ _propagator(params, delta, g, span)[0].T
+            vec = vec @ _propagator(params, delta, params.g, span)[0].T
         t_prev = t
         out[:, i] = (vec @ excited).real
     return out
@@ -730,16 +729,16 @@ def run_sequence(
 # standard sequences
 
 
-def swap_duration(g: float, ramp: float = DEFAULT_RAMP) -> float:
-    """Coupling-pulse length transferring one excitation (area pi/2)."""
-    return math.pi / (2.0 * g) + ramp
+def swap_duration(g: float) -> float:
+    """Length of a ramped coupling pulse transferring one excitation (area pi/2)."""
+    return math.pi / (2.0 * g) + DEFAULT_RAMP
 
 
-def swap_segment(params: SystemParams, ramp: float = DEFAULT_RAMP) -> Couple:
-    return Couple(params.g, swap_duration(params.g, ramp), 0.0, ramp)
+def swap_segment(params: SystemParams) -> Couple:
+    return Couple(params.g, swap_duration(params.g), 0.0, DEFAULT_RAMP)
 
 
-def prepare_sequence(state: str, params: SystemParams, ramp: float = DEFAULT_RAMP) -> PulseSequence:
+def prepare_sequence(state: str, params: SystemParams) -> PulseSequence:
     """Standard synthesis sequences for the resonator states |0>, |1>, |0>+|1>.
 
     Timing overheads (pulse padding, coupler settle) follow the module-level
@@ -756,17 +755,17 @@ def prepare_sequence(state: str, params: SystemParams, ramp: float = DEFAULT_RAM
     else:
         raise DomainError(f"unknown preparation state {state!r}")
     seq.append(Idle(QUBIT_PULSE_PAD))
-    seq.append(swap_segment(params, ramp))
+    seq.append(swap_segment(params))
     seq.append(Idle(COUPLER_SETTLE))
     return seq
 
 
-def fock2_sequence(params: SystemParams, tau: float, ramp: float = DEFAULT_RAMP) -> PulseSequence:
+def fock2_sequence(params: SystemParams, tau: float) -> PulseSequence:
     """Two-step |2> synthesis: excite, swap, re-excite, interact for tau."""
     seq = PulseSequence()
     seq.append(Rotation("x", math.pi))
     seq.append(Idle(QUBIT_PULSE_PAD))
-    seq.append(swap_segment(params, ramp))
+    seq.append(swap_segment(params))
     seq.append(Idle(COUPLER_SETTLE))
     seq.append(Rotation("x", math.pi))
     seq.append(Idle(QUBIT_PULSE_PAD))
@@ -834,12 +833,11 @@ TOMOGRAPHY_PULSES = {
 }
 
 
-def measure_qubit_tomography(base: PulseSequence, params: SystemParams, pulses=None) -> dict:
+def measure_qubit_tomography(base: PulseSequence, params: SystemParams) -> dict:
     """Run ``base`` once per tomography pulse and collect P_e values."""
     out = {}
-    for name in pulses if pulses is not None else TOMOGRAPHY_PULSES:
+    for name, pulse in TOMOGRAPHY_PULSES.items():
         seq = PulseSequence(list(base.segments))
-        pulse = TOMOGRAPHY_PULSES[name]
         if pulse is not None:
             seq.append(pulse)
         seq.append(Measure(name))

@@ -270,8 +270,9 @@ def wigner_from_state(rho: np.ndarray, alpha: complex) -> float:
     return float(2.0 / math.pi * np.trace(displaced @ parity_operator(dim)).real)
 
 
-def gell_mann_basis(dim: int = STATE_LEVELS) -> list[np.ndarray]:
-    """Traceless Hermitian generators of SU(dim), (dim^2 - 1) matrices."""
+def gell_mann_basis() -> list[np.ndarray]:
+    """Traceless Hermitian generators of SU(STATE_LEVELS), STATE_LEVELS^2 - 1 matrices."""
+    dim = STATE_LEVELS
     out = []
     for j in range(dim):
         for k in range(j + 1, dim):

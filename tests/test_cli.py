@@ -107,8 +107,8 @@ class TestRunScenarios:
         }
         config = write_config(tmp_path, doc)
         out1, out2 = tmp_path / "j1", tmp_path / "j2"
-        assert cli.main(["run", str(config), "--out", str(out1), "--jobs", "1"]) == 0
-        assert cli.main(["run", str(config), "--out", str(out2), "--jobs", "3"]) == 0
+        assert cli.main(["run", str(config), "--out", str(out1)]) == 0
+        assert cli.main(["run", str(config), "--out", str(out2)]) == 0
         assert (out1 / "chevron.svg").exists()
         assert (out1 / "chevron.csv").read_bytes() == (out2 / "chevron.csv").read_bytes()
         lines = (out1 / "chevron.csv").read_text().splitlines()
@@ -173,8 +173,7 @@ class TestEmittedSchemas:
 
 
 class TestScenarioParsing:
-    def test_env_jobs_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PHONON_LAB_JOBS", "4")
+    def test_env_jobs_default(self, tmp_path):
         doc = {"kind": "thermometry"}
         config = write_config(tmp_path, doc)
         out = tmp_path / "out"
@@ -183,9 +182,39 @@ class TestScenarioParsing:
 
     def test_every_kind_has_keys_and_a_runner(self):
         kinds = set(load_schema("scenario")["properties"]["kind"]["enum"])
-        assert set(cli._KIND_KEYS) == kinds
-        assert set(cli._RUNNERS) == kinds
-        assert {preset["kind"] for preset in cli.FIGURE_PRESETS.values()} <= kinds
+        assert set(cli.KINDS) == kinds
+        for run, defaults in cli.KINDS.values():
+            assert callable(run) and defaults
+        for kind, overrides, _ in cli.FIGURES.values():
+            assert kind in cli.KINDS
+            cli.parse_scenario({"kind": kind, "params": overrides})
+
+    @pytest.mark.parametrize(
+        "params, key",
+        [
+            ({"bogus": 3}, "bogus"),
+            ({"n_delta": True}, "n_delta"),
+            ({"tau_max_s": "long"}, "tau_max_s"),
+            ({"delta_span_hz": [40e6]}, "delta_span_hz"),
+        ],
+        ids=["unknown-key", "bool-for-int", "str-for-float", "list-for-float"],
+    )
+    def test_bad_parameter_rejected(self, params, key):
+        with pytest.raises(ConfigError, match=f"params.{key}") as err:
+            cli.parse_scenario({"kind": "chevron", "params": params})
+        if key == "bogus":
+            assert all(allowed in str(err.value) for allowed in cli.KINDS["chevron"][1])
+
+    def test_int_for_float_is_coerced(self):
+        scn = cli.parse_scenario({"kind": "chevron", "params": {"tau_max_s": 1}})
+        assert scn.params["tau_max_s"] == 1.0
+        assert type(scn.params["tau_max_s"]) is float
+
+    def test_run_record_echoes_every_parameter(self, tmp_path):
+        doc = {"kind": "thermometry", "params": {"noise": 0.002}}
+        cli.execute_scenario(cli.parse_scenario(doc), tmp_path)
+        record = json.loads((tmp_path / "run_record.json").read_text())
+        assert record["scenario"]["params"] == {**cli.KINDS["thermometry"][1], "noise": 0.002}
 
     def test_parse_scenario_seed_override(self):
         scn = cli.parse_scenario({"kind": "thermometry", "seed": 5}, seed=9)
