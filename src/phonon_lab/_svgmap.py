@@ -1,4 +1,4 @@
-"""Minimal deterministic SVG heatmap writer for 2-D scan artifacts."""
+"""Minimal deterministic SVG heatmap text for 2-D scan artifacts."""
 
 from __future__ import annotations
 
@@ -26,16 +26,15 @@ def _color(v: float) -> str:
     return "#fde725"
 
 
-def write_heatmap_svg(
-    path,
+def heatmap_svg(
     x_values,
     y_values,
     z,
     x_label: str = "",
     y_label: str = "",
     title: str = "",
-):
-    """Write a cell-grid heatmap with axes and a colorbar.
+) -> str:
+    """SVG text of a cell-grid heatmap with axes and a colorbar.
 
     ``z`` is indexed [iy, ix]; output is deterministic for identical input.
     """
@@ -128,5 +127,4 @@ def write_heatmap_svg(
         f'font-size="10">{zmin:.4g}</text>'
     )
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

@@ -1,16 +1,19 @@
 """Scenario runner and reproduction harness.
 
 ``phonon-lab run config.json`` executes one scenario described by a JSON
-document with a ``kind`` discriminator, writes CSV/JSON artifacts (plus an
-SVG heatmap for 2-D scans) and ``summary.json`` into the output directory,
-and finishes with a run record carrying the complete parameter set that ran
-and a content hash over the data artifacts.  ``phonon-lab reproduce
-<figure-id>`` runs a preset scenario and emits the computed values next to
-the published reference numbers.
+document with a ``kind`` discriminator.  Its runner returns the text of each
+CSV/JSON artifact (plus an SVG heatmap for 2-D scans) and a summary;
+``execute_scenario`` writes them and ``summary.json`` into the output
+directory, and finishes with a run record carrying the complete parameter
+set that ran and the SHA-256 of exactly the files it wrote.  ``phonon-lab
+reproduce <figure-id>`` runs a preset scenario and emits the computed values
+next to the published reference numbers.
 
 ``KINDS`` is the one place a scenario kind is declared: its runner and the
 default of every parameter a config may set.  ``FIGURES`` holds each
-figure's kind, overrides and reference values.
+figure's kind, overrides and reference values.  Each artifact's columns are
+the header its runner writes here; ``_write`` is the one place a run's files
+are written.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -23,6 +26,7 @@ import csv
 import dataclasses
 import datetime
 import hashlib
+import io
 import json
 import math
 import sys
@@ -32,7 +36,7 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from . import __version__, circuit, lindblad as lb, saw, tomography as tg
-from ._svgmap import write_heatmap_svg
+from ._svgmap import heatmap_svg
 from .errors import ConfigError, PhononLabError
 from .schema_io import load_schema, validate_document
 
@@ -75,6 +79,12 @@ def parse_scenario(doc: dict, seed=None) -> Scenario:
             raise ConfigError(
                 f"$.params.{key}: expected {want.__name__}, got {type(value).__name__}"
             )
+    for state in params.get("states", ()):
+        if state not in lb.PREPARABLE_STATES:
+            raise ConfigError(
+                f"$.params.states: unknown state {state!r}; "
+                f"allowed: {list(lb.PREPARABLE_STATES)}"
+            )
     return Scenario(
         kind=kind,
         params=params,
@@ -93,17 +103,31 @@ def load_config(path) -> dict:
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
 
 
-def _write_json(path, doc):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _spectrum_csv(frequencies_hz, y) -> str:
+    """``freq_hz,re_y_s,im_y_s`` rows of an admittance spectrum."""
+    return _csv_text(
+        ["freq_hz", "re_y_s", "im_y_s"],
+        [[f"{f:.6f}", f"{v.real:.9e}", f"{v.imag:.9e}"] for f, v in zip(frequencies_hz, y)],
+    )
+
+
+def _write(path: Path, text: str) -> str:
+    """Write ``text`` to ``path``; returns the SHA-256 of the bytes written."""
+    data = text.encode()
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _damped_cosine(t, amp, freq, phase, tau, offset):
@@ -115,11 +139,11 @@ def _exponential(t, amp, tau, offset):
 
 
 # ---------------------------------------------------------------------------
-# scenario runners; each writes its artifacts and returns the summary that
-# execute_scenario writes to summary.json
+# scenario runners; each returns (files, summary): the text of each artifact
+# by file name, and the summary that execute_scenario writes to summary.json
 
 
-def run_admittance(scn: Scenario, out: Path) -> dict:
+def run_admittance(scn: Scenario) -> tuple[dict, dict]:
     s = scn.params
     # 1j * x, not complex(0, x), keeps the sign of a zero real part
     p = saw.SawModelParams(
@@ -129,27 +153,20 @@ def run_admittance(scn: Scenario, out: Path) -> dict:
     )
     grid = saw.default_grid(s["f_lo_hz"], s["f_hi_hz"], s["n_points"])
     spec = saw.resonator_admittance(grid, p)
-    saw.export_spectrum_csv(spec, out / "admittance.csv", out / "params.json")
-
     pm = saw.transducer_response(grid, p)
-    y_t = pm.p33 + 1j * grid * p.c_t
-    _write_csv(
-        out / "transducer.csv",
-        ["freq_hz", "re_y_s", "im_y_s"],
-        [
-            [f"{f:.6f}", f"{y.real:.9e}", f"{y.imag:.9e}"]
-            for f, y in zip(spec.frequencies_hz, y_t)
-        ],
-    )
     gamma = saw.mirror_reflection(grid, p)
-    _write_csv(
-        out / "mirror.csv",
-        ["freq_hz", "gamma_abs", "gamma_re", "gamma_im"],
-        [
-            [f"{f:.6f}", f"{abs(g):.8f}", f"{g.real:.8f}", f"{g.imag:.8f}"]
-            for f, g in zip(spec.frequencies_hz, gamma)
-        ],
-    )
+    files = {
+        "admittance.csv": _spectrum_csv(spec.frequencies_hz, spec.y),
+        "params.json": _json_text(spec.metadata),
+        "transducer.csv": _spectrum_csv(spec.frequencies_hz, pm.p33 + 1j * grid * p.c_t),
+        "mirror.csv": _csv_text(
+            ["freq_hz", "gamma_abs", "gamma_re", "gamma_im"],
+            [
+                [f"{f:.6f}", f"{abs(g):.8f}", f"{g.real:.8f}", f"{g.imag:.8f}"]
+                for f, g in zip(spec.frequencies_hz, gamma)
+            ],
+        ),
+    }
 
     fine, bvd, residual = saw.fit_resonance(spec, p)
     mag = np.abs(gamma)
@@ -164,7 +181,7 @@ def run_admittance(scn: Scenario, out: Path) -> dict:
     while i < f_hz.size - 1 and above[i + 1]:
         i += 1
     hi = float(f_hz[i])
-    return {
+    return files, {
         "resonance_hz": float(fine.frequencies_hz[int(np.argmax(fine.y.real))]),
         "peak_conductance_s": float(np.max(fine.y.real)),
         "stop_band_lo_hz": lo,
@@ -180,26 +197,25 @@ def run_admittance(scn: Scenario, out: Path) -> dict:
     }
 
 
-def run_coupling_sweep(scn: Scenario, out: Path) -> dict:
+def run_coupling_sweep(scn: Scenario) -> tuple[dict, dict]:
     bvd = saw.reference_bvd()
     cp = circuit.CircuitParams(m=scn.params["m"])
     phi = np.linspace(0.0, 1.0, scn.params["sweep_points"])
     g = circuit.coupling_strength(phi, cp, bvd)
-    _write_csv(
-        out / "coupling.csv",
-        ["phi_g", "g_hz"],
-        [[f"{x:.6f}", f"{v / TWO_PI:.3f}"] for x, v in zip(phi, g)],
-    )
     f_ge = circuit.qubit_frequency(phi, cp)
-    _write_csv(
-        out / "qubit_frequency.csv",
-        ["phi_g", "omega_ge_hz"],
-        [[f"{x:.6f}", f"{v / TWO_PI:.3f}"] for x, v in zip(phi, f_ge)],
-    )
-    _write_json(out / "params.json", cp.to_dict())
+    files = {
+        "coupling.csv": _csv_text(
+            ["phi_g", "g_hz"], [[f"{x:.6f}", f"{v / TWO_PI:.3f}"] for x, v in zip(phi, g)]
+        ),
+        "qubit_frequency.csv": _csv_text(
+            ["phi_g", "omega_ge_hz"],
+            [[f"{x:.6f}", f"{v / TWO_PI:.3f}"] for x, v in zip(phi, f_ge)],
+        ),
+        "params.json": _json_text(cp.to_dict()),
+    }
     mags = np.abs(g)
     nonzero = mags[mags > 0]
-    return {
+    return files, {
         "max_g_hz": float(mags.max() / TWO_PI),
         "phi_at_max": float(phi[int(np.argmax(mags))]),
         "min_nonzero_g_hz": float(nonzero.min() / TWO_PI),
@@ -208,7 +224,7 @@ def run_coupling_sweep(scn: Scenario, out: Path) -> dict:
     }
 
 
-def run_loss_spectrum(scn: Scenario, out: Path) -> dict:
+def run_loss_spectrum(scn: Scenario) -> tuple[dict, dict]:
     p_saw = saw.SawModelParams()
     grid = TWO_PI * np.linspace(
         scn.params["f_lo_hz"], scn.params["f_hi_hz"], scn.params["n_points"]
@@ -220,25 +236,26 @@ def run_loss_spectrum(scn: Scenario, out: Path) -> dict:
     loss_max = circuit.qubit_loss_spectrum(grid, 0.5, cp, spec)
     loss_mid = circuit.qubit_loss_spectrum(grid, phi_mid, cp, spec)
     loss_off = circuit.qubit_loss_spectrum(grid, 0.25, cp, spec)
-    _write_csv(
-        out / "loss.csv",
-        ["freq_hz", "inv_q_max", "inv_q_mid", "inv_q_off"],
-        [
-            [f"{f / TWO_PI:.3f}", f"{a:.6e}", f"{b:.6e}", f"{c:.6e}"]
-            for f, a, b, c in zip(grid, loss_max, loss_mid, loss_off)
-        ],
-    )
-    _write_json(out / "params.json", cp.to_dict())
+    files = {
+        "loss.csv": _csv_text(
+            ["freq_hz", "inv_q_max", "inv_q_mid", "inv_q_off"],
+            [
+                [f"{f / TWO_PI:.3f}", f"{a:.6e}", f"{b:.6e}", f"{c:.6e}"]
+                for f, a, b, c in zip(grid, loss_max, loss_mid, loss_off)
+            ],
+        ),
+        "params.json": _json_text(cp.to_dict()),
+    }
     f_hz = grid / TWO_PI
     band = (f_hz >= 3.85e9) & (f_hz <= 3.90e9)
-    return {
+    return files, {
         "phi_moderate": float(phi_mid),
         "band_mean_inv_q_mid": float(loss_mid[band].mean()),
         "inv_q_mid_at_3p95ghz": float(loss_mid[int(np.argmin(np.abs(f_hz - 3.95e9)))]),
     }
 
 
-def run_chevron(scn: Scenario, out: Path) -> dict:
+def run_chevron(scn: Scenario) -> tuple[dict, dict]:
     params = lb.SystemParams()
     s = scn.params
     span = s["delta_span_hz"]
@@ -255,22 +272,23 @@ def run_chevron(scn: Scenario, out: Path) -> dict:
     for i, d in enumerate(deltas):
         for j, t in enumerate(taus):
             rows.append([f"{d / TWO_PI:.3f}", f"{t:.4e}", f"{z[i, j]:.6f}"])
-    _write_csv(out / "chevron.csv", ["delta_hz", "tau_s", "p_e"], rows)
-    write_heatmap_svg(
-        out / "chevron.svg",
-        taus * 1e9,
-        deltas / TWO_PI / 1e6,
-        z,
-        x_label="interaction time (ns)",
-        y_label="detuning (MHz)",
-        title="qubit excited-state probability",
-    )
+    files = {
+        "chevron.csv": _csv_text(["delta_hz", "tau_s", "p_e"], rows),
+        "chevron.svg": heatmap_svg(
+            taus * 1e9,
+            deltas / TWO_PI / 1e6,
+            z,
+            x_label="interaction time (ns)",
+            y_label="detuning (MHz)",
+            title="qubit excited-state probability",
+        ),
+    }
     i0 = int(np.argmin(np.abs(deltas)))
     i_min = int(np.argmin(z[i0]))
-    return {"swap_time_s": float(taus[i_min]), "n_delta": s["n_delta"], "n_tau": s["n_tau"]}
+    return files, {"swap_time_s": float(taus[i_min]), "n_delta": s["n_delta"], "n_tau": s["n_tau"]}
 
 
-def run_lifetimes(scn: Scenario, out: Path) -> dict:
+def run_lifetimes(scn: Scenario) -> tuple[dict, dict]:
     params = lb.SystemParams(delta=TWO_PI * 53e6)
     waits = np.linspace(2e-9, scn.params["t_max_s"], scn.params["n_points"])
     swap = lb.swap_segment(params)
@@ -291,16 +309,15 @@ def run_lifetimes(scn: Scenario, out: Path) -> dict:
     p_t1r = scan(math.pi, None, waits)
     p_x, p_y = scan(math.pi / 2, "x90", waits), scan(math.pi / 2, "y90", waits)
 
-    _write_csv(
-        out / "t1r.csv",
-        ["t_s", "p_e"],
-        [[f"{t:.4e}", f"{v:.6f}"] for t, v in zip(waits, p_t1r)],
-    )
-    _write_csv(
-        out / "t2r.csv",
-        ["t_s", "p_e_x90", "p_e_y90"],
-        [[f"{t:.4e}", f"{a:.6f}", f"{b:.6f}"] for t, a, b in zip(waits, p_x, p_y)],
-    )
+    files = {
+        "t1r.csv": _csv_text(
+            ["t_s", "p_e"], [[f"{t:.4e}", f"{v:.6f}"] for t, v in zip(waits, p_t1r)]
+        ),
+        "t2r.csv": _csv_text(
+            ["t_s", "p_e_x90", "p_e_y90"],
+            [[f"{t:.4e}", f"{a:.6f}", f"{b:.6f}"] for t, a, b in zip(waits, p_x, p_y)],
+        ),
+    }
 
     popt, _ = curve_fit(
         _exponential, waits, p_t1r, p0=[0.9, params.t1r, 0.02], maxfev=20000
@@ -330,7 +347,7 @@ def run_lifetimes(scn: Scenario, out: Path) -> dict:
         _damped_cosine, fine, p_fine,
         p0=[0.45, params.delta / TWO_PI, 0.0, 400e-9, 0.5], maxfev=40000,
     )
-    return {
+    return files, {
         "t1r_s": t1r_fit,
         "t2r_s": t2r_fit,
         "t2r_over_t1r": t2r_fit / t1r_fit,
@@ -338,7 +355,7 @@ def run_lifetimes(scn: Scenario, out: Path) -> dict:
     }
 
 
-def run_thermometry(scn: Scenario, out: Path) -> dict:
+def run_thermometry(scn: Scenario) -> tuple[dict, dict]:
     rng = np.random.default_rng(scn.seed)
     noise, n = scn.params["noise"], scn.params["n_points"]
     contrast = 0.95
@@ -359,22 +376,28 @@ def run_thermometry(scn: Scenario, out: Path) -> dict:
         results[label] = {"population": p_est, "sigma": sigma, "target": population}
         for xi, ye, yg in zip(x, y_e, y_g):
             rows.append([label, f"{xi:.4f}", f"{ye:.6f}", f"{yg:.6f}"])
-    _write_csv(out / "thermometry.csv", ["sequence", "amplitude", "p_excited_trace", "p_ground_trace"], rows)
-    return results
+    header = ["sequence", "amplitude", "p_excited_trace", "p_ground_trace"]
+    return {"thermometry.csv": _csv_text(header, rows)}, results
 
 
-def run_wigner(scn: Scenario, out: Path) -> dict:
+def run_wigner(scn: Scenario) -> tuple[dict, dict]:
     params = lb.SystemParams()
     alphas = tg.default_alpha_grid(radius=scn.params["alpha_radius"])
-    summary = {}
+    files, summary = {}, {}
     for state in scn.params["states"]:
         tag = state.replace("+", "plus")
         ds = tg.synthesize_dataset(
             state, params, alphas=alphas, noise=scn.params["noise"], seed=scn.seed
         )
-        (out / f"dataset_{tag}.json").write_text(ds.to_json())
+        files[f"dataset_{tag}.json"] = ds.to_json()
         fits, recon = tg.analyze_dataset(ds)
-        tg.export_wigner_csv(out / f"wigner_{tag}.csv", fits)
+        files[f"wigner_{tag}.csv"] = _csv_text(
+            ["alpha_re", "alpha_im", "w"],
+            [
+                [f"{f.alpha.real:.6f}", f"{f.alpha.imag:.6f}", f"{tg.wigner_point(f.p_n):.8f}"]
+                for f in fits
+            ],
+        )
 
         if state == "0":
             psi = np.array([1, 0, 0, 0], dtype=complex)
@@ -384,9 +407,8 @@ def run_wigner(scn: Scenario, out: Path) -> dict:
             phase = np.angle(recon.rho_small[0, 1])
             psi = np.array([1, np.exp(1j * phase), 0, 0], dtype=complex) / math.sqrt(2)
         value, sigma = tg.fidelity(recon.rho, psi, recon.covariance)
-        _write_json(
-            out / f"reconstruction_{tag}.json",
-            tg.reconstruction_report(recon, fidelity_value=(value, sigma)),
+        files[f"reconstruction_{tag}.json"] = _json_text(
+            tg.reconstruction_report(recon, fidelity_value=(value, sigma))
         )
 
         axis = sorted({a.real for a in alphas})
@@ -396,8 +418,7 @@ def run_wigner(scn: Scenario, out: Path) -> dict:
             for iy, im in enumerate(axis):
                 for ix, re in enumerate(axis):
                     w_map[iy, ix] = lookup[complex(re, im)]
-            write_heatmap_svg(
-                out / f"wigner_{tag}.svg",
+            files[f"wigner_{tag}.svg"] = heatmap_svg(
                 np.array(axis),
                 np.array(axis),
                 w_map,
@@ -410,10 +431,10 @@ def run_wigner(scn: Scenario, out: Path) -> dict:
             "fidelity_sigma": sigma,
             "min_wigner": min(tg.wigner_point(f.p_n) for f in fits),
         }
-    return summary
+    return files, summary
 
 
-def run_fock2(scn: Scenario, out: Path) -> dict:
+def run_fock2(scn: Scenario) -> tuple[dict, dict]:
     params = lb.SystemParams()
     taus = np.linspace(scn.params["tau_lo_s"], scn.params["tau_hi_s"], scn.params["n_tau"])
     rows = []
@@ -426,8 +447,7 @@ def run_fock2(scn: Scenario, out: Path) -> dict:
         )
         if best is None or pops[2] > best[1][2]:
             best = (tau, pops)
-    _write_csv(out / "fock2.csv", ["tau_s", "p_e", "p0", "p1", "p2"], rows)
-    return {
+    return {"fock2.csv": _csv_text(["tau_s", "p_e", "p0", "p1", "p2"], rows)}, {
         "optimal_tau_s": float(best[0]),
         "p2": float(best[1][2]),
         "p1": float(best[1][1]),
@@ -435,7 +455,7 @@ def run_fock2(scn: Scenario, out: Path) -> dict:
     }
 
 
-def run_large_alpha(scn: Scenario, out: Path) -> dict:
+def run_large_alpha(scn: Scenario) -> tuple[dict, dict]:
     s = scn.params
     dim, initial_fock = s["dim"], s["initial_fock"]
     params = lb.SystemParams(dim=dim)
@@ -451,20 +471,22 @@ def run_large_alpha(scn: Scenario, out: Path) -> dict:
     for i, a in enumerate(mags):
         for j, t in enumerate(taus):
             rows.append([f"{a:.4f}", f"{t:.4e}", f"{z[i, j]:.6f}"])
-    _write_csv(out / "large_alpha.csv", ["alpha_abs", "tau_s", "p_e"], rows)
-    write_heatmap_svg(
-        out / "large_alpha.svg",
-        taus * 1e9,
-        mags,
-        z,
-        x_label="interaction time (ns)",
-        y_label="|alpha|",
-        title=f"qubit response to displaced Fock |{initial_fock}>",
-    )
-    return {"n_alpha": s["n_alpha"], "n_tau": s["n_tau"], "dim": dim}
+    files = {
+        "large_alpha.csv": _csv_text(["alpha_abs", "tau_s", "p_e"], rows),
+        "large_alpha.svg": heatmap_svg(
+            taus * 1e9,
+            mags,
+            z,
+            x_label="interaction time (ns)",
+            y_label="|alpha|",
+            title=f"qubit response to displaced Fock |{initial_fock}>",
+        ),
+    }
+    return files, {"n_alpha": s["n_alpha"], "n_tau": s["n_tau"], "dim": dim}
 
 
 _SAW = saw.SawModelParams()
+_SYSTEM = lb.SystemParams()
 
 # every scenario kind: its runner and the default of each parameter a
 # config may set; a key's type is its default's type
@@ -476,17 +498,21 @@ KINDS = {
         "mirror_lines": _SAW.mirror_lines, "transducer_pairs": _SAW.transducer_pairs,
         "c_t": _SAW.c_t,
     }),
-    "coupling-sweep": (run_coupling_sweep, {"sweep_points": 1001, "m": 0.13e-9}),
+    "coupling-sweep": (run_coupling_sweep, {
+        "sweep_points": 1001, "m": circuit.CircuitParams().m,
+    }),
     "loss-spectrum": (run_loss_spectrum, {"f_lo_hz": 3.5e9, "f_hi_hz": 4.5e9, "n_points": 2001}),
     "chevron": (run_chevron, {
         "delta_span_hz": 40e6, "n_delta": 41, "tau_max_s": 150e-9, "n_tau": 76,
     }),
     "lifetimes": (run_lifetimes, {"t_max_s": 450e-9, "n_points": 31}),
     "thermometry": (run_thermometry, {
-        "qubit_population": 0.0169, "resonator_population": 0.0049,
+        "qubit_population": _SYSTEM.p_e_th, "resonator_population": _SYSTEM.p_1_th,
         "noise": 0.001, "n_points": 100,
     }),
-    "wigner": (run_wigner, {"states": ["0", "1", "0+1"], "alpha_radius": 2.0, "noise": 0.0}),
+    "wigner": (run_wigner, {
+        "states": list(lb.PREPARABLE_STATES), "alpha_radius": 2.0, "noise": 0.0,
+    }),
     "fock2": (run_fock2, {"tau_lo_s": 14e-9, "tau_hi_s": 40e-9, "n_tau": 27}),
     "large-alpha": (run_large_alpha, {
         "alpha_max": 5.0, "n_alpha": 11, "tau_max_s": 300e-9, "n_tau": 121,
@@ -542,18 +568,16 @@ FIGURES = {
 
 
 def execute_scenario(scn: Scenario, out_dir) -> Path:
-    """Run a scenario and write artifacts plus the run record."""
+    """Run a scenario, write its artifacts and ``summary.json``, and finish
+    with the run record, which hashes exactly the files this run wrote."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    _write_json(out / "summary.json", KINDS[scn.kind][0](scn, out))
+    files, summary = KINDS[scn.kind][0](scn)
+    files["summary.json"] = _json_text(summary)
+    artifacts = {name: _write(out / name, text) for name, text in sorted(files.items())}
     finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
-    artifacts = {}
-    for path in sorted(out.iterdir()):
-        if path.name == "run_record.json" or not path.is_file():
-            continue
-        artifacts[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
     content_hash = hashlib.sha256(
         json.dumps(artifacts, sort_keys=True).encode()
     ).hexdigest()
@@ -567,7 +591,7 @@ def execute_scenario(scn: Scenario, out_dir) -> Path:
         "content_hash": content_hash,
     }
     validate_document(record, load_schema("run_record"))
-    _write_json(out / "run_record.json", record)
+    _write(out / "run_record.json", _json_text(record))
     return out
 
 
@@ -584,7 +608,7 @@ def reproduce(figure_id: str, out_dir) -> dict:
         "reference": reference,
         "computed": json.loads((out / "summary.json").read_text()),
     }
-    _write_json(out / "reproduce_summary.json", comparison)
+    _write(out / "reproduce_summary.json", _json_text(comparison))
     return comparison
 
 

@@ -29,7 +29,6 @@ and each is built the first time its sector is occupied.
 from __future__ import annotations
 
 import cmath
-import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -51,6 +50,9 @@ DEFAULT_RAMP = 5e-9
 # fidelities
 QUBIT_PULSE_PAD = 35e-9
 COUPLER_SETTLE = 15e-9
+
+# the resonator states prepare_sequence synthesises: |0>, |1> and |0>+|1>
+PREPARABLE_STATES = ("0", "1", "0+1")
 
 # the modelled device, computed once at import: the coupling at the
 # coupler's maximum (Phi_G = 0.5) and the phonon lifetime Q/omega_s of the
@@ -429,8 +431,6 @@ def _generators(params: SystemParams) -> _PerSector:
     """Sector blocks (D, N, V) of L(delta, g) = D + delta*N + g*V, per k."""
     dim = params.dim
     eye = np.eye(2 * dim)
-    a = lowering_operator(dim)
-    v_int = np.kron(SIGMA_PLUS, a) + np.kron(SIGMA_MINUS, a.conj().T)
     # each term (A, B) maps rho to A rho B^T
     dissipator = []
     for c in collapse_operators(params):
@@ -440,7 +440,11 @@ def _generators(params: SystemParams) -> _PerSector:
     def commutator(h):
         return [(-1j * h, eye), (eye, 1j * h.T)]
 
-    parts = (dissipator, commutator(np.kron(NUMBER_Q, np.eye(dim))), commutator(v_int))
+    parts = (
+        dissipator,
+        commutator(build_hamiltonian(1, 0, dim)),
+        commutator(build_hamiltonian(0, 1, dim)),
+    )
     indices = _sector_indices(dim)
 
     def blocks(k):
@@ -579,18 +583,6 @@ class Trajectory:
     populations: np.ndarray
     bloch: np.ndarray
     rho_final: np.ndarray
-
-    def export_csv(self, path):
-        """Write ``t_s,p_e,p0..p{dim-1}`` rows."""
-        dim = self.populations.shape[1]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t_s", "p_e"] + [f"p{n}" for n in range(dim)])
-            for i, t in enumerate(self.t):
-                writer.writerow(
-                    [f"{t:.6e}", f"{self.p_e[i]:.8f}"]
-                    + [f"{p:.8f}" for p in self.populations[i]]
-                )
 
 
 def _walk(rho, schedule: PulseSequence, params: SystemParams, samples=(), sample=None):
@@ -745,15 +737,12 @@ def prepare_sequence(state: str, params: SystemParams) -> PulseSequence:
     constants; the qubit ends near its ground state with the target state in
     the resonator.
     """
+    if state not in PREPARABLE_STATES:
+        raise DomainError(f"unknown preparation state {state!r}")
     seq = PulseSequence()
     if state == "0":
         return seq
-    if state == "1":
-        seq.append(Rotation("x", math.pi))
-    elif state in ("0+1", "0-1", "superposition"):
-        seq.append(Rotation("x", math.pi / 2.0))
-    else:
-        raise DomainError(f"unknown preparation state {state!r}")
+    seq.append(Rotation("x", math.pi if state == "1" else math.pi / 2.0))
     seq.append(Idle(QUBIT_PULSE_PAD))
     seq.append(swap_segment(params))
     seq.append(Idle(COUPLER_SETTLE))

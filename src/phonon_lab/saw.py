@@ -26,9 +26,7 @@ The three-port blocks follow the standard P-matrix sign conventions
 from __future__ import annotations
 
 import cmath
-import csv
 import functools
-import json
 import math
 from dataclasses import dataclass, field, asdict
 
@@ -538,15 +536,3 @@ def reference_bvd() -> BvdParams:
     params = SawModelParams()
     coarse = resonator_admittance(default_grid(n=1001), params)
     return fit_resonance(coarse, params)[1]
-
-
-def export_spectrum_csv(spectrum: AdmittanceSpectrum, csv_path, sidecar_json_path=None):
-    """Write ``freq_hz,re_y_s,im_y_s`` rows plus a JSON parameter echo."""
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["freq_hz", "re_y_s", "im_y_s"])
-        for f_hz, y in zip(spectrum.frequencies_hz, spectrum.y):
-            writer.writerow([f"{f_hz:.6f}", f"{y.real:.9e}", f"{y.imag:.9e}"])
-    if sidecar_json_path is not None:
-        with open(sidecar_json_path, "w") as fh:
-            json.dump(spectrum.metadata, fh, indent=2, sort_keys=True)

@@ -23,7 +23,6 @@ Analysis conventions (matching the measurement procedure they invert):
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import warnings
@@ -558,17 +557,6 @@ def analyze_dataset(
         fits.append(fit_populations(rec, params, responses=cache[key]))
     recon = reconstruct_density_matrix(fits)
     return fits, recon
-
-
-def export_wigner_csv(path, fits: list[PopulationFit]):
-    """Write ``alpha_re,alpha_im,w`` rows from fitted distributions."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha_re", "alpha_im", "w"])
-        for f in fits:
-            writer.writerow(
-                [f"{f.alpha.real:.6f}", f"{f.alpha.imag:.6f}", f"{wigner_point(f.p_n):.8f}"]
-            )
 
 
 def reconstruction_report(recon: ReconstructedState, fidelity_value=None) -> dict:

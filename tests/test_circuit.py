@@ -291,17 +291,17 @@ class TestFitCircuit:
 class TestExports:
     """coupling.csv and qubit_frequency.csv have one writer, the coupling-sweep scenario."""
 
-    def test_frequency_csv(self, tmp_path):
+    def test_frequency_csv(self):
         scn = cli.parse_scenario({"kind": "coupling-sweep", "params": {"sweep_points": 5}})
-        cli.run_coupling_sweep(scn, tmp_path)
-        lines = (tmp_path / "qubit_frequency.csv").read_text().strip().splitlines()
+        files, _ = cli.run_coupling_sweep(scn)
+        lines = files["qubit_frequency.csv"].splitlines()
         assert lines[0] == "phi_g,omega_ge_hz"
         assert len(lines) == 6
-        assert (tmp_path / "params.json").exists()
+        assert "params.json" in files
 
-    def test_coupling_csv(self, tmp_path):
+    def test_coupling_csv(self):
         scn = cli.parse_scenario({"kind": "coupling-sweep", "params": {"sweep_points": 2}})
-        cli.run_coupling_sweep(scn, tmp_path)
-        lines = (tmp_path / "coupling.csv").read_text().strip().splitlines()
+        files, _ = cli.run_coupling_sweep(scn)
+        lines = files["coupling.csv"].splitlines()
         assert lines[0] == "phi_g,g_hz"
         assert len(lines) == 3

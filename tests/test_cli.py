@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -46,6 +47,15 @@ class TestValidation:
         path.write_text("{not json")
         assert cli.main(["validate", str(path)]) == 2
 
+    @pytest.mark.parametrize("states", [[1], ["2"]], ids=["non-string", "unknown-state"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_bad_wigner_state_rejected(self, tmp_path, capsys, command, states):
+        path = write_config(tmp_path, {"kind": "wigner", "params": {"states": states}})
+        out = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert cli.main([command, str(path), *out]) == 2
+        assert "$.params.states" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestRunScenarios:
     def test_admittance_artifacts(self, tmp_path):
@@ -63,8 +73,10 @@ class TestRunScenarios:
             "summary.json",
             "run_record.json",
         } <= names
-        header = (out / "admittance.csv").read_text().splitlines()[0]
-        assert header == "freq_hz,re_y_s,im_y_s"
+        for name in ("admittance.csv", "transducer.csv"):
+            lines = (out / name).read_text().splitlines()
+            assert lines[0] == "freq_hz,re_y_s,im_y_s"
+            assert len(lines) == 1 + 301
         record = json.loads((out / "run_record.json").read_text())
         validate_document(record, load_schema("run_record"))
         assert record["scenario"]["kind"] == "admittance"
@@ -100,7 +112,7 @@ class TestRunScenarios:
         rec_b = json.loads((out_b / "run_record.json").read_text())
         assert rec_a["content_hash"] != rec_b["content_hash"]
 
-    def test_chevron_heatmap_and_jobs_invariance(self, tmp_path):
+    def test_chevron_heatmap_and_determinism(self, tmp_path):
         doc = {
             "kind": "chevron",
             "params": {"n_delta": 5, "n_tau": 16, "tau_max_s": 60e-9},
@@ -163,6 +175,7 @@ class TestEmittedSchemas:
         validate_document(recon, load_schema("reconstruction"))
         wigner_lines = (out / "wigner_0.csv").read_text().splitlines()
         assert wigner_lines[0] == "alpha_re,alpha_im,w"
+        assert len(wigner_lines) == 1 + 25
         assert (out / "wigner_0.svg").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["0"]["fidelity"] > 0.95
@@ -172,14 +185,38 @@ class TestEmittedSchemas:
             validate_document({"kind": "chevron", "seed": "zero"}, load_schema("scenario"))
 
 
-class TestScenarioParsing:
-    def test_env_jobs_default(self, tmp_path):
-        doc = {"kind": "thermometry"}
-        config = write_config(tmp_path, doc)
-        out = tmp_path / "out"
-        assert cli.main(["run", str(config), "--out", str(out)]) == 0
-        assert (out / "run_record.json").exists()
+class TestRunRecord:
+    """The record lists exactly the files its run wrote, hashed as written."""
 
+    def test_second_run_into_one_directory_gives_the_same_hash(self, tmp_path):
+        first = cli.reproduce("fig4a", tmp_path)
+        record = json.loads((tmp_path / "run_record.json").read_text())
+        assert cli.reproduce("fig4a", tmp_path) == first
+        again = json.loads((tmp_path / "run_record.json").read_text())
+        assert again["artifacts"] == record["artifacts"]
+        assert again["content_hash"] == record["content_hash"]
+        assert set(record["artifacts"]) == {"summary.json", "thermometry.csv"}
+
+    def test_stray_file_is_not_listed_and_left_untouched(self, tmp_path):
+        (tmp_path / "stray.csv").write_bytes(b"left,over\r\n")
+        cli.execute_scenario(cli.parse_scenario({"kind": "thermometry"}), tmp_path)
+        record = json.loads((tmp_path / "run_record.json").read_text())
+        assert set(record["artifacts"]) == {"summary.json", "thermometry.csv"}
+        assert (tmp_path / "stray.csv").read_bytes() == b"left,over\r\n"
+
+    def test_digests_match_the_files_on_disk(self, tmp_path):
+        # a run of another figure into the same directory first
+        cli.reproduce("fig4a", tmp_path)
+        cli.reproduce("fig2", tmp_path)
+        record = json.loads((tmp_path / "run_record.json").read_text())
+        assert set(record["artifacts"]) == {
+            "admittance.csv", "mirror.csv", "params.json", "summary.json", "transducer.csv",
+        }
+        for name, digest in record["artifacts"].items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+class TestScenarioParsing:
     def test_every_kind_has_keys_and_a_runner(self):
         kinds = set(load_schema("scenario")["properties"]["kind"]["enum"])
         assert set(cli.KINDS) == kinds

@@ -591,6 +591,14 @@ class TestRunSequence:
         pops = lb.resonator_populations(res.rho_final)
         assert pops[1] > 0.8
 
+    @pytest.mark.parametrize("state", ["0-1", "superposition", "2", 1])
+    def test_only_preparable_states_prepare(self, state):
+        p = lb.SystemParams()
+        for good in lb.PREPARABLE_STATES:
+            lb.prepare_sequence(good, p)
+        with pytest.raises(DomainError, match="unknown preparation state"):
+            lb.prepare_sequence(state, p)
+
     def test_t2r_protocol_oscillates_at_idle_detuning(self):
         delta_idle = TWO_PI * 53e6
         t_idles = np.linspace(0.0, 45e-9, 13)
@@ -784,16 +792,3 @@ class TestStateChecks:
         bad[0, 1] = 0.3
         with pytest.raises(DomainError):
             lb.check_density_matrix(bad)
-
-
-class TestTrajectoryExport:
-    def test_csv_header_and_rows(self, tmp_path):
-        p = closed_params(dim=10)
-        seq = lb.PulseSequence([lb.Couple(p.g, 20e-9)])
-        t = np.linspace(0, 20e-9, 5)
-        traj = lb.evolve(qubit_excited(10), seq, p, t)
-        path = tmp_path / "traj.csv"
-        traj.export_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t_s,p_e," + ",".join(f"p{n}" for n in range(10))
-        assert len(lines) == 6

@@ -373,17 +373,3 @@ class TestReferenceDevice:
         assert saw.reference_bvd() is first
         assert len(calls) == 1
         assert first == before
-
-
-class TestExport:
-    def test_csv_and_sidecar(self, tmp_path):
-        p = saw.SawModelParams()
-        grid = saw.default_grid(3.98e9, 3.99e9, 11)
-        spec = saw.resonator_admittance(grid, p)
-        csv_path = tmp_path / "spectrum.csv"
-        json_path = tmp_path / "spectrum.params.json"
-        saw.export_spectrum_csv(spec, csv_path, json_path)
-        lines = csv_path.read_text().strip().splitlines()
-        assert lines[0] == "freq_hz,re_y_s,im_y_s"
-        assert len(lines) == 12
-        assert json_path.exists()

@@ -577,17 +577,6 @@ class TestDatasetIO:
         with pytest.raises(ConfigError, match="state"):
             tg.TomographyDataset([rec], state_label=1).to_json()
 
-    def test_wigner_csv(self, tmp_path):
-        fits = [
-            tg.PopulationFit(np.eye(10)[0], np.zeros(10), 0.0, 0j),
-            tg.PopulationFit(np.eye(10)[1], np.zeros(10), 0.0, 1 + 1j),
-        ]
-        path = tmp_path / "wigner.csv"
-        tg.export_wigner_csv(path, fits)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "alpha_re,alpha_im,w"
-        assert len(lines) == 3
-
     def test_reconstruction_report_fields(self):
         rng = np.random.default_rng(1)
         c = rng.standard_normal(15) * 0.01
