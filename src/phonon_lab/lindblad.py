@@ -29,7 +29,6 @@ and each is built the first time its sector is occupied.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
@@ -301,7 +300,7 @@ class Idle:
 
 @dataclass(frozen=True)
 class Measure:
-    label: str = ""
+    """Record the qubit excited-state probability P_e."""
 
 
 Segment = Rotation | Detune | Couple | Displace | Idle | Measure
@@ -317,56 +316,6 @@ class PulseSequence:
 
     def duration(self) -> float:
         return sum(getattr(s, "duration", 0.0) for s in self.segments)
-
-    def to_json(self) -> str:
-        out = []
-        for s in self.segments:
-            item = {"type": type(s).__name__.lower()}
-            for f in fields(s):
-                value = getattr(s, f.name)
-                item[f.name] = [value.real, value.imag] if f.name == "alpha" else value
-            out.append(item)
-        return json.dumps({"segments": out}, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PulseSequence":
-        """Inverse of ``to_json``; a malformed document raises DomainError."""
-        seq = cls()
-        try:
-            for item in json.loads(text)["segments"]:
-                kwargs = {**item}
-                kind = kwargs.pop("type", None)
-                seg_cls = _SEGMENT_TYPES.get(kind)
-                if seg_cls is None:
-                    raise DomainError(f"unknown segment type {kind!r}")
-                unknown = set(kwargs) - {f.name for f in fields(seg_cls)}
-                if unknown:
-                    raise DomainError(f"unknown {kind} fields {sorted(unknown)}")
-                for f in fields(seg_cls):
-                    if f.name in kwargs and not _FIELD_CHECKS[f.type](kwargs[f.name]):
-                        raise DomainError(f"{kind}.{f.name} must be {f.type}, "
-                                          f"got {kwargs[f.name]!r}")
-                if "alpha" in kwargs:
-                    kwargs["alpha"] = complex(*kwargs["alpha"])
-                seq.append(seg_cls(**kwargs))
-        except (KeyError, TypeError) as exc:
-            raise DomainError(f"malformed pulse sequence: {exc!r}") from exc
-        return seq
-
-
-_SEGMENT_TYPES = {cls.__name__.lower(): cls for cls in Segment.__args__}
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# JSON value check per segment field annotation; a complex is written [re, im]
-_FIELD_CHECKS = {
-    "str": lambda v: isinstance(v, str),
-    "float": _is_number,
-    "complex": lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +539,7 @@ def _walk(rho, schedule: PulseSequence, params: SystemParams, samples=(), sample
 
     Calls ``sample(rho)`` at each time of the increasing ``samples`` (seconds
     from the start), after the continuous segment that reaches it.  Returns
-    the final state and the (label, P_e) of every Measure.
+    the final state and the P_e of every Measure.
     """
     dim = params.dim
     pending = list(samples)
@@ -604,7 +553,7 @@ def _walk(rho, schedule: PulseSequence, params: SystemParams, samples=(), sample
         elif isinstance(seg, Displace):
             rho = displacement(rho, seg.alpha)
         elif isinstance(seg, Measure):
-            measured.append((seg.label, excited_probability(rho, params)))
+            measured.append(excited_probability(rho, params))
         elif isinstance(seg, (Detune, Idle, Couple)):
             delta = params.delta if isinstance(seg, Idle) else seg.delta
             g = seg.g if isinstance(seg, Couple) else 0.0
@@ -702,7 +651,6 @@ class SequenceResult:
     """Measurement record of one sequence execution."""
 
     p_e: list
-    labels: list
     rho_final: np.ndarray
 
 
@@ -714,7 +662,7 @@ def run_sequence(
     """Execute a sequence from the thermal state, recording each Measure."""
     rho = thermal_state(params) if rho0 is None else rho0.astype(complex)
     rho, measured = _walk(rho, seq, params)
-    return SequenceResult([p for _, p in measured], [label for label, _ in measured], rho)
+    return SequenceResult(measured, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -759,55 +707,12 @@ def fock2_sequence(params: SystemParams, tau: float) -> PulseSequence:
     seq.append(Rotation("x", math.pi))
     seq.append(Idle(QUBIT_PULSE_PAD))
     seq.append(Couple(params.g, tau))
-    seq.append(Measure("tau"))
+    seq.append(Measure())
     return seq
 
 
 # ---------------------------------------------------------------------------
-# qubit tomography
-
-_COMPLEMENT = {
-    "x90": "x-90",
-    "x-90": "x90",
-    "y90": "y-90",
-    "y-90": "y90",
-}
-
-
-def bloch_from_tomography(probabilities: dict) -> np.ndarray:
-    """Bloch vector from tomography-pulse excited-state probabilities.
-
-    Keys: ``none``, ``x90``, ``x-90``, ``y90``, ``y-90`` (optionally
-    ``x180``, ``x-180``, ``y180``, ``y-180`` to symmetrize Z).  Symmetric
-    combinations are used, e.g. the Y component comes from
-    ``[P(x90) + (1 - P(x-90))]/2``.
-    """
-    if "none" not in probabilities:
-        raise DomainError("'none' (no tomography pulse) measurement is required")
-    for key in probabilities:
-        comp = _COMPLEMENT.get(key)
-        if comp is not None and comp not in probabilities:
-            raise DomainError(f"missing complementary tomography pulse {comp!r}")
-
-    p_z = [probabilities["none"]]
-    for key in ("x180", "x-180", "y180", "y-180"):
-        if key in probabilities:
-            p_z.append(1.0 - probabilities[key])
-    sz = 2.0 * float(np.mean(p_z)) - 1.0
-
-    if "x90" in probabilities:
-        p_y = 0.5 * (probabilities["x-90"] + (1.0 - probabilities["x90"]))
-        sy = 2.0 * p_y - 1.0
-    else:
-        sy = 0.0
-
-    if "y90" in probabilities:
-        p_x = 0.5 * (probabilities["y90"] + (1.0 - probabilities["y-90"]))
-        sx = 2.0 * p_x - 1.0
-    else:
-        sx = 0.0
-    return np.array([sx, sy, sz])
-
+# tomography pulses
 
 TOMOGRAPHY_PULSES = {
     "none": None,
@@ -820,16 +725,3 @@ TOMOGRAPHY_PULSES = {
     "y180": Rotation("y", math.pi),
     "y-180": Rotation("y", -math.pi),
 }
-
-
-def measure_qubit_tomography(base: PulseSequence, params: SystemParams) -> dict:
-    """Run ``base`` once per tomography pulse and collect P_e values."""
-    out = {}
-    for name, pulse in TOMOGRAPHY_PULSES.items():
-        seq = PulseSequence(list(base.segments))
-        if pulse is not None:
-            seq.append(pulse)
-        seq.append(Measure(name))
-        res = run_sequence(seq, params)
-        out[name] = res.p_e[-1]
-    return out

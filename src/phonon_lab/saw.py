@@ -148,10 +148,6 @@ class PMatrix:
     p33: np.ndarray
 
     @property
-    def p21(self) -> np.ndarray:
-        return self.p12
-
-    @property
     def p13(self) -> np.ndarray:
         return -0.5 * self.p31
 

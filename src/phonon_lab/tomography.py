@@ -29,7 +29,6 @@ import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import (
     ConvergenceError,
@@ -85,7 +84,7 @@ class TomographyDataset:
             ],
         }
         validate_document(doc, load_schema("dataset"))
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "TomographyDataset":
@@ -407,46 +406,6 @@ def fidelity(
         ov = float(np.real(psi.conj() @ rho_s[:d, :d] @ psi))
         samples[i] = math.sqrt(max(ov, 0.0))
     return value, float(np.std(samples))
-
-
-def calibrate_displacement(
-    sweep,
-    params: lb.SystemParams,
-    initial_scale: float = 1.0,
-) -> float:
-    """One-parameter fit of the amplitude-to-displacement conversion.
-
-    ``sweep`` is an iterable of (pulse_amplitude, post_swap_p_e) pairs; the
-    model displaces the thermal resonator by ``scale*amplitude``, swaps, and
-    measures the qubit.
-    """
-    data = np.asarray(list(sweep), dtype=float)
-    if data.shape[0] < 5:
-        raise IdentifiabilityError("need at least 5 sweep points")
-    u, y = data[:, 0], data[:, 1]
-    if np.ptp(y) < 0.3:
-        raise IdentifiabilityError(
-            "sweep too narrow: the response must rise from near zero past its first maximum"
-        )
-
-    def model(scale):
-        out = np.empty_like(u)
-        for i, amp in enumerate(u):
-            seq = lb.PulseSequence()
-            if amp != 0:
-                seq.append(lb.Displace(complex(scale * amp)))
-            seq.append(lb.swap_segment(params))
-            seq.append(lb.Measure())
-            out[i] = lb.run_sequence(seq, params).p_e[0]
-        return out
-
-    sol = least_squares(
-        lambda x: model(x[0]) - y, [initial_scale],
-        diff_step=0.02, xtol=1e-10, ftol=1e-12,
-    )
-    if not sol.success:
-        raise ConvergenceError("displacement calibration did not converge", best=sol.x)
-    return float(sol.x[0])
 
 
 def fit_oscillation_amplitude(x, y):

@@ -180,6 +180,16 @@ class TestEmittedSchemas:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["0"]["fidelity"] > 0.95
 
+    def test_wigner_json_artifacts_end_in_one_newline(self, tmp_path):
+        doc = {"kind": "wigner", "params": {"states": ["0"], "alpha_radius": 1.0}}
+        out = tmp_path / "out"
+        assert cli.main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+        written = sorted(out.glob("*.json"))
+        assert "dataset_0.json" in [p.name for p in written]
+        for path in written:
+            text = path.read_text()
+            assert text.endswith("\n") and not text.endswith("\n\n"), path.name
+
     def test_scenario_schema_rejects_bad_seed(self):
         with pytest.raises(ConfigError):
             validate_document({"kind": "chevron", "seed": "zero"}, load_schema("scenario"))

@@ -457,50 +457,6 @@ class TestFidelity:
             tg.fidelity(rho, np.array([1, 0, 0, 0], dtype=complex), cov)
 
 
-class TestDisplacementCalibration:
-    def test_scale_recovery(self):
-        params = lb.SystemParams(dim=12)
-        true_scale = 0.042
-        amps = np.linspace(0.0, 45.0, 10)
-
-        def forward(scale):
-            out = []
-            for u in amps:
-                seq = lb.PulseSequence()
-                if u:
-                    seq.append(lb.Displace(complex(scale * u)))
-                seq.append(lb.swap_segment(params))
-                seq.append(lb.Measure())
-                out.append(lb.run_sequence(seq, params).p_e[0])
-            return np.array(out)
-
-        data = forward(true_scale)
-        fitted = tg.calibrate_displacement(zip(amps, data), params, initial_scale=0.03)
-        assert abs(fitted - true_scale) / true_scale < 0.01
-
-    def test_gauge_invariance(self):
-        params = lb.SystemParams(dim=12)
-        amps = np.linspace(0.0, 45.0, 8)
-        data = []
-        for u in amps:
-            seq = lb.PulseSequence()
-            if u:
-                seq.append(lb.Displace(complex(0.04 * u)))
-            seq.append(lb.swap_segment(params))
-            seq.append(lb.Measure())
-            data.append(lb.run_sequence(seq, params).p_e[0])
-        s1 = tg.calibrate_displacement(zip(amps, data), params, initial_scale=0.03)
-        s2 = tg.calibrate_displacement(zip(2 * amps, data), params, initial_scale=0.015)
-        assert s2 == pytest.approx(s1 / 2, rel=1e-3)
-
-    def test_narrow_sweep_rejected(self):
-        params = lb.SystemParams()
-        amps = np.linspace(0, 1.0, 6)
-        data = np.full(6, 0.02)
-        with pytest.raises(IdentifiabilityError):
-            tg.calibrate_displacement(zip(amps, data), params)
-
-
 class TestRabiPopulation:
     def _traces(self, population, rng, noise=0.002, n=100, contrast=0.95):
         x = np.linspace(-1.0, 1.0, n)
