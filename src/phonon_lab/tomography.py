@@ -300,14 +300,14 @@ def density_from_parameters(c: np.ndarray) -> np.ndarray:
 
 
 def project_physical(rho: np.ndarray) -> np.ndarray:
-    """Clip small negative eigenvalues to zero and renormalize."""
+    """Clip negative eigenvalues to zero and renormalize, per matrix of a ``(..., d, d)`` stack."""
     vals, vecs = np.linalg.eigh(rho)
     vals = np.clip(vals, 0.0, None)
-    total = vals.sum()
-    if total <= 0:
+    total = vals.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0):
         raise FitError("state projection collapsed to zero trace")
     vals = vals / total
-    return (vecs * vals) @ vecs.conj().T
+    return (vecs * vals[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
 
 
 def reconstruct_density_matrix(fits: list[PopulationFit]) -> ReconstructedState:
@@ -370,7 +370,8 @@ def fidelity(
     """State fidelity sqrt(<psi|rho|psi>) with Monte Carlo uncertainty.
 
     When a parameter covariance from the reconstruction is given, parameter
-    vectors are resampled, rebuilt, projected, and re-scored; the standard
+    vectors are resampled, rebuilt, projected, and re-scored as one
+    ``(n_samples, STATE_LEVELS, STATE_LEVELS)`` stack; the standard
     deviation of the resampled fidelities is returned as the uncertainty.
     """
     psi = np.asarray(psi, dtype=complex)
@@ -396,16 +397,13 @@ def fidelity(
     # center the resampling on the parameters implied by rho's reconstructed block
     block = rho[:STATE_LEVELS, :STATE_LEVELS]
     c0 = np.einsum("kij,ji->k", _GELL_MANN, block).real / 2.0
-    rng = np.random.default_rng(seed)
-    samples = np.empty(n_samples)
-    for i in range(n_samples):
-        c = c0 + chol @ rng.standard_normal(c0.size)
-        # a unit-trace expansion keeps the clipped spectrum's sum >= 1, so
-        # the projection always succeeds
-        rho_s = project_physical(density_from_parameters(c))
-        ov = float(np.real(psi.conj() @ rho_s[:d, :d] @ psi))
-        samples[i] = math.sqrt(max(ov, 0.0))
-    return value, float(np.std(samples))
+    # one draw of all samples is the same stream, in the same order, as one draw per sample
+    z = np.random.default_rng(seed).standard_normal((n_samples, c0.size))
+    # a unit-trace expansion keeps each clipped spectrum's sum >= 1, so the
+    # projection always succeeds
+    rho_s = project_physical(density_from_parameters(c0 + z @ chol.T))
+    overlaps = np.einsum("i,sij,j->s", psi.conj(), rho_s[:, :d, :d], psi).real
+    return value, float(np.std(np.sqrt(np.maximum(overlaps, 0.0))))
 
 
 def fit_oscillation_amplitude(x, y):

@@ -419,14 +419,15 @@ class TestFidelity:
         project = tg.project_physical
         projected = []
 
-        def counting_projection(rho):
+        def recording_projection(rho):
             projected.append(rho)
             return project(rho)
 
-        monkeypatch.setattr(tg, "project_physical", counting_projection)
+        monkeypatch.setattr(tg, "project_physical", recording_projection)
         psi = np.array([0, 1, 0, 0], dtype=complex)
         _, sigma = tg.fidelity(recon.rho, psi, 1e4 * recon.covariance, n_samples=1000)
-        assert len(projected) == 1000
+        # one projection of the whole stack, holding every sample
+        assert len(projected) == 1 and projected[0].shape == (1000, 4, 4)
         assert math.isfinite(sigma) and 0 < sigma < 1
 
     def test_resampling_centres_on_the_state(self, monkeypatch):
@@ -439,8 +440,46 @@ class TestFidelity:
         monkeypatch.setattr(tg, "project_physical", lambda r: sampled.append(r) or r)
         psi = np.array([1, 1j, 0, 0], dtype=complex)
         tg.fidelity(np.pad(rho4, (0, 6)), psi, 1e-20 * np.eye(15), n_samples=3)
-        assert len(sampled) == 3
-        assert all(np.max(np.abs(r - rho4)) < 1e-8 for r in sampled)
+        assert len(sampled) == 1 and sampled[0].shape == (3, 4, 4)
+        assert all(np.max(np.abs(r - rho4)) < 1e-8 for r in sampled[0])
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("state", ["0", "1", "0+1"])
+    def test_batched_sigma_matches_per_sample_loop(self, state, seed):
+        psi = {"0": np.eye(4)[0], "1": np.eye(4)[1],
+               "0+1": np.array([1, 1, 0, 0]) / math.sqrt(2)}[state].astype(complex)
+        rho4 = 0.9 * np.outer(psi, psi.conj()) + 0.025 * np.eye(4)
+        a = np.random.default_rng(seed).standard_normal((15, 15))
+        covariance = 1e-4 * a @ a.T / 15
+        _, sigma = tg.fidelity(np.pad(rho4, (0, 6)), psi, covariance, n_samples=500, seed=seed)
+
+        # reference: draw, rebuild, project and score one sample at a time
+        chol = np.linalg.cholesky(covariance + 1e-300 * np.eye(15))
+        c0 = np.einsum("kij,ji->k", tg._GELL_MANN, rho4).real / 2.0
+        rng = np.random.default_rng(seed)
+        samples = []
+        for _ in range(500):
+            vals, vecs = np.linalg.eigh(
+                tg.density_from_parameters(c0 + chol @ rng.standard_normal(15)))
+            vals = np.clip(vals, 0.0, None)
+            rho_s = (vecs * (vals / vals.sum())) @ vecs.conj().T
+            samples.append(math.sqrt(max(float(np.real(psi.conj() @ rho_s @ psi)), 0.0)))
+        want = float(np.std(samples))
+        assert sigma > 1e-3
+        assert abs(sigma - want) <= 1e-12 * want
+
+    def test_zero_trace_member_of_a_stack_rejected(self):
+        stack = np.array([np.diag([0.5, 0.5, 0.0, 0.0]), -np.eye(4) / 4, np.eye(4) / 4])
+        with pytest.raises(FitError, match="zero trace"):
+            tg.project_physical(stack)
+
+    def test_stacked_projection_matches_each_matrix(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+        stack = x + np.swapaxes(x.conj(), -1, -2)
+        projected = tg.project_physical(stack)
+        for rho, want in zip(stack, projected):
+            np.testing.assert_allclose(tg.project_physical(rho), want, atol=1e-14)
 
     @pytest.mark.parametrize("covariance", [None, 1e-6 * np.eye(15)])
     def test_target_longer_than_state_levels_rejected(self, covariance):
