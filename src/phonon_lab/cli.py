@@ -33,7 +33,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from . import __version__, circuit, lindblad as lb, saw, tomography as tg
 from ._svgmap import heatmap_svg
@@ -289,6 +288,9 @@ def run_chevron(scn: Scenario) -> tuple[dict, dict]:
 
 
 def run_lifetimes(scn: Scenario) -> tuple[dict, dict]:
+    # imported here: scipy.optimize takes about 0.3 s to load, and no other runner needs it
+    from scipy.optimize import curve_fit
+
     params = lb.SystemParams(delta=TWO_PI * 53e6)
     waits = np.linspace(2e-9, scn.params["t_max_s"], scn.params["n_points"])
     swap = lb.swap_segment(params)

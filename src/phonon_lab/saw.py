@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import ConvergenceError, DomainError, FitError, GridError
 
@@ -445,14 +444,44 @@ def _find_peak(omega: np.ndarray, conductance: np.ndarray) -> int:
     return idx
 
 
+def _levenberg_marquardt(fun, x: np.ndarray):
+    """Minimise ``|r(x)|^2`` from ``x``; ``fun`` returns ``(r, dr/dx)``.
+
+    Levenberg-Marquardt with Marquardt's diagonal scaling (More, The
+    Levenberg-Marquardt algorithm, LNM 630, 1978): each step solves
+    ``(J^T J + lam diag(J^T J)) dx = -J^T r``, ``lam`` falls tenfold after a
+    step that lowers the cost and rises tenfold after one that does not.
+    Once a step's predicted decrease is round-off in the cost, no comparison
+    of costs can judge it: it is taken and ends the fit.  Returns ``(x, r,
+    converged)``; ``converged`` is False when ``FIT_MAX_NFEV`` evaluations
+    did not get there.
+    """
+    r, jac = fun(x)
+    lam = 1e-3
+    for _ in range(FIT_MAX_NFEV - 1):
+        jtj, grad = jac.T @ jac, jac.T @ r
+        dx = -np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), grad)
+        last = -dx @ (2.0 * grad + jtj @ dx) <= np.finfo(float).eps * (r @ r)
+        r_new, jac_new = fun(x + dx)
+        if last or r_new @ r_new < r @ r:
+            x, r, jac = x + dx, r_new, jac_new
+            if last:
+                return x, r, True
+            lam *= 0.1
+        else:
+            lam *= 10.0
+    return x, r, False
+
+
 def fit_bvd(spectrum: AdmittanceSpectrum, c_t: float | None = None):
     """Least-squares BvD fit around the dominant conductance peak.
 
     The fit window is +-``FIT_HALF_WIDTH_HZ`` around the global Re[Y]
     maximum.  ``c_t`` is held fixed (taken from the spectrum metadata when
-    not given) to remove the degenerate direction.  Returns
-    ``(BvdParams, residual_norm)``; ``ConvergenceError`` when the fit hits
-    ``FIT_MAX_NFEV``.
+    not given) to remove the degenerate direction.  The log-parameter
+    residual is minimised by ``_levenberg_marquardt`` with its analytic
+    Jacobian.  Returns ``(BvdParams, residual_norm)``; ``ConvergenceError``
+    when the fit hits ``FIT_MAX_NFEV`` evaluations.
     """
     omega = spectrum.frequencies
     y = spectrum.y
@@ -488,21 +517,23 @@ def fit_bvd(spectrum: AdmittanceSpectrum, c_t: float | None = None):
 
     def residuals(logx):
         c_s, l_s, r_s = np.exp(logx) * scale
-        z = r_s + 1j * w * l_s + 1.0 / (1j * w * c_s)
-        ym = 1j * w * c_t + 1.0 / z
-        res = (ym - yw) / g0
-        return np.concatenate([res.real, res.imag])
+        w_s = 1.0 / math.sqrt(l_s * c_s)
+        # the reactance as l_s (w - w_s)(w + w_s)/w: w - w_s is exact near
+        # resonance, where w l_s - 1/(w c_s) cancels to round-off
+        z = r_s + 1j * l_s * (w - w_s) * (w + w_s) / w
+        res = (1j * w * c_t + 1.0 / z - yw) / g0
+        # dY/dlog p = -(dZ/dlog p)/Z^2
+        dz = np.stack([1j / (w * c_s), 1j * w * l_s, np.full(w.size, r_s)], axis=1)
+        jac = -dz / (g0 * z[:, None] ** 2)
+        return np.concatenate([res.real, res.imag]), np.vstack([jac.real, jac.imag])
 
-    sol = least_squares(
-        residuals, np.zeros(3), max_nfev=FIT_MAX_NFEV, method="lm",
-        ftol=1e-14, xtol=1e-14, gtol=1e-14,
-    )
-    c_s, l_s, r_s = np.exp(sol.x) * scale
-    residual = float(np.linalg.norm(sol.fun))
+    logx, res, converged = _levenberg_marquardt(residuals, np.zeros(3))
+    c_s, l_s, r_s = np.exp(logx) * scale
+    residual = float(np.linalg.norm(res))
     best = BvdParams(c_s=c_s, l_s=l_s, r_s=r_s, c_t=c_t)
-    if not sol.success and sol.status == 0:
+    if not converged:
         raise ConvergenceError(
-            "BvD fit hit the iteration cap", best=best, residual=residual
+            "BvD fit hit the evaluation cap", best=best, residual=residual
         )
     return best, residual
 

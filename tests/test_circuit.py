@@ -10,11 +10,14 @@ from phonon_lab.errors import DomainError, GridError, IdentifiabilityError
 TWO_PI = 2 * math.pi
 
 
-# g/2pi (Hz) of the default circuit on the saw.reference_bvd() device: the
-# minimum splitting of the same network in 40-digit mpmath (mp.eig of
-# L^-1 S; golden section over [0.85, 1.15] L_q_guess down to a width of
-# 1e-32 relative), halved and signed as in coupling_strength
+# g/2pi (Hz) of the default circuit on the ORACLE_BVD device: the minimum
+# splitting of the same network in 40-digit mpmath (mp.eig of L^-1 S; golden
+# section over [0.85, 1.15] L_q_guess down to a width of 1e-32 relative),
+# halved and signed as in coupling_strength
 ORACLE_G_HZ = {0.247: 38764.47045114721, 0.256: -80734.85221665032, 0.5: -7306596.786769132}
+# the device the oracle was computed on, typed in so that it does not move with the BvD fit
+ORACLE_BVD = saw.BvdParams(c_s=1.2276782588732584e-14, l_s=1.2992476800749134e-07,
+                           r_s=0.8881720712167688, c_t=7.5e-13)
 
 
 @pytest.fixture(scope="module")
@@ -138,9 +141,9 @@ class TestCouplingStrength:
         g_hi = circuit.coupling_strength(0.3, p, bvd)
         assert g_lo * g_hi < 0
 
-    def test_matches_high_precision_minimum(self, bvd):
+    def test_matches_high_precision_minimum(self):
         p = circuit.CircuitParams()
-        g_hz = circuit.coupling_strength(np.array(list(ORACLE_G_HZ)), p, bvd) / TWO_PI
+        g_hz = circuit.coupling_strength(np.array(list(ORACLE_G_HZ)), p, ORACLE_BVD) / TWO_PI
         want = np.array(list(ORACLE_G_HZ.values()))
         assert np.all(np.abs(g_hz - want) <= 1e-10 * np.abs(want))
 
@@ -187,6 +190,38 @@ class TestCouplingStrength:
             omegas = circuit.network_mode_frequencies(bias, p, bvd)
             assert len(omegas) >= 2
             assert np.all(omegas > 0)
+
+
+class TestFluxForCoupling:
+    @pytest.mark.parametrize("g_mhz", [0.2, 2.3, 5.0, 7.3])
+    def test_matches_a_tight_root(self, bvd, g_mhz):
+        from scipy.optimize import brentq
+
+        p = circuit.CircuitParams()
+        target = TWO_PI * g_mhz * 1e6
+
+        def excess(phi):
+            return abs(circuit.coupling_strength(phi, p, bvd)) - target
+
+        want = brentq(excess, *circuit.FLUX_BRACKET, xtol=1e-14)
+        assert abs(circuit.flux_for_coupling(target, p, bvd) - want) <= 1e-6
+
+    def test_three_batched_calls(self, bvd, monkeypatch):
+        calls = []
+        coupling_strength = circuit.coupling_strength
+
+        def recording(phi, *args):
+            calls.append(np.size(phi))
+            return coupling_strength(phi, *args)
+
+        monkeypatch.setattr(circuit, "coupling_strength", recording)
+        circuit.flux_for_coupling(TWO_PI * 2.3e6, circuit.CircuitParams(), bvd)
+        assert calls == [17, 17, 17]
+
+    @pytest.mark.parametrize("g_mhz", [0.01, 8.0])
+    def test_target_out_of_reach_rejected(self, bvd, g_mhz):
+        with pytest.raises(DomainError, match="outside"):
+            circuit.flux_for_coupling(TWO_PI * g_mhz * 1e6, circuit.CircuitParams(), bvd)
 
 
 class TestQubitLossSpectrum:

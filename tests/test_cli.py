@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -272,3 +275,25 @@ class TestScenarioParsing:
         config = write_config(tmp_path, {"kind": "thermometry"}, name="mytherm.json")
         assert cli.main(["run", str(config)]) == 0
         assert Path(tmp_path / "mytherm-out" / "run_record.json").exists()
+
+
+# import the CLI, build the default dynamics parameters (which fit the
+# reference device) and score one state with a Monte Carlo sigma
+_TOMOGRAPHY_PROCESS = """
+import sys
+import numpy as np
+import phonon_lab.cli
+from phonon_lab import lindblad, tomography
+lindblad.SystemParams()
+tomography.fidelity(np.eye(10)[0:1].T @ np.eye(10)[0:1], np.eye(4)[0], 1e-4 * np.eye(15))
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def test_tomography_process_leaves_scipy_optimize_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _TOMOGRAPHY_PROCESS], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.split() == ["False"]

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from phonon_lab import saw
-from phonon_lab.errors import DomainError, FitError, GridError
+from phonon_lab.errors import ConvergenceError, DomainError, FitError, GridError
 
 TWO_PI = 2 * math.pi
 
@@ -342,6 +342,79 @@ class TestBvdFit:
         spec = saw.AdmittanceSpectrum(grid, 1j * grid * 0.75e-12)
         with pytest.raises(FitError):
             saw.fit_bvd(spec, c_t=0.75e-12)
+
+    def test_evaluation_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(saw, "FIT_MAX_NFEV", 2)
+        with pytest.raises(ConvergenceError, match="evaluation cap"):
+            saw.fit_bvd(self._model_spectrum(n=2001))
+
+
+def _log_cost(spec, bvd):
+    """Residual and log-parameter Jacobian of the BvD fit's cost at ``bvd``.
+
+    Rebuilt here from the fit's definition: the points within
+    FIT_HALF_WIDTH_HZ of the conductance peak, Y - Y_data scaled by the peak
+    conductance, real and imaginary parts stacked.
+    """
+    w, y = spec.frequencies, spec.y
+    peak = int(np.argmax(y.real))
+    window = np.abs(w - w[peak]) <= TWO_PI * saw.FIT_HALF_WIDTH_HZ
+    w, y = w[window], y[window]
+    g0 = y.real.max()
+    z_c = 1.0 / (1j * w * bvd.c_s)
+    z = bvd.r_s + 1j * w * bvd.l_s + z_c
+    res = (1j * w * bvd.c_t + 1.0 / z - y) / g0
+    dz = np.stack([-z_c, 1j * w * bvd.l_s, np.full(w.size, bvd.r_s)], axis=1)
+    jac = -dz / (g0 * z[:, None] ** 2)
+    return np.concatenate([res.real, res.imag]), np.vstack([jac.real, jac.imag])
+
+
+def _start_guess(spec, c_t):
+    """The fit's starting circuit: peak conductance, peak frequency and FWHM."""
+    w, g = spec.frequencies, spec.y.real
+    peak = int(np.argmax(g))
+    w0, g0 = w[peak], g[peak]
+    window = np.abs(w - w0) <= TWO_PI * saw.FIT_HALF_WIDTH_HZ
+    above = w[window][g[window] >= g0 / 2.0]
+    l_s = (w0 / (above[-1] - above[0])) / (g0 * w0)
+    return saw.BvdParams(c_s=1.0 / (w0**2 * l_s), l_s=l_s, r_s=1.0 / g0, c_t=c_t)
+
+
+class TestBvdFitIsTheMinimum:
+    @pytest.fixture(scope="class")
+    def spectrum(self):
+        p = saw.SawModelParams()
+        coarse = saw.resonator_admittance(saw.default_grid(n=1001), p)
+        return saw.fit_resonance(coarse, p)[0]
+
+    def test_reference_fit_is_stationary(self, spectrum):
+        bvd = saw.reference_bvd()
+        r_start, jac_start = _log_cost(spectrum, _start_guess(spectrum, bvd.c_t))
+        r, jac = _log_cost(spectrum, bvd)
+        grad = jac.T @ r
+        # rounding c_s or l_s to the nearest double moves this ratio by about
+        # 1.2e-10 per unit in the last place, so 1e-9 is the floor with margin;
+        # the finite-difference fit this one replaced stopped at 1.2e-6
+        assert np.linalg.norm(grad) <= 1e-9 * np.linalg.norm(jac_start.T @ r_start)
+        # the Gauss-Newton step to the stationary point moves no parameter by 1e-12
+        assert np.max(np.abs(np.linalg.solve(jac.T @ jac, grad))) <= 1e-12
+
+    def test_cost_not_above_finite_difference_lm(self, spectrum):
+        from scipy.optimize import least_squares
+
+        bvd, residual = saw.fit_bvd(spectrum)
+        start = _start_guess(spectrum, bvd.c_t)
+        scale = np.array([start.c_s, start.l_s, start.r_s])
+
+        def residuals(logx):
+            c_s, l_s, r_s = np.exp(logx) * scale
+            return _log_cost(spectrum, saw.BvdParams(c_s, l_s, r_s, bvd.c_t))[0]
+
+        sol = least_squares(residuals, np.zeros(3), max_nfev=saw.FIT_MAX_NFEV, method="lm",
+                            ftol=1e-14, xtol=1e-14, gtol=1e-14)
+        assert residual**2 <= float(sol.fun @ sol.fun)
+        assert residual == pytest.approx(float(np.linalg.norm(_log_cost(spectrum, bvd)[0])),
+                                         rel=1e-12)
 
 
 class TestReferenceDevice:
