@@ -285,7 +285,9 @@ import numpy as np
 import phonon_lab.cli
 from phonon_lab import lindblad, tomography
 lindblad.SystemParams()
-tomography.fidelity(np.eye(10)[0:1].T @ np.eye(10)[0:1], np.eye(4)[0], 1e-4 * np.eye(15))
+rho = np.zeros((10, 10))
+rho[0, 0] = 1.0
+tomography.fidelity(rho, np.eye(4)[0], 1e-4 * np.eye(15))
 print("scipy.optimize" in sys.modules)
 """
 

@@ -419,11 +419,11 @@ class TestFidelity:
         project = tg.project_physical
         projected = []
 
-        def recording_projection(rho):
+        def counting_projection(rho):
             projected.append(rho)
             return project(rho)
 
-        monkeypatch.setattr(tg, "project_physical", recording_projection)
+        monkeypatch.setattr(tg, "project_physical", counting_projection)
         psi = np.array([0, 1, 0, 0], dtype=complex)
         _, sigma = tg.fidelity(recon.rho, psi, 1e4 * recon.covariance, n_samples=1000)
         # one projection of the whole stack, holding every sample
