@@ -27,6 +27,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import (
+    ConvergenceError,
     DomainError,
     GridError,
     IdentifiabilityError,
@@ -212,39 +213,65 @@ def _resonator_mode(k_mat: np.ndarray, params: CircuitParams, bvd: BvdParams) ->
     return float(omegas[np.argmin(np.abs(omegas - bvd.omega_s))])
 
 
-# the L_q search stops once each bracket is narrower than this fraction of
-# its upper end; g then sits within 2e-11 of a 40-digit minimum down to
-# |g| = 13 kHz (the error grows as 1/g^2 towards the open junction)
-SEARCH_REL_WIDTH = 1e-10
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Newton iterations (one batched eigh each) allowed per flux; from the
+# decoupled guess every flux of the default sweep freezes at its third, where
+# the step is round-off
+SEARCH_MAX_STEPS = 20
 
 
-def _golden_minimum(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Minimum value of a unimodal ``f`` on each bracket ``[lo, hi]``.
+def _splitting(at_zero: np.ndarray, u: np.ndarray, l_q: np.ndarray, omega_r: float):
+    """Splitting ``s`` of the two modes nearest ``omega_r`` and ``ds/dL_q``,
+    ``d2s/dL_q2``, one per stacked ``at_zero`` and ``l_q``.
 
-    Golden-section search on all brackets at once: ``f`` maps an array of
-    abscissae to an array of values.  Each step evaluates ``f`` once per
-    bracket and shrinks every bracket by the golden ratio, so all of them
-    are narrower than ``SEARCH_REL_WIDTH`` after the same number of steps.
+    ``K L K = at_zero + L_q u u^T``, so with eigenpairs ``(mu_i, q_i)`` and
+    ``c_i = (q_i . u)^2`` the Hellmann-Feynman derivatives are
+    ``mu_i' = c_i`` and ``mu_i'' = 2 sum_{j != i} c_i c_j / (mu_i - mu_j)``;
+    ``omega = mu^{-1/2}`` carries them over to the frequencies.
     """
-    steps = math.ceil(
-        math.log(SEARCH_REL_WIDTH / np.max((hi - lo) / hi)) / math.log(_INV_GOLDEN)
+    mu, q = np.linalg.eigh(at_zero + l_q[:, None, None] * np.outer(u, u))
+    c = (u @ q) ** 2
+    gap = mu[:, :, None] - mu[:, None, :]
+    off = ~np.eye(mu.shape[-1], dtype=bool)  # the sum runs over j != i
+    terms = np.divide(c[:, None, :], gap, out=np.zeros_like(gap), where=off)
+    mu2 = 2.0 * c * terms.sum(axis=-1)
+    mu = np.where(mu > 0, mu, np.nan)  # only mu > 0 is a real mode
+    omega = 1.0 / np.sqrt(mu)
+    d1 = -0.5 * omega / mu * c
+    d2 = 0.75 * omega / mu**2 * c**2 - 0.5 * omega / mu * mu2
+    # ascending frequencies are descending mu; the two modes nearest omega_r
+    # are adjacent, so drop the farther end (a NaN top mode is never the nearer one)
+    low, mid, high = omega[:, ::-1].T
+    upper = np.abs(low - omega_r) > np.abs(high - omega_r)
+    return tuple(
+        np.where(upper, w[:, 0] - w[:, 1], w[:, 1] - w[:, 2]) for w in (omega, d1, d2)
     )
-    a, b = lo, hi
-    c, d = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(steps):
-        left = fc < fd  # the minimum lies in [a, d]
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        x = np.where(left, b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a))
-        fx = f(x)
-        c, fc, d, fd = (
-            np.where(left, x, d),
-            np.where(left, fx, fd),
-            np.where(left, c, x),
-            np.where(left, fc, fx),
-        )
-    return np.minimum(fc, fd)
+
+
+def _minimum_splitting(at_zero, u, l_q_guess, omega_r) -> np.ndarray:
+    """Minimum over ``L_q`` in ``[0.85, 1.15] * l_q_guess`` of each splitting.
+
+    Newton's method on ``F = s^2``, whose step is ``-s s' / (s'^2 + s s'')``,
+    from the guess, clipped to the bracket.  A flux freezes once its step is
+    within ``1e-12 L_q``, so its result does not depend on the batch it is
+    in, and reports ``s`` where that step was computed.
+    """
+    lo, hi = 0.85 * l_q_guess, 1.15 * l_q_guess
+    l_q = l_q_guess.copy()
+    s_min = np.empty_like(l_q)
+    todo = np.arange(l_q.size)
+    for _ in range(SEARCH_MAX_STEPS):
+        s, d1, d2 = _splitting(at_zero[todo], u, l_q[todo], omega_r)
+        step = -s * d1 / (d1**2 + s * d2)
+        done = np.abs(step) <= 1e-12 * l_q[todo]
+        s_min[todo[done]] = s[done]
+        todo, step = todo[~done], step[~done]
+        if todo.size == 0:
+            return s_min
+        l_q[todo] = np.clip(l_q[todo] + step, lo[todo], hi[todo])
+    raise ConvergenceError(
+        f"coupler search left {todo.size} fluxes unconverged after "
+        f"{SEARCH_MAX_STEPS} Newton steps"
+    )
 
 
 def coupling_strength(phi_g, params: CircuitParams, bvd: BvdParams):
@@ -253,14 +280,15 @@ def coupling_strength(phi_g, params: CircuitParams, bvd: BvdParams):
     Takes a scalar flux (returns a float) or an array (returns an array of
     its shape); a scalar is a batch of one.  g is half the minimum
     normal-mode splitting of the full network, found by retuning ``L_q``
-    through the degeneracy with the resonator-like mode over the bracket
+    through the degeneracy with the resonator-like mode within the bracket
     ``[0.85, 1.15]`` times the decoupled guess.  The splitting is that of
-    the two modes nearest the resonator mode; each ``L_q`` trial is one
-    batched ``eigvalsh`` of ``K L K`` (see ``network_mode_frequencies``),
-    where only ``L_q`` moves, and all fluxes share one golden-section search
-    that stops at ``SEARCH_REL_WIDTH``.  The sign follows the orientation
-    of the effective mutual; g is exactly 0 at the open junction and for
-    ``m == 0``.
+    the two modes nearest the resonator mode.  All fluxes share one search:
+    Newton's method on the squared splitting with Hellmann-Feynman
+    derivatives, each step one batched ``eigh`` of ``K L K`` (see
+    ``network_mode_frequencies``), where only ``L_q`` moves; it raises
+    ``ConvergenceError`` past ``SEARCH_MAX_STEPS``.  The sign follows the
+    orientation of the effective mutual; g is exactly 0 at the open junction
+    and for ``m == 0``.
     """
     _, l_cj = _junction_inductance(phi_g, params.l_cj0)
     g = np.zeros(l_cj.shape)
@@ -274,17 +302,7 @@ def coupling_strength(phi_g, params: CircuitParams, bvd: BvdParams):
     l_q_guess = 1.0 / (omega_r**2 * params.c_q) - l_par
     # K L K is affine in L_q, which enters L only at [0, 0]
     at_zero = k_mat @ _inductance(0.0, l_cj, params, bvd) @ k_mat
-    per_l_q = np.outer(k_mat[:, 0], k_mat[0])
-
-    def split(l_q):
-        low, mid, high = _modes(at_zero + l_q[:, None, None] * per_l_q).T
-        # the modes are ascending, so the two nearest omega_r are adjacent:
-        # drop the farther end (a NaN top mode is never the nearer one)
-        return np.where(
-            np.abs(low - omega_r) > np.abs(high - omega_r), high - mid, mid - low
-        )
-
-    g_mag = 0.5 * _golden_minimum(split, 0.85 * l_q_guess, 1.15 * l_q_guess)
+    g_mag = 0.5 * _minimum_splitting(at_zero, k_mat[:, 0], l_q_guess, omega_r)
     zeta = params.l_1 / (params.l_1 + l_cj + params.l_2)
     g[live] = np.copysign(g_mag, zeta * params.m)
     return _scalar_or_array(g)

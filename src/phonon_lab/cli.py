@@ -22,11 +22,9 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import dataclasses
 import datetime
 import hashlib
-import io
 import json
 import math
 import sys
@@ -106,19 +104,22 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _columns_csv(header, formats, *columns) -> str:
+    """CSV text of equal-length columns, each field %-formatted by its column's format.
+
+    The bytes are those ``csv.writer`` writes for the same fields: commas
+    between them, ``\r\n`` after every line and no quoting, which no
+    number or label here needs.
+    """
+    row = ",".join(formats) + "\r\n"
+    columns = [np.asarray(c).tolist() for c in columns]
+    return ",".join(header) + "\r\n" + "".join([row % values for values in zip(*columns)])
 
 
 def _spectrum_csv(frequencies_hz, y) -> str:
     """``freq_hz,re_y_s,im_y_s`` rows of an admittance spectrum."""
-    return _csv_text(
-        ["freq_hz", "re_y_s", "im_y_s"],
-        [[f"{f:.6f}", f"{v.real:.9e}", f"{v.imag:.9e}"] for f, v in zip(frequencies_hz, y)],
+    return _columns_csv(
+        ["freq_hz", "re_y_s", "im_y_s"], ["%.6f", "%.9e", "%.9e"], frequencies_hz, y.real, y.imag
     )
 
 
@@ -158,12 +159,10 @@ def run_admittance(scn: Scenario) -> tuple[dict, dict]:
         "admittance.csv": _spectrum_csv(spec.frequencies_hz, spec.y),
         "params.json": _json_text(spec.metadata),
         "transducer.csv": _spectrum_csv(spec.frequencies_hz, pm.p33 + 1j * grid * p.c_t),
-        "mirror.csv": _csv_text(
+        "mirror.csv": _columns_csv(
             ["freq_hz", "gamma_abs", "gamma_re", "gamma_im"],
-            [
-                [f"{f:.6f}", f"{abs(g):.8f}", f"{g.real:.8f}", f"{g.imag:.8f}"]
-                for f, g in zip(spec.frequencies_hz, gamma)
-            ],
+            ["%.6f", "%.8f", "%.8f", "%.8f"],
+            spec.frequencies_hz, np.abs(gamma), gamma.real, gamma.imag,
         ),
     }
 
@@ -203,12 +202,9 @@ def run_coupling_sweep(scn: Scenario) -> tuple[dict, dict]:
     g = circuit.coupling_strength(phi, cp, bvd)
     f_ge = circuit.qubit_frequency(phi, cp)
     files = {
-        "coupling.csv": _csv_text(
-            ["phi_g", "g_hz"], [[f"{x:.6f}", f"{v / TWO_PI:.3f}"] for x, v in zip(phi, g)]
-        ),
-        "qubit_frequency.csv": _csv_text(
-            ["phi_g", "omega_ge_hz"],
-            [[f"{x:.6f}", f"{v / TWO_PI:.3f}"] for x, v in zip(phi, f_ge)],
+        "coupling.csv": _columns_csv(["phi_g", "g_hz"], ["%.6f", "%.3f"], phi, g / TWO_PI),
+        "qubit_frequency.csv": _columns_csv(
+            ["phi_g", "omega_ge_hz"], ["%.6f", "%.3f"], phi, f_ge / TWO_PI
         ),
         "params.json": _json_text(cp.to_dict()),
     }
@@ -236,12 +232,10 @@ def run_loss_spectrum(scn: Scenario) -> tuple[dict, dict]:
     loss_mid = circuit.qubit_loss_spectrum(grid, phi_mid, cp, spec)
     loss_off = circuit.qubit_loss_spectrum(grid, 0.25, cp, spec)
     files = {
-        "loss.csv": _csv_text(
+        "loss.csv": _columns_csv(
             ["freq_hz", "inv_q_max", "inv_q_mid", "inv_q_off"],
-            [
-                [f"{f / TWO_PI:.3f}", f"{a:.6e}", f"{b:.6e}", f"{c:.6e}"]
-                for f, a, b, c in zip(grid, loss_max, loss_mid, loss_off)
-            ],
+            ["%.3f", "%.6e", "%.6e", "%.6e"],
+            grid / TWO_PI, loss_max, loss_mid, loss_off,
         ),
         "params.json": _json_text(cp.to_dict()),
     }
@@ -267,12 +261,11 @@ def run_chevron(scn: Scenario) -> tuple[dict, dict]:
     z = np.array(
         [lb.batched_excited_traces([rho0], params, taus, delta=d)[0] for d in deltas]
     )  # (n_delta, n_tau)
-    rows = []
-    for i, d in enumerate(deltas):
-        for j, t in enumerate(taus):
-            rows.append([f"{d / TWO_PI:.3f}", f"{t:.4e}", f"{z[i, j]:.6f}"])
     files = {
-        "chevron.csv": _csv_text(["delta_hz", "tau_s", "p_e"], rows),
+        "chevron.csv": _columns_csv(
+            ["delta_hz", "tau_s", "p_e"], ["%.3f", "%.4e", "%.6f"],
+            np.repeat(deltas / TWO_PI, taus.size), np.tile(taus, deltas.size), z.ravel(),
+        ),
         "chevron.svg": heatmap_svg(
             taus * 1e9,
             deltas / TWO_PI / 1e6,
@@ -312,12 +305,9 @@ def run_lifetimes(scn: Scenario) -> tuple[dict, dict]:
     p_x, p_y = scan(math.pi / 2, "x90", waits), scan(math.pi / 2, "y90", waits)
 
     files = {
-        "t1r.csv": _csv_text(
-            ["t_s", "p_e"], [[f"{t:.4e}", f"{v:.6f}"] for t, v in zip(waits, p_t1r)]
-        ),
-        "t2r.csv": _csv_text(
-            ["t_s", "p_e_x90", "p_e_y90"],
-            [[f"{t:.4e}", f"{a:.6f}", f"{b:.6f}"] for t, a, b in zip(waits, p_x, p_y)],
+        "t1r.csv": _columns_csv(["t_s", "p_e"], ["%.4e", "%.6f"], waits, p_t1r),
+        "t2r.csv": _columns_csv(
+            ["t_s", "p_e_x90", "p_e_y90"], ["%.4e", "%.6f", "%.6f"], waits, p_x, p_y
         ),
     }
 
@@ -363,7 +353,7 @@ def run_thermometry(scn: Scenario) -> tuple[dict, dict]:
     contrast = 0.95
     x = np.linspace(-1.0, 1.0, n)
     results = {}
-    rows = []
+    labels, traces_e, traces_g = [], [], []
     for label, population in (
         ("qubit", scn.params["qubit_population"]),
         ("post_swap", scn.params["resonator_population"]),
@@ -376,10 +366,15 @@ def run_thermometry(scn: Scenario) -> tuple[dict, dict]:
         a_g, s_g = tg.fit_oscillation_amplitude(x, y_g)
         p_est, sigma = tg.rabi_population_estimate(a_e, a_g, s_e, s_g)
         results[label] = {"population": p_est, "sigma": sigma, "target": population}
-        for xi, ye, yg in zip(x, y_e, y_g):
-            rows.append([label, f"{xi:.4f}", f"{ye:.6f}", f"{yg:.6f}"])
-    header = ["sequence", "amplitude", "p_excited_trace", "p_ground_trace"]
-    return {"thermometry.csv": _csv_text(header, rows)}, results
+        labels += [label] * n
+        traces_e.append(y_e)
+        traces_g.append(y_g)
+    text = _columns_csv(
+        ["sequence", "amplitude", "p_excited_trace", "p_ground_trace"],
+        ["%s", "%.4f", "%.6f", "%.6f"],
+        labels, np.tile(x, len(traces_e)), np.concatenate(traces_e), np.concatenate(traces_g),
+    )
+    return {"thermometry.csv": text}, results
 
 
 def run_wigner(scn: Scenario) -> tuple[dict, dict]:
@@ -393,12 +388,10 @@ def run_wigner(scn: Scenario) -> tuple[dict, dict]:
         )
         files[f"dataset_{tag}.json"] = ds.to_json()
         fits, recon = tg.analyze_dataset(ds)
-        files[f"wigner_{tag}.csv"] = _csv_text(
-            ["alpha_re", "alpha_im", "w"],
-            [
-                [f"{f.alpha.real:.6f}", f"{f.alpha.imag:.6f}", f"{tg.wigner_point(f.p_n):.8f}"]
-                for f in fits
-            ],
+        w = [tg.wigner_point(f.p_n) for f in fits]
+        files[f"wigner_{tag}.csv"] = _columns_csv(
+            ["alpha_re", "alpha_im", "w"], ["%.6f", "%.6f", "%.8f"],
+            [f.alpha.real for f in fits], [f.alpha.imag for f in fits], w,
         )
 
         if state == "0":
@@ -416,7 +409,7 @@ def run_wigner(scn: Scenario) -> tuple[dict, dict]:
         axis = sorted({a.real for a in alphas})
         if len(axis) ** 2 == len(alphas):
             w_map = np.full((len(axis), len(axis)), np.nan)
-            lookup = {complex(a): tg.wigner_point(f.p_n) for a, f in zip(alphas, fits)}
+            lookup = {complex(a): v for a, v in zip(alphas, w)}
             for iy, im in enumerate(axis):
                 for ix, re in enumerate(axis):
                     w_map[iy, ix] = lookup[complex(re, im)]
@@ -431,7 +424,7 @@ def run_wigner(scn: Scenario) -> tuple[dict, dict]:
         summary[state] = {
             "fidelity": value,
             "fidelity_sigma": sigma,
-            "min_wigner": min(tg.wigner_point(f.p_n) for f in fits),
+            "min_wigner": min(w),
         }
     return files, summary
 
@@ -439,17 +432,20 @@ def run_wigner(scn: Scenario) -> tuple[dict, dict]:
 def run_fock2(scn: Scenario) -> tuple[dict, dict]:
     params = lb.SystemParams()
     taus = np.linspace(scn.params["tau_lo_s"], scn.params["tau_hi_s"], scn.params["n_tau"])
-    rows = []
+    p_e, low_levels = [], []
     best = None
     for tau in taus:
         res = lb.run_sequence(lb.fock2_sequence(params, tau), params)
-        p_e, pops = res.p_e[0], lb.resonator_populations(res.rho_final)
-        rows.append(
-            [f"{tau:.4e}", f"{p_e:.6f}"] + [f"{p:.6f}" for p in pops[:3]]
-        )
+        pops = lb.resonator_populations(res.rho_final)
+        p_e.append(res.p_e[0])
+        low_levels.append(pops[:3])
         if best is None or pops[2] > best[1][2]:
             best = (tau, pops)
-    return {"fock2.csv": _csv_text(["tau_s", "p_e", "p0", "p1", "p2"], rows)}, {
+    text = _columns_csv(
+        ["tau_s", "p_e", "p0", "p1", "p2"], ["%.4e"] + ["%.6f"] * 4,
+        taus, p_e, *np.transpose(low_levels),
+    )
+    return {"fock2.csv": text}, {
         "optimal_tau_s": float(best[0]),
         "p2": float(best[1][2]),
         "p1": float(best[1][1]),
@@ -469,12 +465,11 @@ def run_large_alpha(scn: Scenario) -> tuple[dict, dict]:
     )
     rhos = [lb.displacement(base, complex(a), check=False) for a in mags]
     z = lb.batched_excited_traces(rhos, params, taus)
-    rows = []
-    for i, a in enumerate(mags):
-        for j, t in enumerate(taus):
-            rows.append([f"{a:.4f}", f"{t:.4e}", f"{z[i, j]:.6f}"])
     files = {
-        "large_alpha.csv": _csv_text(["alpha_abs", "tau_s", "p_e"], rows),
+        "large_alpha.csv": _columns_csv(
+            ["alpha_abs", "tau_s", "p_e"], ["%.4f", "%.4e", "%.6f"],
+            np.repeat(mags, taus.size), np.tile(taus, mags.size), z.ravel(),
+        ),
         "large_alpha.svg": heatmap_svg(
             taus * 1e9,
             mags,

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from phonon_lab import circuit, cli, saw
-from phonon_lab.errors import DomainError, GridError, IdentifiabilityError
+from phonon_lab.errors import ConvergenceError, DomainError, GridError, IdentifiabilityError
 
 TWO_PI = 2 * math.pi
 
@@ -190,6 +190,52 @@ class TestCouplingStrength:
             omegas = circuit.network_mode_frequencies(bias, p, bvd)
             assert len(omegas) >= 2
             assert np.all(omegas > 0)
+
+
+class TestCouplerSearch:
+    """The Newton search on the squared splitting inside ``coupling_strength``."""
+
+    def test_sweep_takes_few_stacked_eigh_calls(self, bvd, monkeypatch):
+        stacked = []
+        eigh = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                stacked.append(len(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        circuit.coupling_strength(np.linspace(0.0, 1.0, 1001), circuit.CircuitParams(), bvd)
+        assert 1 <= len(stacked) <= 5
+
+    @pytest.mark.parametrize("phi", [0.1, 0.3, 0.5])
+    def test_derivatives_match_central_differences(self, bvd, phi):
+        p = circuit.CircuitParams()
+        _, l_cj = circuit._junction_inductance(np.array([phi]), p.l_cj0)
+        k_mat = circuit._inverse_sqrt(circuit._elastance(p, bvd))
+        omega_r = circuit._resonator_mode(k_mat, p, bvd)
+        at_zero = k_mat @ circuit._inductance(0.0, l_cj, p, bvd) @ k_mat
+        u = k_mat[:, 0]
+        l_par = circuit._divider_inductance(l_cj, p.l_1, p.l_2)
+        # off the minimum, where s' is well away from zero
+        l_q = 1.03 * (1.0 / (omega_r**2 * p.c_q) - l_par)
+
+        def split(x):
+            low, mid, high = circuit._modes(at_zero + x[:, None, None] * np.outer(u, u))[0]
+            return high - mid if abs(low - omega_r) > abs(high - omega_r) else mid - low
+
+        s, d1, d2 = circuit._splitting(at_zero, u, l_q, omega_r)
+        h1, h2 = 1e-6 * l_q, 1e-4 * l_q
+        fd1 = (split(l_q + h1) - split(l_q - h1)) / (2 * h1)
+        fd2 = (split(l_q + h2) - 2 * split(l_q) + split(l_q - h2)) / h2**2
+        assert s[0] == pytest.approx(split(l_q), rel=1e-12)
+        assert d1[0] == pytest.approx(fd1[0], rel=1e-5)
+        assert d2[0] == pytest.approx(fd2[0], rel=1e-3)
+
+    def test_step_cap_raises(self, bvd, monkeypatch):
+        monkeypatch.setattr(circuit, "SEARCH_MAX_STEPS", 1)
+        with pytest.raises(ConvergenceError, match="Newton"):
+            circuit.coupling_strength(0.5, circuit.CircuitParams(), bvd)
 
 
 class TestFluxForCoupling:

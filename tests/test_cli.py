@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -58,6 +60,25 @@ class TestValidation:
         assert cli.main([command, str(path), *out]) == 2
         assert "$.params.states" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestColumnsCsv:
+    def test_matches_csv_writer_of_formatted_fields(self):
+        # the edge values of a float column, and the thermometry labels
+        values = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, -1e-300, 0.5, -1234.56789])
+        labels = ["qubit", "post_swap"] * 4 + ["qubit"]
+        specs = [".6f", ".9e", ".8f", ".3f", ".6e", ".4e", ".4f"]
+        header = ["sequence"] + [f"c{i}" for i in range(len(specs))]
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(
+            [[label] + [f"{v:{spec}}" for spec in specs] for label, v in zip(labels, values)]
+        )
+        got = cli._columns_csv(
+            header, ["%s"] + ["%" + spec for spec in specs], labels, *[values] * len(specs)
+        )
+        assert got == buf.getvalue()
 
 
 class TestRunScenarios:
