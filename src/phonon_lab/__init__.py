@@ -16,7 +16,7 @@ Subpackages cover the four stages of the chain:
 __version__ = "0.1.0"
 
 from .saw import AdmittanceSpectrum, BvdParams, SawModelParams
-from .circuit import CircuitParams, CouplerBias
+from .circuit import CircuitParams
 from .lindblad import PulseSequence, SystemParams
 from .tomography import PopulationFit, ReconstructedState, TomographyDataset
 
@@ -26,7 +26,6 @@ __all__ = [
     "BvdParams",
     "SawModelParams",
     "CircuitParams",
-    "CouplerBias",
     "PulseSequence",
     "SystemParams",
     "PopulationFit",

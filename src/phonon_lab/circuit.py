@@ -33,39 +33,27 @@ from .errors import (
     IdentifiabilityError,
     IllConditionedFitWarning,
 )
-from .saw import TWO_PI, AdmittanceSpectrum, BvdParams
+from .saw import TWO_PI, AdmittanceSpectrum, BvdParams, _levenberg_marquardt
 
 DIVERGENCE_COS_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
 class CircuitParams:
-    """Lumped-element values; see the module docstring for the topology.
-
-    ``m_12`` is the geometric estimate of the chip-to-chip mutual between
-    the overlaid coils; when ``m`` is not given it defaults to that
-    estimate, otherwise ``m`` (the fitted value) is what the network uses.
-    """
+    """Lumped-element values; see the module docstring for the topology."""
 
     c_q: float = 110e-15
     l_q: float = 10.1e-9
     l_1: float = 0.303e-9
     l_2: float = 0.403e-9
     l_cj0: float = 1.0e-9
-    m: float | None = 0.13e-9
-    m_12: float | None = None
+    m: float = 0.13e-9
     l_sec: float = 0.29e-9
     background_t1: float = 20e-6
 
     def __post_init__(self):
         if min(self.c_q, self.l_q, self.l_1, self.l_2, self.l_cj0, self.l_sec) <= 0:
             raise DomainError("capacitances and inductances must be positive")
-        if self.m_12 is None:
-            object.__setattr__(self, "m_12", 0.4 * min(self.l_1, self.l_2))
-        if abs(self.m_12) > math.sqrt(self.l_1 * self.l_2):
-            raise DomainError("|m_12| must not exceed sqrt(l_1*l_2)")
-        if self.m is None:
-            object.__setattr__(self, "m", self.m_12)
         if abs(self.m) > math.sqrt(self.l_2 * self.l_sec) + 1e-15:
             raise DomainError("|m| must not exceed sqrt(l_2*l_sec)")
         if self.background_t1 <= 0:
@@ -75,21 +63,14 @@ class CircuitParams:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class CouplerBias:
-    """Junction working point derived from the coupler flux (units of Phi_0)."""
-
-    phi_g: float
-    delta: float
-    l_cj: float
-    divergent: bool
-
-
 def _junction_inductance(phi_g, l_cj0: float):
     """Junction phase and inductance for a scalar or array of fluxes.
 
-    The inductance is ``inf`` where ``|cos(delta)|`` falls below
-    ``DIVERGENCE_COS_FLOOR`` (the open junction).
+    Linear flux-phase map ``delta = 2*pi*phi_g`` (loop screening neglected),
+    periodic in ``phi_g`` with period 1; ``L_cj = L_cj0/cos(delta)`` is
+    ``inf`` where ``|cos(delta)|`` falls below ``DIVERGENCE_COS_FLOOR`` (the
+    open junction), so sweeps pass through that point.  A non-finite flux
+    raises DomainError.
     """
     phi = np.asarray(phi_g, dtype=float)
     if not np.all(np.isfinite(phi)):
@@ -99,20 +80,6 @@ def _junction_inductance(phi_g, l_cj0: float):
     with np.errstate(divide="ignore"):
         l_cj = np.where(np.abs(c) < DIVERGENCE_COS_FLOOR, np.inf, l_cj0 / c)
     return delta, l_cj
-
-
-def coupler_inductance(phi_g: float, params: CircuitParams) -> CouplerBias:
-    """Map coupler flux to junction phase and inductance.
-
-    Linear flux-phase map ``delta = 2*pi*phi_g`` (loop screening neglected);
-    periodic in ``phi_g`` with period 1.  At ``cos(delta) -> 0`` the
-    inductance diverges; the bias is flagged instead of raising so sweeps
-    can pass through the open-circuit point.
-    """
-    delta, l_cj = _junction_inductance(phi_g, params.l_cj0)
-    return CouplerBias(
-        phi_g=phi_g, delta=float(delta), l_cj=float(l_cj), divergent=bool(np.isinf(l_cj))
-    )
 
 
 def _divider_inductance(l_cj, l_1, l_2):
@@ -184,10 +151,8 @@ def _modes(reduced: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(np.where(mu > 0, mu, np.nan))[..., ::-1]
 
 
-def network_mode_frequencies(
-    bias: CouplerBias, params: CircuitParams, bvd: BvdParams, l_q: float | None = None
-) -> np.ndarray:
-    """Real angular eigenfrequencies of the lossless network, ascending.
+def network_mode_frequencies(phi_g: float, params: CircuitParams, bvd: BvdParams) -> np.ndarray:
+    """Real angular eigenfrequencies of the lossless network at one flux, ascending.
 
     The elastance matrix ``S`` is symmetric positive definite and does not
     depend on the flux, so the generalized problem ``S x = omega^2 L x`` is
@@ -195,7 +160,8 @@ def network_mode_frequencies(
     the modes are ``omega = mu^{-1/2}`` for ``mu > 0``.
     """
     k_mat = _inverse_sqrt(_elastance(params, bvd))
-    l_mat = _inductance(params.l_q if l_q is None else l_q, bias.l_cj, params, bvd)
+    _, l_cj = _junction_inductance(phi_g, params.l_cj0)
+    l_mat = _inductance(params.l_q, l_cj, params, bvd)
     omegas = _modes(k_mat @ l_mat @ k_mat)
     return omegas[np.isfinite(omegas)]
 
@@ -358,15 +324,15 @@ def qubit_loss_spectrum(
         omega, f_saw, saw_spectrum.y.imag
     )
 
-    bias = coupler_inductance(phi_g, params)
+    _, l_cj = _junction_inductance(phi_g, params.l_cj0)
     background = 1.0 / (omega * params.background_t1)
-    if bias.divergent or params.m == 0:
+    if np.isinf(l_cj) or params.m == 0:
         return background.copy()
 
     with np.errstate(divide="ignore", invalid="ignore"):
         z_res = 1j * omega * params.l_sec + 1.0 / y_saw
     z_refl = (omega * params.m) ** 2 / z_res
-    z_branch = 1j * omega * (bias.l_cj + params.l_2) + z_refl
+    z_branch = 1j * omega * (l_cj + params.l_2) + z_refl
     z_l1 = 1j * omega * params.l_1
     z_a = z_l1 * z_branch / (z_l1 + z_branch)
 
@@ -378,17 +344,20 @@ def qubit_loss_spectrum(
 def fit_circuit(spectroscopy):
     """Fit (L_q, L_1, L_2) to (phi_g, omega_ge) pairs.
 
-    ``L_cj0`` and ``C_q`` are held fixed: a coupler-flux sweep of the qubit
-    frequency follows a Moebius curve in cos(delta) and therefore constrains
-    exactly three combinations beyond the junction scale, so the qubit
-    capacitance must come from an independent measurement (here: the
-    ``CircuitParams`` defaults, which are also the starting point).
-    Returns ``(CircuitParams, covariance)`` with the 3x3 covariance ordered
-    (l_q, l_1, l_2).
+    ``L_cj0`` and ``C_q`` are held fixed at the ``CircuitParams`` defaults:
+    a coupler-flux sweep of the qubit frequency follows a Moebius curve in
+    ``u = cos(delta)`` and therefore constrains exactly three combinations
+    beyond the junction scale, so the qubit capacitance must come from an
+    independent measurement.  With ``y = 1/(C_q omega^2) = L_q + L_par`` the
+    curve reads ``y = A + B u - C u y``, linear in (A, B, C); its least
+    squares solution starts the fit at ``L_1 + L_2 = C L_cj0``,
+    ``L_1 = sqrt((A C - B) L_cj0)`` and ``L_q = A - L_1``; data whose start
+    has an inductance that is not positive raise IdentifiabilityError.
+    ``saw._levenberg_marquardt`` then minimises the relative frequency
+    residual over the log-inductances with its analytic Jacobian.  Returns ``(CircuitParams, covariance)`` with the
+    3x3 covariance ordered (l_q, l_1, l_2); ``ConvergenceError`` when the fit
+    hits ``saw.FIT_MAX_NFEV`` evaluations.
     """
-    # imported here: scipy.optimize takes about 0.3 s to load, and only this fit needs it
-    from scipy.optimize import least_squares
-
     data = np.asarray(spectroscopy, dtype=float)
     if data.ndim != 2 or data.shape[1] != 2:
         raise DomainError("spectroscopy must be an array of (phi_g, omega_ge) pairs")
@@ -399,28 +368,46 @@ def fit_circuit(spectroscopy):
     if phi.max() - phi.min() < 0.5:
         raise IdentifiabilityError("data must span at least half a flux period")
 
-    start = CircuitParams()
-    x_scale = np.array([start.l_q, start.l_1, start.l_2])
-    _, l_cj = _junction_inductance(phi, start.l_cj0)
-
-    def model(x):
-        l_q, l_1, l_2 = np.exp(x) * x_scale
-        l_par = _divider_inductance(l_cj, l_1, l_2)
-        # keep trial points with unphysical net inductance finite for the solver
-        arg = np.maximum(start.c_q * (l_q + l_par), 1e-36)
-        return 1.0 / np.sqrt(arg)
+    defaults = CircuitParams()
+    c_q, l_cj0 = defaults.c_q, defaults.l_cj0
+    _, l_cj = _junction_inductance(phi, l_cj0)
+    u = l_cj0 / l_cj  # cos(delta), exactly 0 at the open junction
+    y = 1.0 / (c_q * omega**2)
+    a, b, c = np.linalg.lstsq(np.column_stack([np.ones_like(u), u, -u * y]), y, rcond=None)[0]
+    l_1 = math.sqrt(max(a * c - b, 0.0) * l_cj0)
+    scale = np.array([a - l_1, l_1, c * l_cj0 - l_1])
+    if not np.all(scale > 0):
+        raise IdentifiabilityError(
+            "the qubit frequencies do not follow a coupler curve with positive inductances"
+        )
 
     def residuals(x):
-        return (model(x) - omega) / omega
+        l_q, l_1, l_2 = np.exp(x) * scale
+        den = l_cj0 + (l_1 + l_2) * u
+        share = (l_cj0 + l_2 * u) / den  # (L_cj + L_2)/(L_1 + L_cj + L_2)
+        # keep trial points with unphysical net inductance finite for the solver
+        l_tot = np.maximum(l_q + l_1 * share, 1e-36 / c_q)
+        model = 1.0 / np.sqrt(c_q * l_tot)
+        # d omega/d log L = -omega/(2 L_tot) * L dL_tot/dL, with L_par = L_1 share
+        dl_tot = np.column_stack(
+            [np.full(u.size, l_q), l_1 * share**2, l_2 * (l_1 * u / den) ** 2]
+        )
+        jac = -0.5 * (model / (l_tot * omega))[:, None] * dl_tot
+        return (model - omega) / omega, jac
 
-    sol = least_squares(residuals, np.zeros(3), method="lm", ftol=1e-14, xtol=1e-14)
-    values = np.exp(sol.x) * x_scale
+    x, _, converged = _levenberg_marquardt(residuals, np.zeros(3))
+    values = np.exp(x) * scale
     fitted = CircuitParams(l_q=values[0], l_1=values[1], l_2=values[2])
+    res, jac = residuals(x)
+    if not converged:
+        raise ConvergenceError(
+            "circuit fit hit the evaluation cap", best=fitted, residual=float(np.linalg.norm(res))
+        )
 
     # covariance of the physical parameters from the log-space jacobian
     dof = max(data.shape[0] - 3, 1)
-    sigma2 = float(np.sum(sol.fun**2)) / dof
-    jtj = sol.jac.T @ sol.jac
+    sigma2 = float(res @ res) / dof
+    jtj = jac.T @ jac
     cond = np.linalg.cond(jtj)
     if cond > 1e12:
         warnings.warn(
@@ -430,7 +417,6 @@ def fit_circuit(spectroscopy):
         cov_log = np.linalg.pinv(jtj) * sigma2
     else:
         cov_log = np.linalg.inv(jtj) * sigma2
-    scale = np.diag(values)  # d(param)/d(log param) = param
-    cov = scale @ cov_log @ scale
-    return fitted, cov
+    # d(param)/d(log param) = param
+    return fitted, cov_log * np.outer(values, values)
 

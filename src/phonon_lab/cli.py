@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__, circuit, lindblad as lb, saw, tomography as tg
 from ._svgmap import heatmap_svg
-from .errors import ConfigError, PhononLabError
+from .errors import ConfigError, ConvergenceError, PhononLabError
 from .schema_io import load_schema, validate_document
 
 TWO_PI = 2.0 * math.pi
@@ -130,12 +130,43 @@ def _write(path: Path, text: str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _damped_cosine(t, amp, freq, phase, tau, offset):
-    return amp * np.cos(TWO_PI * freq * t + phase) * np.exp(-t / tau) + offset
+def _exponential_decay(t, p):
+    """``amp exp(-t/tau) + offset`` of ``p = (amp, tau, offset)`` and its Jacobian in ``p``."""
+    amp, tau, offset = p
+    decay = np.exp(-t / tau)
+    return amp * decay + offset, np.column_stack([decay, amp * decay * t / tau**2, np.ones_like(t)])
 
 
-def _exponential(t, amp, tau, offset):
-    return amp * np.exp(-t / tau) + offset
+def _damped_cosine_decay(t, p):
+    """``amp cos(2 pi freq t + phase) exp(-t/tau) + offset`` of ``p = (amp,
+    freq, phase, tau, offset)`` and its Jacobian in ``p``."""
+    amp, freq, phase, tau, offset = p
+    decay = np.exp(-t / tau)
+    cos = np.cos(TWO_PI * freq * t + phase) * decay
+    sin = -amp * np.sin(TWO_PI * freq * t + phase) * decay
+    jac = np.column_stack([cos, TWO_PI * t * sin, sin, amp * cos * t / tau**2, np.ones_like(t)])
+    return amp * cos + offset, jac
+
+
+def _fit_decay(model, t, y, start) -> np.ndarray:
+    """Least-squares parameters of ``model`` to ``y(t)`` from ``start``.
+
+    ``saw._levenberg_marquardt`` runs on the parameters in units of their
+    start values; a start of 0 (an offset or a phase) has unit scale.
+    ``ConvergenceError`` when the fit hits ``saw.FIT_MAX_NFEV`` evaluations.
+    """
+    start = np.asarray(start, dtype=float)
+    scale = np.where(start != 0.0, np.abs(start), 1.0)
+
+    def residuals(x):
+        value, jac = model(t, x * scale)
+        return value - y, jac * scale
+
+    x, r, converged = saw._levenberg_marquardt(residuals, start / scale)
+    if not converged:
+        raise ConvergenceError("lifetime fit hit the evaluation cap", best=x * scale,
+                               residual=float(np.linalg.norm(r)))
+    return x * scale
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +312,6 @@ def run_chevron(scn: Scenario) -> tuple[dict, dict]:
 
 
 def run_lifetimes(scn: Scenario) -> tuple[dict, dict]:
-    # imported here: scipy.optimize takes about 0.3 s to load, and no other runner needs it
-    from scipy.optimize import curve_fit
-
     params = lb.SystemParams(delta=TWO_PI * 53e6)
     waits = np.linspace(2e-9, scn.params["t_max_s"], scn.params["n_points"])
     swap = lb.swap_segment(params)
@@ -311,10 +339,7 @@ def run_lifetimes(scn: Scenario) -> tuple[dict, dict]:
         ),
     }
 
-    popt, _ = curve_fit(
-        _exponential, waits, p_t1r, p0=[0.9, params.t1r, 0.02], maxfev=20000
-    )
-    t1r_fit = float(popt[1])
+    t1r_fit = float(_fit_decay(_exponential_decay, waits, p_t1r, [0.9, params.t1r, 0.02])[1])
 
     # the coarsely sampled scan aliases the 53 MHz idle oscillation, so the
     # phase memory comes from the decay of the transverse Bloch magnitude;
@@ -326,18 +351,14 @@ def run_lifetimes(scn: Scenario) -> tuple[dict, dict]:
     cx = float(np.mean(2.0 * scan(math.pi / 2, "y90", far) - 1.0))
     cy = float(np.mean(1.0 - 2.0 * scan(math.pi / 2, "x90", far)))
     envelope = np.hypot(sx - cx, sy - cy)
-    popt2, _ = curve_fit(
-        _exponential, waits, envelope,
-        p0=[envelope[0], 2.0 * params.t1r, 0.0], maxfev=20000,
-    )
+    popt2 = _fit_decay(_exponential_decay, waits, envelope, [envelope[0], 2.0 * params.t1r, 0.0])
     t2r_fit = float(abs(popt2[1]))
 
     # separate finely sampled short window resolves the oscillation itself
     fine = np.linspace(2e-9, 42e-9, 17)
     p_fine = scan(math.pi / 2, "x90", fine)
-    popt3, _ = curve_fit(
-        _damped_cosine, fine, p_fine,
-        p0=[0.45, params.delta / TWO_PI, 0.0, 400e-9, 0.5], maxfev=40000,
+    popt3 = _fit_decay(
+        _damped_cosine_decay, fine, p_fine, [0.45, params.delta / TWO_PI, 0.0, 400e-9, 0.5]
     )
     return files, {
         "t1r_s": t1r_fit,
@@ -380,6 +401,8 @@ def run_thermometry(scn: Scenario) -> tuple[dict, dict]:
 def run_wigner(scn: Scenario) -> tuple[dict, dict]:
     params = lb.SystemParams()
     alphas = tg.default_alpha_grid(radius=scn.params["alpha_radius"])
+    # the grid is square, real part outer: alphas[i * n + j] = axis[i] + 1j * axis[j]
+    axis = np.array([a.real for a in alphas[:: math.isqrt(len(alphas))]])
     files, summary = {}, {}
     for state in scn.params["states"]:
         tag = state.replace("+", "plus")
@@ -406,21 +429,14 @@ def run_wigner(scn: Scenario) -> tuple[dict, dict]:
             tg.reconstruction_report(recon, fidelity_value=(value, sigma))
         )
 
-        axis = sorted({a.real for a in alphas})
-        if len(axis) ** 2 == len(alphas):
-            w_map = np.full((len(axis), len(axis)), np.nan)
-            lookup = {complex(a): v for a, v in zip(alphas, w)}
-            for iy, im in enumerate(axis):
-                for ix, re in enumerate(axis):
-                    w_map[iy, ix] = lookup[complex(re, im)]
-            files[f"wigner_{tag}.svg"] = heatmap_svg(
-                np.array(axis),
-                np.array(axis),
-                w_map,
-                x_label="Re(alpha)",
-                y_label="Im(alpha)",
-                title=f"W(alpha), state {state}",
-            )
+        files[f"wigner_{tag}.svg"] = heatmap_svg(
+            axis,
+            axis,
+            np.reshape(w, (axis.size, axis.size)).T,
+            x_label="Re(alpha)",
+            y_label="Im(alpha)",
+            title=f"W(alpha), state {state}",
+        )
         summary[state] = {
             "fidelity": value,
             "fidelity_sigma": sigma,

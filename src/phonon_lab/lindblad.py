@@ -146,17 +146,12 @@ def build_hamiltonian(delta: float, g: float, dim: int) -> np.ndarray:
 
 def collapse_operators(params: SystemParams) -> list[np.ndarray]:
     """Scaled collapse operators on the composite space (zero-rate ones dropped)."""
-    if params.t1 <= 0 or params.t1r <= 0:
-        raise DomainError("lifetimes must be positive")
     eye_r = np.eye(params.dim)
     ops = []
     if math.isfinite(params.t1):
         ops.append(np.kron(SIGMA_MINUS, eye_r) / math.sqrt(params.t1))
-    t_phi = params.t_phi
-    if t_phi <= 0:
-        raise DomainError("invalid dephasing time")
-    if math.isfinite(t_phi):
-        ops.append(np.kron(SIGMA_Z, eye_r) / math.sqrt(2.0 * t_phi))
+    if math.isfinite(params.t_phi):
+        ops.append(np.kron(SIGMA_Z, eye_r) / math.sqrt(2.0 * params.t_phi))
     if math.isfinite(params.t1r):
         ops.append(np.kron(np.eye(2), lowering_operator(params.dim)) / math.sqrt(params.t1r))
     return ops

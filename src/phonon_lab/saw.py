@@ -434,7 +434,7 @@ def default_grid(f_lo_hz: float = 3.5e9, f_hi_hz: float = 4.5e9, n: int = 2001) 
     return TWO_PI * np.linspace(f_lo_hz, f_hi_hz, n)
 
 
-def _find_peak(omega: np.ndarray, conductance: np.ndarray) -> int:
+def _find_peak(conductance: np.ndarray) -> int:
     idx = int(np.argmax(conductance))
     if idx == 0 or idx == conductance.size - 1:
         raise FitError("no interior conductance peak in the window")
@@ -499,8 +499,8 @@ def fit_bvd(spectrum: AdmittanceSpectrum, c_t: float | None = None):
     w = omega[mask]
     yw = y[mask]
 
-    g = yw.real - 0.0  # C_t carries no conductance
-    ipk = _find_peak(w, g)
+    g = yw.real  # C_t carries no conductance
+    ipk = _find_peak(g)
     w0 = w[ipk]
     g0 = g[ipk]
 

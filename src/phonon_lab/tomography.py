@@ -64,13 +64,11 @@ class TraceRecord:
 class TomographyDataset:
     records: list
     state_label: str = ""
-    calibration_scale: float = 1.0
     params: lb.SystemParams = field(default_factory=lb.SystemParams)
 
     def to_json(self) -> str:
         doc = {
             "state": self.state_label,
-            "calibration_scale": self.calibration_scale,
             "params": self.params.to_dict(),
             "records": [
                 {
@@ -107,7 +105,6 @@ class TomographyDataset:
         return cls(
             records=records,
             state_label=doc.get("state", ""),
-            calibration_scale=doc.get("calibration_scale", 1.0),
             params=params,
         )
 
@@ -137,7 +134,6 @@ class ReconstructedState:
     rho: np.ndarray
     parameters: np.ndarray
     covariance: np.ndarray
-    rho_raw: np.ndarray
     residual: float
 
     @property
@@ -213,7 +209,7 @@ def _simplex_lstsq(r_mat: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]
 def fit_populations(
     record: TraceRecord,
     params: lb.SystemParams,
-    responses: np.ndarray | None = None,
+    responses: np.ndarray,
 ) -> PopulationFit:
     """Fit the displaced-state populations to one qubit trace.
 
@@ -221,6 +217,8 @@ def fit_populations(
     model prediction (a convex combination of single-Fock responses),
     minimised exactly over the simplex.  Uncertainties come from its exact
     curvature: sigma_n^2 = s^2 / ||R_n||^2, s^2 the residual variance.
+    ``responses`` is ``basis_responses(params, record.t_s,
+    record.initial_p_e)``, which records on one grid share.
     """
     y = record.p_e
     if y.size < 3 * params.dim:
@@ -233,8 +231,6 @@ def fit_populations(
             "trace is nearly constant; the population fit is ill-posed",
             IllConditionedFitWarning,
         )
-    if responses is None:
-        responses = basis_responses(params, record.t_s, record.initial_p_e)
     if responses.shape != (params.dim, y.size):
         raise DomainError(f"responses of shape {responses.shape} do not match "
                           f"{params.dim} levels and {y.size} trace points")
@@ -350,12 +346,10 @@ def reconstruct_density_matrix(fits: list[PopulationFit]) -> ReconstructedState:
     dof = max(y.size - c.size, 1)
     covariance = gram_inv * (chi2 / dof)
 
-    rho_raw = density_from_parameters(c)
     return ReconstructedState(
-        rho=np.pad(project_physical(rho_raw), (0, dim - STATE_LEVELS)),
+        rho=np.pad(project_physical(density_from_parameters(c)), (0, dim - STATE_LEVELS)),
         parameters=c,
         covariance=covariance,
-        rho_raw=rho_raw,
         residual=chi2,
     )
 
@@ -516,17 +510,16 @@ def analyze_dataset(
     return fits, recon
 
 
-def reconstruction_report(recon: ReconstructedState, fidelity_value=None) -> dict:
-    """JSON-ready report with the density matrix, parameters, and covariance."""
+def reconstruction_report(recon: ReconstructedState, fidelity_value) -> dict:
+    """JSON-ready report with the density matrix, parameters, covariance and
+    the ``(value, sigma)`` of the state fidelity."""
     report = {
         "rho_re": recon.rho.real.tolist(),
         "rho_im": recon.rho.imag.tolist(),
         "parameters": recon.parameters.tolist(),
         "covariance": recon.covariance.tolist(),
         "residual": recon.residual,
+        "fidelity": {"value": fidelity_value[0], "sigma": fidelity_value[1]},
     }
-    if fidelity_value is not None:
-        value, sigma = fidelity_value
-        report["fidelity"] = {"value": value, "sigma": sigma}
     validate_document(report, load_schema("reconstruction"))
     return report

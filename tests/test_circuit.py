@@ -31,35 +31,53 @@ def saw_spectrum():
     return saw.resonator_admittance(saw.default_grid(3.5e9, 4.5e9, 4001), p)
 
 
+def _closed_form_frequency(p, l_cj):
+    """qubit_frequency of junction inductance ``l_cj``; ``inf`` is the open junction."""
+    l_par = p.l_1 if math.isinf(l_cj) else p.l_1 * (l_cj + p.l_2) / (p.l_1 + l_cj + p.l_2)
+    return 1.0 / math.sqrt(p.c_q * (p.l_q + l_par))
+
+
 class TestCouplerInductance:
+    """The flux map delta = 2 pi phi_g, L_cj = L_cj0/cos(delta), seen through the network."""
+
     def test_unbiased(self):
         p = circuit.CircuitParams()
-        bias = circuit.coupler_inductance(0.0, p)
-        assert bias.delta == 0.0
-        assert bias.l_cj == pytest.approx(1.0e-9)
-        assert not bias.divergent
+        assert circuit.qubit_frequency(0.0, p) == pytest.approx(
+            _closed_form_frequency(p, p.l_cj0), rel=1e-14
+        )
+        for phi in (0.1, 0.37, 0.8):
+            l_cj = p.l_cj0 / math.cos(TWO_PI * phi)
+            assert circuit.qubit_frequency(phi, p) == pytest.approx(
+                _closed_form_frequency(p, l_cj), rel=1e-14
+            )
 
     def test_half_quantum_inverts(self):
         p = circuit.CircuitParams()
-        bias = circuit.coupler_inductance(0.5, p)
-        assert bias.l_cj == pytest.approx(-p.l_cj0)
+        assert circuit.qubit_frequency(0.5, p) == pytest.approx(
+            _closed_form_frequency(p, -p.l_cj0), rel=1e-14
+        )
 
-    def test_quarter_quantum_divergent(self):
+    def test_quarter_quantum_divergent(self, bvd):
         p = circuit.CircuitParams()
-        bias = circuit.coupler_inductance(0.25, p)
-        assert bias.divergent
-        assert math.isinf(bias.l_cj)
+        assert circuit.qubit_frequency(0.25, p) == _closed_form_frequency(p, math.inf)
+        assert circuit.coupling_strength(0.25, p, bvd) == 0.0
 
-    def test_periodicity(self):
+    def test_periodicity(self, bvd):
         p = circuit.CircuitParams()
         for phi in (0.1, 0.37, 0.5):
-            a = circuit.coupler_inductance(phi, p)
-            b = circuit.coupler_inductance(phi + 1.0, p)
-            assert a.l_cj == pytest.approx(b.l_cj)
+            a = circuit.network_mode_frequencies(phi, p, bvd)
+            b = circuit.network_mode_frequencies(phi + 1.0, p, bvd)
+            assert np.allclose(a, b, rtol=1e-12, atol=0.0)
 
-    def test_rejects_nonfinite(self):
-        with pytest.raises(DomainError):
-            circuit.coupler_inductance(float("inf"), circuit.CircuitParams())
+    def test_rejects_nonfinite(self, bvd):
+        p = circuit.CircuitParams()
+        for call in (
+            lambda phi: circuit.qubit_frequency(phi, p),
+            lambda phi: circuit.coupling_strength(phi, p, bvd),
+            lambda phi: circuit.network_mode_frequencies(phi, p, bvd),
+        ):
+            with pytest.raises(DomainError):
+                call(float("inf"))
 
 
 class TestQubitFrequency:
@@ -177,17 +195,16 @@ class TestCouplingStrength:
         p = circuit.CircuitParams()
         s_mat = circuit._elastance(p, bvd)
         for phi in (0.1, 0.25, 0.4, 0.5):
-            bias = circuit.coupler_inductance(phi, p)
-            l_mat = circuit._inductance(p.l_q, bias.l_cj, p, bvd)
+            _, l_cj = circuit._junction_inductance(phi, p.l_cj0)
+            l_mat = circuit._inductance(p.l_q, l_cj, p, bvd)
             want = np.sort(np.sqrt(scipy.linalg.eigvals(s_mat, l_mat).real))
-            got = circuit.network_mode_frequencies(bias, p, bvd)
+            got = circuit.network_mode_frequencies(phi, p, bvd)
             assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_mode_frequencies_real_across_sweep(self, bvd):
         p = circuit.CircuitParams()
         for phi in np.linspace(0.01, 0.99, 29):
-            bias = circuit.coupler_inductance(phi, p)
-            omegas = circuit.network_mode_frequencies(bias, p, bvd)
+            omegas = circuit.network_mode_frequencies(phi, p, bvd)
             assert len(omegas) >= 2
             assert np.all(omegas > 0)
 
@@ -342,6 +359,41 @@ class TestFitCircuit:
         )
         assert resid < 1e-10
 
+    @pytest.mark.parametrize("seed", range(100, 106))
+    def test_matches_finite_difference_lm(self, seed):
+        # criterion 10's round trips; the oracle is scipy's finite-difference
+        # Levenberg-Marquardt on the same residual, from the defaults
+        from scipy.optimize import least_squares
+
+        rng = np.random.default_rng(seed)
+        truth = circuit.CircuitParams(
+            l_q=rng.uniform(8, 12) * 1e-9,
+            l_1=rng.uniform(0.25, 0.40) * 1e-9,
+            l_2=rng.uniform(0.30, 0.50) * 1e-9,
+        )
+        phi = np.linspace(0.02, 0.98, 400)
+        omega = circuit.qubit_frequency(phi, truth) * (1.0 + 1e-4 * rng.standard_normal(phi.size))
+        fit, _ = circuit.fit_circuit(np.column_stack([phi, omega]))
+
+        start = circuit.CircuitParams()
+        x_scale = np.array([start.l_q, start.l_1, start.l_2])
+        _, l_cj = circuit._junction_inductance(phi, start.l_cj0)
+
+        def residuals(x):
+            l_q, l_1, l_2 = np.exp(x) * x_scale
+            l_par = circuit._divider_inductance(l_cj, l_1, l_2)
+            return (1.0 / np.sqrt(start.c_q * (l_q + l_par)) - omega) / omega
+
+        sol = least_squares(residuals, np.zeros(3), method="lm", ftol=1e-14, xtol=1e-14)
+        want = np.exp(sol.x) * x_scale
+        assert np.allclose([fit.l_q, fit.l_1, fit.l_2], want, rtol=1e-6, atol=0.0)
+
+    def test_evaluation_cap_raises(self, monkeypatch):
+        data = self._synthetic(circuit.CircuitParams(), 40, 0.0)
+        monkeypatch.setattr(saw, "FIT_MAX_NFEV", 2)
+        with pytest.raises(ConvergenceError, match="circuit fit"):
+            circuit.fit_circuit(data)
+
     def test_default_parameters_reproduce_dispersion_shape(self):
         p = circuit.CircuitParams()
         phi = np.linspace(0.0, 1.0, 101)
@@ -359,6 +411,12 @@ class TestFitCircuit:
         data = self._synthetic(truth, 6, 0.0)
         with pytest.raises(IdentifiabilityError):
             circuit.fit_circuit(data)
+
+    def test_flat_frequencies(self):
+        # no flux dependence: the closed-form start has L_1 = 0
+        phi = np.linspace(0.0, 1.0, 20)
+        with pytest.raises(IdentifiabilityError, match="positive inductances"):
+            circuit.fit_circuit(np.column_stack([phi, np.full(20, TWO_PI * 4.7e9)]))
 
     def test_narrow_span(self):
         truth = circuit.CircuitParams()

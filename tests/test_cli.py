@@ -298,13 +298,72 @@ class TestScenarioParsing:
         assert Path(tmp_path / "mytherm-out" / "run_record.json").exists()
 
 
-# import the CLI, build the default dynamics parameters (which fit the
-# reference device) and score one state with a Monte Carlo sigma
-_TOMOGRAPHY_PROCESS = """
+def _exponential(t, amp, tau, offset):
+    return amp * np.exp(-t / tau) + offset
+
+
+def _damped_cosine(t, amp, freq, phase, tau, offset):
+    return amp * np.cos(2 * np.pi * freq * t + phase) * np.exp(-t / tau) + offset
+
+
+class TestLifetimeFits:
+    """The three decay fits of the lifetimes scenario."""
+
+    def test_default_scan_matches_curve_fit(self, monkeypatch):
+        from scipy.optimize import curve_fit
+
+        calls = []
+        fit_decay = cli._fit_decay
+
+        def recording(model, t, y, start):
+            calls.append((model, t, y, np.asarray(start, dtype=float), fit_decay(model, t, y, start)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(cli, "_fit_decay", recording)
+        _, summary = cli.run_lifetimes(cli.parse_scenario({"kind": "lifetimes"}))
+        oracles = {cli._exponential_decay: _exponential, cli._damped_cosine_decay: _damped_cosine}
+        assert [oracles[c[0]] for c in calls] == [_exponential, _exponential, _damped_cosine]
+        for model, t, y, start, got in calls:
+            want, _ = curve_fit(oracles[model], t, y, p0=start, maxfev=40000,
+                                ftol=1e-14, xtol=1e-14, gtol=1e-14)
+            # an offset or a phase that starts at 0 is compared in absolute terms
+            scale = np.where(start != 0.0, np.abs(start), 1.0)
+            assert np.all(np.abs(got - want) <= 1e-6 * scale)
+        assert summary["t1r_s"] == calls[0][-1][1]
+        assert summary["t2r_s"] == abs(calls[1][-1][1])
+        assert summary["idle_oscillation_hz"] == abs(calls[2][-1][1])
+
+    @pytest.mark.parametrize("model, p", [
+        (cli._exponential_decay, [0.9, 150e-9, 0.02]),
+        (cli._damped_cosine_decay, [0.45, 53e6, 0.3, 400e-9, 0.5]),
+    ])
+    def test_jacobian_matches_central_differences(self, model, p):
+        t = np.linspace(2e-9, 450e-9, 31)
+        p = np.array(p)
+        _, jac = model(t, p)
+        for k in range(p.size):
+            h = np.zeros(p.size)
+            h[k] = 1e-6 * p[k]
+            fd = (model(t, p + h)[0] - model(t, p - h)[0]) / (2 * h[k])
+            assert np.allclose(jac[:, k], fd, rtol=1e-6, atol=1e-9 * np.abs(fd).max())
+
+    def test_evaluation_cap_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(saw, "FIT_MAX_NFEV", 2)
+        path = write_config(tmp_path, {"kind": "lifetimes", "params": {"n_points": 6}})
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert "ConvergenceError" in capsys.readouterr().err
+
+
+# in a fresh process: import the CLI, run the lifetimes scenario and a
+# circuit fit, and score one state with a Monte Carlo sigma after building
+# the default dynamics parameters (which fit the reference device)
+_FITTING_PROCESS = """
 import sys
 import numpy as np
-import phonon_lab.cli
-from phonon_lab import lindblad, tomography
+from phonon_lab import circuit, cli, lindblad, tomography
+cli.run_lifetimes(cli.parse_scenario({"kind": "lifetimes"}))
+phi = np.linspace(0.02, 0.98, 40)
+circuit.fit_circuit(np.column_stack([phi, circuit.qubit_frequency(phi, circuit.CircuitParams())]))
 lindblad.SystemParams()
 rho = np.zeros((10, 10))
 rho[0, 0] = 1.0
@@ -313,10 +372,10 @@ print("scipy.optimize" in sys.modules)
 """
 
 
-def test_tomography_process_leaves_scipy_optimize_unloaded():
+def test_fitting_process_leaves_scipy_optimize_unloaded():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _TOMOGRAPHY_PROCESS], env=env,
+    proc = subprocess.run([sys.executable, "-c", _FITTING_PROCESS], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.split() == ["False"]

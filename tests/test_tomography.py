@@ -129,7 +129,7 @@ class TestFitPopulations:
         t = np.linspace(0, 50e-9, 10)
         rec = tg.TraceRecord(0j, t, np.zeros(10), 0.0)
         with pytest.raises(FitError):
-            tg.fit_populations(rec, device_params)
+            tg.fit_populations(rec, device_params, responses=np.zeros((10, 10)))
 
     def test_non_finite_trace_rejected(self, device_params, trace_grid, responses):
         trace = responses.T @ np.eye(10)[1]
@@ -580,7 +580,6 @@ class TestDatasetIO:
             rho=np.pad(rho, ((0, 6), (0, 6))),
             parameters=c,
             covariance=np.eye(15) * 1e-6,
-            rho_raw=rho,
             residual=0.1,
         )
         report = tg.reconstruction_report(recon, fidelity_value=(0.9, 0.01))
