@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 from scipy.linalg import expm
 from scipy.optimize import curve_fit
 
@@ -23,34 +24,47 @@ def qubit_excited(dim):
     return np.kron(np.diag([0.0, 1.0]).astype(complex), lb.fock_state(dim, 0))
 
 
-def rk4_states(rho, t_grid, h_of_t, c_ops, dt):
+def rk4_states(rho, t_grid, h0, c_ops, dt, v=None, env=None):
     """Fixed-step RK4 of the master equation: the state at each grid time.
 
-    An oracle independent of the library's propagator; ``h_of_t`` gives the
-    Hamiltonian at absolute time t.
+    An oracle independent of the library's propagator.  The Hamiltonian at
+    absolute time t is ``h0 + env(t)*v`` (``h0`` alone without ``v``); the
+    master equation runs on the row-major vectorised state, with sparse
+    superoperators, where rho -> A rho B is kron(A, B.T).
     """
+    eye = sparse.identity(rho.shape[0], dtype=complex, format="csr")
 
-    c_terms = [(c, c.conj().T, c.conj().T @ c) for c in c_ops]
+    def commutator(h):
+        h = sparse.csr_matrix(h)
+        return -1j * (sparse.kron(h, eye) - sparse.kron(eye, h.T))
 
-    def rhs(r, h):
-        out = -1j * (h @ r - r @ h)
-        for c, c_dag, cdc in c_terms:
-            out += c @ r @ c_dag - 0.5 * (cdc @ r + r @ cdc)
+    l0 = commutator(h0)
+    for c in c_ops:
+        c = sparse.csr_matrix(c)
+        cdc = c.conj().T @ c
+        l0 = l0 + sparse.kron(c, c.conj()) - 0.5 * (sparse.kron(cdc, eye) + sparse.kron(eye, cdc.T))
+    l0 = l0.tocsr()
+    lv = commutator(v).tocsr() if v is not None else None
+
+    def rhs(x, t):
+        out = l0 @ x
+        if lv is not None:
+            out += env(t) * (lv @ x)
         return out
 
-    states, t = [], 0.0
+    x, states, t = rho.reshape(-1).astype(complex), [], 0.0
     for t_end in t_grid:
         n_steps = int(math.ceil((t_end - t) / dt - 1e-9))
         step = (t_end - t) / n_steps if n_steps else 0.0
         for _ in range(n_steps):
-            k1 = rhs(rho, h_of_t(t))
-            k2 = rhs(rho + 0.5 * step * k1, h_of_t(t + 0.5 * step))
-            k3 = rhs(rho + 0.5 * step * k2, h_of_t(t + 0.5 * step))
-            k4 = rhs(rho + step * k3, h_of_t(t + step))
-            rho = rho + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k1 = rhs(x, t)
+            k2 = rhs(x + 0.5 * step * k1, t + 0.5 * step)
+            k3 = rhs(x + 0.5 * step * k2, t + 0.5 * step)
+            k4 = rhs(x + step * k3, t + step)
+            x = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t += step
         t = t_end
-        states.append(rho)
+        states.append(x.reshape(rho.shape))
     return states
 
 
@@ -298,12 +312,12 @@ class TestEvolve:
             seq = lb.PulseSequence([lb.Couple(p.g, duration, delta, ramp)])
             traj = lb.evolve(rho0, seq, p, t)
 
-            def h_of_t(time, ramp=ramp):
+            def env(time, ramp=ramp):
                 edge = min(time, duration - time)
-                env = 0.5 * (1.0 - math.cos(math.pi * edge / ramp)) if edge < ramp else 1.0
-                return delta * n_q + p.g * env * v_int
+                return 0.5 * (1.0 - math.cos(math.pi * edge / ramp)) if edge < ramp else 1.0
 
-            ref = rk4_states(rho0, t, h_of_t, lb.collapse_operators(p), 0.01e-9)
+            ref = rk4_states(rho0, t, delta * n_q, lb.collapse_operators(p), 0.01e-9,
+                             p.g * v_int, env)
             p_e = [np.trace(r[p.dim:, p.dim:]).real for r in ref]
             assert np.max(np.abs(traj.p_e - p_e)) < 1e-9
             pops = [lb.resonator_populations(r) for r in ref]
@@ -332,23 +346,24 @@ class TestEvolve:
                 for edge in (0.0, seg.duration - seg.ramp):
                     times += [begin + edge + f * seg.ramp for f in (0.0, 0.3, 0.7, 1.0)]
             begin += seg.duration
+        assert all(seg.g == p.g and seg.delta == p.delta for _, seg in pulses)
         t = np.unique(times)
         n_q = np.kron(np.diag([0.0, 1.0]), np.eye(p.dim))
         v_int = lb.build_hamiltonian(0.0, 1.0, p.dim)
 
-        def h_of_t(time):
+        def env(time):
             for start, seg in pulses:
                 if 0.0 <= time - start <= seg.duration:
                     edge = min(time - start, start + seg.duration - time)
-                    env = 0.5 * (1.0 - math.cos(math.pi * edge / seg.ramp)) if edge < seg.ramp else 1.0
-                    return seg.delta * n_q + seg.g * env * v_int
-            return p.delta * n_q
+                    return 0.5 * (1.0 - math.cos(math.pi * edge / seg.ramp)) if edge < seg.ramp else 1.0
+            return 0.0
 
         rho0 = lb.thermal_state(p)
         u = lb.qubit_rotation("x", 2.0, 0.0, p.dim)
         rho0 = u @ rho0 @ u.conj().T
         traj = lb.evolve(rho0, seq, p, t)
-        ref = rk4_states(rho0, t, h_of_t, lb.collapse_operators(p), 0.01e-9)
+        ref = rk4_states(rho0, t, p.delta * n_q, lb.collapse_operators(p), 0.01e-9,
+                         p.g * v_int, env)
         p_e = [np.trace(r[p.dim:, p.dim:]).real for r in ref]
         assert np.max(np.abs(traj.p_e - p_e)) < 1e-9
         pops = [lb.resonator_populations(r) for r in ref]
@@ -388,7 +403,7 @@ class TestEvolve:
         h_off = lb.build_hamiltonian(delta, p.g, 5) + offset * (
             np.kron(np.diag([0.0, 1.0]), np.eye(5)) + np.kron(np.eye(2), np.diag(np.arange(5.0)))
         )
-        states = rk4_states(qubit_excited(5), t, lambda _t: h_off, [], 0.05e-9)
+        states = rk4_states(qubit_excited(5), t, h_off, [], 0.05e-9)
         p_e = [np.trace(rho[5:, 5:]).real for rho in states]
         assert np.max(np.abs(ref.p_e - np.array(p_e))) < 1e-7
 
@@ -441,6 +456,45 @@ class TestEvolve:
         lb.run_sequence(lb.prepare_sequence("0+1", p), p)
         assert built == {-1, 0, 1}
 
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda p: lb.prepare_sequence("1", p), id="1"),
+        pytest.param(lambda p: lb.fock2_sequence(p, 20e-9), id="fock2"),
+    ])
+    def test_pi_rotation_from_thermal_builds_only_k0_ramps(self, monkeypatch, make):
+        # expm gives a pi rotation exact zeros on its diagonal, so the
+        # thermal state stays in k = 0 through every rotation; a round-off
+        # residue in k = +-1 would triple the swap's ramp builds
+        p = lb.SystemParams()
+        built = set()
+        magnus = lb._magnus
+
+        def counting(params, k, *args):
+            built.add(k)
+            return magnus(params, k, *args)
+
+        monkeypatch.setattr(lb, "_magnus", counting)
+        lb._propagator.cache_clear()
+        lb.run_sequence(make(p), p)
+        assert built == {0}
+
+    def test_fields_outside_the_liouvillian_share_ramps(self, monkeypatch):
+        # the idle detuning, g, the thermal populations and the visibility
+        # do not enter the generators, so both systems use one k = 0 ramp pair
+        builds = []
+        magnus = lb._magnus
+
+        def counting(*args):
+            builds.append(args)
+            return magnus(*args)
+
+        monkeypatch.setattr(lb, "_magnus", counting)
+        lb._propagator.cache_clear()
+        base = lb.SystemParams()
+        other = lb.SystemParams(delta=TWO_PI * 53e6, p_e_th=0.03, visibility=0.9, g=base.g / 2)
+        for p in (base, other):
+            lb.run_sequence(lb.PulseSequence([lb.swap_segment(base), lb.Measure()]), p)
+        assert len(builds) == 2
+
     def test_traces_propagate_only_the_population_sector(self):
         # a displaced, partly rotated state puts weight in every sector, and
         # the k = 0 traces still match the all-sector walker
@@ -474,6 +528,42 @@ class TestEvolve:
             lb.evolve(qubit_excited(p.dim), seq, p, np.array([1e-9, bad]))
         with pytest.raises(GridError, match="finite"):
             lb.batched_excited_traces([qubit_excited(p.dim)], p, [1e-9, bad])
+
+
+class TestRampProduct:
+    @pytest.mark.parametrize("window", [(0.0, 1.0), (1.0, 2.0), (0.3, 0.7)],
+                             ids=["rising", "falling", "partial"])
+    @pytest.mark.parametrize("delta", [0.0, TWO_PI * 20e6], ids=["resonant", "detuned"])
+    @pytest.mark.parametrize("k", [-1, 0, 1])
+    def test_magnus_converges_at_sixth_order(self, monkeypatch, k, delta, window):
+        p = lb.SystemParams()
+        ramp = lb.DEFAULT_RAMP
+        expm_calls = []
+
+        def counting_expm(m):
+            expm_calls.append(m)
+            return expm(m)
+
+        monkeypatch.setattr(lb, "expm", counting_expm)
+        steps = lb._RAMP_STEPS
+
+        def product(ramp_steps):
+            monkeypatch.setattr(lb, "_RAMP_STEPS", ramp_steps)
+            expm_calls.clear()
+            prop = lb._magnus(p, k, delta, p.g, ramp, window[0] * ramp, window[1] * ramp)
+            return prop, len(expm_calls)
+
+        ref, _ = product(8 * steps)
+        fine, n_fine = product(steps)
+        coarse, n_coarse = product(steps // 2)
+        err_fine = np.max(np.abs(fine - ref))
+        err_coarse = np.max(np.abs(coarse - ref))
+        assert err_fine < 2e-11
+        # a sixth-order error grows by 2**6 when the step count halves, so
+        # the ratio lies in [32, 128]; the partial window's pro-rata counts
+        # (7 and 4) do not halve, so the order is read off the counts
+        order = math.log(err_coarse / err_fine) / math.log(n_fine / n_coarse)
+        assert 5 <= order <= 7
 
 
 class TestDisplacement:
