@@ -311,26 +311,45 @@ def run_chevron(scn: Scenario) -> tuple[dict, dict]:
     return files, {"swap_time_s": float(taus[i_min]), "n_delta": s["n_delta"], "n_tau": s["n_tau"]}
 
 
+def _scan(build, durations, params) -> tuple[lb.Trajectory, np.ndarray]:
+    """One walk from the thermal state of ``build(d)``, whose last continuous
+    segment lasts d, sampled where it has lasted each distinct duration, in
+    increasing order; the index returned maps them back onto ``durations``.
+    Building the shortest one raises DomainError for a negative duration."""
+    grid, back = np.unique(durations, return_inverse=True)
+    build(grid[0])
+    seq = build(grid[-1])
+    t_grid = seq.duration() - grid[-1] + grid
+    return lb.evolve(lb.thermal_state(params), seq, params, t_grid), back
+
+
 def run_lifetimes(scn: Scenario) -> tuple[dict, dict]:
     params = lb.SystemParams(delta=TWO_PI * 53e6)
     waits = np.linspace(2e-9, scn.params["t_max_s"], scn.params["n_points"])
     swap = lb.swap_segment(params)
+    x90, y90 = lb.TOMOGRAPHY_PULSES["x90"], lb.TOMOGRAPHY_PULSES["y90"]
 
-    def scan(angle, pulse, holds):
-        """P_e after a rotation, swap, hold, swap back and tomography pulse."""
-        tail = [] if pulse is None else [lb.TOMOGRAPHY_PULSES[pulse]]
-        return np.array([
-            lb.run_sequence(
-                lb.PulseSequence(
-                    [lb.Rotation("x", angle), swap, lb.Idle(w), swap, *tail, lb.Measure()]
-                ),
-                params,
-            ).p_e[0]
-            for w in holds
-        ])
+    def hold(angle, holds):
+        """The states after a rotation, swap and each hold, from one walk."""
+        return _scan(
+            lambda w: lb.PulseSequence([lb.Rotation("x", angle), swap, lb.Idle(w)]),
+            holds, params,
+        )
 
-    p_t1r = scan(math.pi, None, waits)
-    p_x, p_y = scan(math.pi / 2, "x90", waits), scan(math.pi / 2, "y90", waits)
+    def swap_back(held, pulse=None):
+        """P_e after swapping each held state back and applying ``pulse``,
+        whose axis carries the frame phase accumulated through the hold."""
+        traj, back = held
+        p_e = []
+        for rho, theta in zip(traj.states, traj.phase):
+            tail = [] if pulse is None else [dataclasses.replace(pulse, phase=pulse.phase + theta)]
+            seq = lb.PulseSequence([swap, *tail, lb.Measure()])
+            p_e.append(lb.run_sequence(seq, params, rho).p_e[0])
+        return np.array(p_e)[back]
+
+    p_t1r = swap_back(hold(math.pi, waits))
+    held = hold(math.pi / 2, waits)
+    p_x, p_y = swap_back(held, x90), swap_back(held, y90)
 
     files = {
         "t1r.csv": _columns_csv(["t_s", "p_e"], ["%.4e", "%.6f"], waits, p_t1r),
@@ -347,16 +366,16 @@ def run_lifetimes(scn: Scenario) -> tuple[dict, dict]:
     # half an idle oscillation apart
     sx = 2.0 * p_y - 1.0
     sy = 1.0 - 2.0 * p_x
-    far = np.array([1.5e-6, 1.5e-6 + math.pi / params.delta])
-    cx = float(np.mean(2.0 * scan(math.pi / 2, "y90", far) - 1.0))
-    cy = float(np.mean(1.0 - 2.0 * scan(math.pi / 2, "x90", far)))
+    held = hold(math.pi / 2, np.array([1.5e-6, 1.5e-6 + math.pi / params.delta]))
+    cx = float(np.mean(2.0 * swap_back(held, y90) - 1.0))
+    cy = float(np.mean(1.0 - 2.0 * swap_back(held, x90)))
     envelope = np.hypot(sx - cx, sy - cy)
     popt2 = _fit_decay(_exponential_decay, waits, envelope, [envelope[0], 2.0 * params.t1r, 0.0])
     t2r_fit = float(abs(popt2[1]))
 
     # separate finely sampled short window resolves the oscillation itself
     fine = np.linspace(2e-9, 42e-9, 17)
-    p_fine = scan(math.pi / 2, "x90", fine)
+    p_fine = swap_back(hold(math.pi / 2, fine), x90)
     popt3 = _fit_decay(
         _damped_cosine_decay, fine, p_fine, [0.45, params.delta / TWO_PI, 0.0, 400e-9, 0.5]
     )
@@ -448,24 +467,15 @@ def run_wigner(scn: Scenario) -> tuple[dict, dict]:
 def run_fock2(scn: Scenario) -> tuple[dict, dict]:
     params = lb.SystemParams()
     taus = np.linspace(scn.params["tau_lo_s"], scn.params["tau_hi_s"], scn.params["n_tau"])
-    p_e, low_levels = [], []
-    best = None
-    for tau in taus:
-        res = lb.run_sequence(lb.fock2_sequence(params, tau), params)
-        pops = lb.resonator_populations(res.rho_final)
-        p_e.append(res.p_e[0])
-        low_levels.append(pops[:3])
-        if best is None or pops[2] > best[1][2]:
-            best = (tau, pops)
+    traj, back = _scan(lambda tau: lb.fock2_sequence(params, tau), taus, params)
+    pops = traj.populations[back, :3]
     text = _columns_csv(
         ["tau_s", "p_e", "p0", "p1", "p2"], ["%.4e"] + ["%.6f"] * 4,
-        taus, p_e, *np.transpose(low_levels),
+        taus, traj.p_e[back], *pops.T,
     )
+    best = int(np.argmax(pops[:, 2]))
     return {"fock2.csv": text}, {
-        "optimal_tau_s": float(best[0]),
-        "p2": float(best[1][2]),
-        "p1": float(best[1][1]),
-        "p0": float(best[1][0]),
+        "optimal_tau_s": float(taus[best]), **{f"p{n}": float(pops[best, n]) for n in range(3)},
     }
 
 

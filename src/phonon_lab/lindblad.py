@@ -12,8 +12,10 @@ Conventions:
   ``sigma_minus/sqrt(T1)``, qubit dephasing ``sigma_z/sqrt(2*T_phi)`` with
   ``1/T_phi = 1/T2_Ramsey - 1/(2*T1)``, and phonon decay ``a/sqrt(T1r)``.
 * Qubit drive pulses are resonant with the qubit, so their rotation axis
-  precesses at the instantaneous detuning; the sequence runner tracks the
-  accumulated phase and applies it to each rotation.
+  precesses at the instantaneous detuning; the segment walker tracks the
+  accumulated frame phase, the sum of delta*duration, and applies it to each
+  rotation.  ``evolve`` reports that phase at every sample, so a run
+  continued from a sampled state adds it to the phase of its rotations.
 
 Propagation has no time step: the Liouvillian is block diagonal in
 k = N_ket - N_bra, so a constant span is one matrix exponential per
@@ -516,9 +518,10 @@ def excited_probability(rho: np.ndarray, params: SystemParams, *, scaled: bool =
 
 
 def resonator_populations(rho: np.ndarray) -> np.ndarray:
-    dim = rho.shape[0] // 2
-    diag = np.diag(rho).real
-    return diag[:dim] + diag[dim:]
+    """Phonon-number populations of a state, or of each state of a stack."""
+    dim = rho.shape[-1] // 2
+    diag = np.diagonal(rho, axis1=-2, axis2=-1).real
+    return diag[..., :dim] + diag[..., dim:]
 
 
 def bloch_vector(rho: np.ndarray) -> np.ndarray:
@@ -540,20 +543,25 @@ def bloch_vector(rho: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """Observables sampled on a time grid during continuous evolution."""
+    """States and observables sampled on a time grid during continuous evolution.
+
+    ``phase[i]`` is the frame phase, sum of delta*duration, up to ``t[i]``; a run
+    continued from ``states[i]`` adds it to the phase of each of its rotations."""
 
     t: np.ndarray
     p_e: np.ndarray
     populations: np.ndarray
-    bloch: np.ndarray
+    states: np.ndarray
+    phase: np.ndarray
     rho_final: np.ndarray
 
 
 def _walk(rho, schedule: PulseSequence, params: SystemParams, samples=(), sample=None):
     """Run ``schedule`` on ``rho``; the one segment walker.
 
-    Calls ``sample(rho)`` at each time of the increasing ``samples`` (seconds
-    from the start), after the continuous segment that reaches it.  Returns
+    Calls ``sample(rho, theta)`` at each time of the increasing ``samples``
+    (seconds from the start), within the continuous segment that reaches it,
+    with the frame phase ``theta`` accumulated up to that time.  Returns
     the final state and the P_e of every Measure.
     """
     dim = params.dim
@@ -581,14 +589,14 @@ def _walk(rho, schedule: PulseSequence, params: SystemParams, samples=(), sample
                 t = max(local, min(pending.pop(0) - now, dur))
                 rho = _advance(rho, key, sectors, delta, g, ramp, dur, local, t)
                 local = t
-                sample(rho)
+                sample(rho, theta + delta * t)
             rho = _advance(rho, key, sectors, delta, g, ramp, dur, local, dur)
             now += dur
             theta += delta * dur
         else:
             raise DomainError(f"unknown segment {seg!r}")
     for _ in pending:
-        sample(rho)
+        sample(rho, theta)
     return rho, measured
 
 
@@ -598,7 +606,7 @@ def evolve(
     params: SystemParams,
     t_grid: np.ndarray,
 ) -> Trajectory:
-    """Run a schedule, sampling observables at ``t_grid`` (seconds).
+    """Run a schedule, sampling the state and its observables at ``t_grid`` (seconds).
 
     Instantaneous segments act at their position in the schedule; ``t_grid``
     must be increasing and lie within the total schedule duration.
@@ -614,16 +622,12 @@ def evolve(
         raise GridError("t_grid extends outside the schedule duration")
     check_density_matrix(rho0)
 
-    records = []
-
-    def sample(rho):
-        records.append(
-            (excited_probability(rho, params), resonator_populations(rho), bloch_vector(rho))
-        )
-
-    rho, _ = _walk(rho0.astype(complex), schedule, params, t_grid, sample)
-    p_e, pops, bloch = (np.array(column) for column in zip(*records))
-    return Trajectory(t_grid.copy(), p_e, pops, bloch, rho)
+    samples = []
+    rho, _ = _walk(rho0.astype(complex), schedule, params, t_grid,
+                   lambda rho, theta: samples.append((rho, theta)))
+    states, phase = (np.array(column) for column in zip(*samples))
+    p_e = params.visibility * np.trace(states[:, params.dim:, params.dim:], axis1=1, axis2=2).real
+    return Trajectory(t_grid.copy(), p_e, resonator_populations(states), states, phase, rho)
 
 
 def batched_excited_traces(

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,30 +83,6 @@ class TomographyDataset:
         }
         validate_document(doc, load_schema("dataset"))
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "TomographyDataset":
-        """Inverse of ``to_json``; a document off the dataset schema raises ConfigError."""
-        doc = json.loads(text)
-        validate_document(doc, load_schema("dataset"))
-        unknown = set(doc.get("params", {})) - {f.name for f in fields(lb.SystemParams)}
-        if unknown:
-            raise DomainError(f"unknown params fields {sorted(unknown)}")
-        params = lb.SystemParams(**doc.get("params", {}))
-        records = [
-            TraceRecord(
-                alpha=complex(r["alpha_re"], r["alpha_im"]),
-                t_s=np.array(r["t_s"]),
-                p_e=np.array(r["p_e"]),
-                initial_p_e=r.get("initial_p_e", 0.0),
-            )
-            for r in doc["records"]
-        ]
-        return cls(
-            records=records,
-            state_label=doc.get("state", ""),
-            params=params,
-        )
 
 
 @dataclass

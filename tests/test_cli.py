@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phonon_lab import cli, saw
+from phonon_lab import cli, lindblad as lb, saw
 from phonon_lab.errors import ConfigError
 from phonon_lab.schema_io import load_schema, validate_document
 
@@ -164,6 +164,77 @@ class TestRunScenarios:
         assert lines[0] == "tau_s,p_e,p0,p1,p2"
         summary = json.loads((out / "summary.json").read_text())
         assert 0 < summary["p2"] < 1
+
+
+class TestScans:
+    """fock2 and lifetimes sample one walk on their scan grid."""
+
+    @staticmethod
+    def rows(out, name):
+        return np.loadtxt(out / name, delimiter=",", skiprows=1, ndmin=2)
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "fock2", "params": {"tau_lo_s": -10e-9}},
+        {"kind": "lifetimes", "params": {"t_max_s": -10e-9, "n_points": 6}},
+    ])
+    def test_negative_scanned_duration_exits_3(self, tmp_path, capsys, doc):
+        config = write_config(tmp_path, doc)
+        assert cli.main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
+        assert "DomainError" in capsys.readouterr().err
+
+    def test_fock2_decreasing_and_repeated_taus(self, tmp_path):
+        kw = {"tau_lo_s": 14e-9, "tau_hi_s": 40e-9, "n_tau": 9}
+        runs = {}
+        for name, params in (
+            ("up", kw),
+            ("down", {**kw, "tau_lo_s": kw["tau_hi_s"], "tau_hi_s": kw["tau_lo_s"]}),
+            ("same", {"tau_lo_s": 20e-9, "tau_hi_s": 20e-9, "n_tau": 3}),
+        ):
+            out = cli.execute_scenario(
+                cli.parse_scenario({"kind": "fock2", "params": params}), tmp_path / name)
+            summary = json.loads((out / "summary.json").read_text())
+            runs[name] = (self.rows(out, "fock2.csv"), summary)
+        assert np.array_equal(runs["down"][0], runs["up"][0][::-1])
+        assert runs["down"][1] == runs["up"][1]
+        same = runs["same"][0]
+        assert np.array_equal(same, np.repeat(same[:1], 3, axis=0))
+        assert runs["same"][1]["optimal_tau_s"] == 20e-9
+
+    def test_lifetimes_decreasing_holds_match_full_sequences(self, tmp_path):
+        # t_max_s below the first hold, 2 ns, makes the grid decrease
+        out = cli.execute_scenario(cli.parse_scenario(
+            {"kind": "lifetimes", "params": {"t_max_s": 1e-9, "n_points": 5}}), tmp_path / "out")
+        t1r, t2r = self.rows(out, "t1r.csv"), self.rows(out, "t2r.csv")
+        assert np.all(np.diff(t1r[:, 0]) < 0)
+        p = lb.SystemParams(delta=2 * np.pi * 53e6)
+        swap = lb.swap_segment(p)
+
+        def full(angle, tail, w):
+            seq = lb.PulseSequence([lb.Rotation("x", angle), swap, lb.Idle(w), swap, *tail,
+                                    lb.Measure()])
+            return lb.run_sequence(seq, p).p_e[0]
+
+        x90, y90 = lb.TOMOGRAPHY_PULSES["x90"], lb.TOMOGRAPHY_PULSES["y90"]
+        for w, p_t1r, p_x, p_y in zip(t1r[:, 0], t1r[:, 1], t2r[:, 1], t2r[:, 2]):
+            assert abs(p_t1r - full(np.pi, [], w)) < 1e-6
+            assert abs(p_x - full(np.pi / 2, [x90], w)) < 1e-6
+            assert abs(p_y - full(np.pi / 2, [y90], w)) < 1e-6
+
+    @pytest.mark.parametrize("kind,walks", [("fock2", 1), ("lifetimes", 4)])
+    def test_each_scan_walks_its_prefix_once(self, monkeypatch, kind, walks):
+        # fock2 is one scan; lifetimes holds in four (T1r, T2r, the far
+        # points and the fine window), and only the swaps back run per point
+        held = []
+        walk = lb._walk
+
+        def counting(rho, schedule, *args):
+            if kind == "fock2" or any(isinstance(s, lb.Idle) for s in schedule.segments):
+                held.append(schedule)
+            return walk(rho, schedule, *args)
+
+        monkeypatch.setattr(lb, "_walk", counting)
+        cli.KINDS[kind][0](cli.parse_scenario({"kind": kind}))
+        assert len(held) == walks
 
 
 class TestReproduce:

@@ -292,7 +292,7 @@ class TestEvolve:
         seq = lb.PulseSequence([lb.Couple(p.g, 60e-9, TWO_PI * 5e6)])
         t = np.linspace(0.0, 60e-9, 31)
         traj = lb.evolve(qubit_excited(6), seq, p, t)
-        n_exc = traj.populations @ np.arange(6.0) + (1.0 - traj.bloch[:, 2]) * 0  # phonons
+        n_exc = traj.populations @ np.arange(6.0)  # phonons
         p_e_raw = traj.p_e  # visibility = 1 here
         total = n_exc + p_e_raw
         assert np.max(np.abs(total - total[0])) < 1e-8
@@ -509,6 +509,25 @@ class TestEvolve:
         traj = lb.evolve(rho0, seq, p, t)
         traces = lb.batched_excited_traces([rho0], p, t, delta=delta)
         assert np.max(np.abs(traces[0] - traj.p_e)) < 1e-12
+
+    def test_sampled_states_continue_with_their_frame_phase(self):
+        # the lifetimes sequence cut inside its hold: each sampled state,
+        # swapped back with a tail rotation that carries the sample's phase,
+        # must give the uninterrupted sequence's state
+        p = lb.SystemParams(delta=TWO_PI * 53e6)
+        swap = lb.swap_segment(p)
+        holds = np.array([0.0, 3e-9, 7.5e-9, 20e-9])
+        rot = lb.Rotation("x", math.pi / 2)
+        seq = lb.PulseSequence([rot, swap, lb.Idle(holds[-1])])
+        traj = lb.evolve(lb.thermal_state(p), seq, p, swap.duration + holds)
+        assert np.max(np.abs(traj.phase - p.delta * holds)) < 1e-9 * p.delta * holds[-1]
+        for pulse in (lb.TOMOGRAPHY_PULSES["x90"], lb.TOMOGRAPHY_PULSES["y90"]):
+            shifted = [lb.Rotation(pulse.axis, pulse.angle, pulse.phase + theta)
+                       for theta in traj.phase]
+            for w, rho, tail in zip(holds, traj.states, shifted):
+                full = lb.run_sequence(lb.PulseSequence([rot, swap, lb.Idle(w), swap, pulse]), p)
+                cont = lb.run_sequence(lb.PulseSequence([swap, tail]), p, rho)
+                assert np.max(np.abs(cont.rho_final - full.rho_final)) < 1e-12
 
     def test_grid_validation(self):
         p = closed_params()
