@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__, circuit, lindblad as lb, saw, tomography as tg
 from ._svgmap import heatmap_svg
-from .errors import ConfigError, ConvergenceError, PhononLabError
+from .errors import ConfigError, ConvergenceError, DomainError, PhononLabError
 from .schema_io import load_schema, validate_document
 
 TWO_PI = 2.0 * math.pi
@@ -325,7 +325,11 @@ def _scan(build, durations, params) -> tuple[lb.Trajectory, np.ndarray]:
 
 def run_lifetimes(scn: Scenario) -> tuple[dict, dict]:
     params = lb.SystemParams(delta=TWO_PI * 53e6)
-    waits = np.linspace(2e-9, scn.params["t_max_s"], scn.params["n_points"])
+    first_hold = 2e-9
+    # a grid that does not rise from the first hold leaves nothing to fit
+    if not scn.params["t_max_s"] > first_hold:
+        raise DomainError(f"t_max_s must exceed the first hold, {first_hold:g} s")
+    waits = np.linspace(first_hold, scn.params["t_max_s"], scn.params["n_points"])
     swap = lb.swap_segment(params)
     x90, y90 = lb.TOMOGRAPHY_PULSES["x90"], lb.TOMOGRAPHY_PULSES["y90"]
 

@@ -26,6 +26,15 @@ ramps are the two windows of one cosine bump, so they do not depend on the
 pulse length.  Only the sectors in which the state holds non-zero entries
 are propagated; a segment window's sector propagators are cached together
 and each is built the first time its sector is occupied.
+
+Only the Hermitian half of the state is propagated.  The Liouvillian
+preserves Hermiticity, so sector -k of a state is the conjugate transpose
+of sector k: the walker propagates k >= 0 and writes each -k sector from k.
+The k = 0 sector runs in real arithmetic, in the basis ``_hermitian_basis``
+where a Hermitian state's coordinates are real (each transpose pair of
+entries becomes sqrt(2) times its real and imaginary part), so its
+generators, exponentials and Magnus products are real matrices.  States
+passed in must be Hermitian.
 """
 
 from __future__ import annotations
@@ -185,10 +194,15 @@ def dephase_qubit(rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_hermitian(rho: np.ndarray):
+    """Raise if ``rho``, a matrix or a stack of them, is not Hermitian within 1e-10."""
+    if np.max(np.abs(rho - np.swapaxes(rho, -1, -2).conj())) > 1e-10:
+        raise DomainError("density matrix is not Hermitian")
+
+
 def check_density_matrix(rho: np.ndarray):
     """Raise if ``rho`` is not Hermitian/unit-trace/positive within tolerance."""
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-        raise DomainError("density matrix is not Hermitian")
+    _check_hermitian(rho)
     if abs(np.trace(rho).real - 1.0) > 1e-9:
         raise DomainError("density matrix trace differs from one")
     if np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))) < -1e-8:
@@ -324,6 +338,8 @@ class PulseSequence:
 # row-major flattened density matrix.  A rotation can move weight by up to
 # two sectors and a displacement into every sector, so the occupied sectors
 # are read from the state itself at the start of each continuous segment.
+# Sector -k is the conjugate transpose of sector k in a Hermitian state, so
+# only k >= 0 is propagated, and k = 0 in the real basis _hermitian_basis.
 
 # sixth-order Magnus steps per full cosine ramp (a partial window gets its
 # share, rounded up); at the default parameters 16 steps put either edge of
@@ -367,11 +383,32 @@ def _sector_indices(dim: int) -> dict:
     return out
 
 
+@lru_cache(maxsize=16)
+def _hermitian_basis(dim: int) -> np.ndarray:
+    """Unitary T on the k = 0 sector whose coordinates T^H x of a Hermitian
+    state are real: a diagonal entry maps to itself, and each transpose pair
+    (rho_rc, rho_cr), r < c, to sqrt(2)*Re and sqrt(2)*Im of rho_rc, at the
+    positions of rho_rc and rho_cr."""
+    rows, cols, idx = _sector_indices(dim)[0]
+    # sector 0 is closed under transposition, and idx is sorted
+    partner = np.searchsorted(idx, cols * 2 * dim + rows)
+    diag = np.flatnonzero(rows == cols)
+    upper = np.flatnonzero(rows < cols)
+    lower = partner[upper]
+    half = math.sqrt(0.5)
+    basis = np.zeros((idx.size, idx.size), dtype=complex)
+    basis[diag, diag] = 1.0
+    basis[upper, upper] = basis[lower, upper] = half
+    basis[upper, lower] = 1j * half
+    basis[lower, lower] = -1j * half
+    return basis
+
+
 def _occupied(rho) -> tuple:
-    """The sectors k in which ``rho`` has a non-zero entry."""
+    """The sectors k >= 0 in which the Hermitian ``rho`` has a non-zero entry."""
     flat = rho.reshape(-1)
     indices = _sector_indices(rho.shape[0] // 2)
-    return tuple(k for k, (_, _, idx) in indices.items() if flat[idx].any())
+    return tuple(k for k, (_, _, idx) in indices.items() if k >= 0 and flat[idx].any())
 
 
 def _liouvillian_key(params: SystemParams) -> SystemParams:
@@ -383,7 +420,8 @@ def _liouvillian_key(params: SystemParams) -> SystemParams:
 @lru_cache(maxsize=4)
 def _generators(params: SystemParams) -> _PerSector:
     """Sector blocks (D, N, V) of L(delta, g) = D + delta*N + g*V, per k;
-    ``params`` is a ``_liouvillian_key``."""
+    ``params`` is a ``_liouvillian_key``.  The k = 0 blocks are T^H B T in
+    the real basis T of ``_hermitian_basis``, and are real."""
     dim = params.dim
     eye = np.eye(2 * dim)
     # each term (A, B) maps rho to A rho B^T
@@ -409,6 +447,9 @@ def _generators(params: SystemParams) -> _PerSector:
             block = np.zeros((rows.size, rows.size), dtype=complex)
             for a_op, b_op in terms:
                 block += a_op[np.ix_(rows, rows)] * b_op[np.ix_(cols, cols)]
+            if k == 0:
+                basis = _hermitian_basis(dim)
+                block = (basis.conj().T @ block @ basis).real
             out.append(block)
         return tuple(out)
 
@@ -427,7 +468,7 @@ def _magnus(params, k, delta, g, ramp, tau0, tau1) -> np.ndarray:
     )
     d, n_q, v = _generators(params)[k]
     l0 = d + delta * n_q
-    prop = np.eye(l0.shape[0], dtype=complex)
+    prop = np.eye(l0.shape[0], dtype=l0.dtype)
     for a1, a2, a3 in zip(e1, e2, e3):
         # the three-node Gauss-Legendre step of Blanes et al. (2009)
         alpha1 = h * (l0 + a2 * v)
@@ -444,7 +485,8 @@ def _magnus(params, k, delta, g, ramp, tau0, tau1) -> np.ndarray:
 
 
 # one entry per segment window, holding the sectors propagated through it;
-# all 2*dim + 1 sectors take 0.2 MB at dim 10 and 21 MB at dim 50
+# all dim + 1 sectors k >= 0 (k = 0 real) take 0.085 MB at dim 10 and
+# 10.7 MB at dim 50
 @lru_cache(maxsize=16)
 def _propagator(key, delta, g, span, ramp=0.0, start=0.0) -> _PerSector:
     """Sector propagators over a span at (delta, g), per k, of the system
@@ -464,7 +506,8 @@ def _propagator(key, delta, g, span, ramp=0.0, start=0.0) -> _PerSector:
 
 
 def _advance(rho, key, sectors, delta, g, ramp, duration, t0, t1):
-    """Propagate the state's ``sectors`` over [t0, t1] of a segment; every
+    """Propagate the Hermitian state's ``sectors`` k >= 0 over [t0, t1] of a
+    segment and write each -k sector as the conjugate transpose of k; every
     other sector must be zero, and stays zero.  ``key`` is the
     ``_liouvillian_key`` of the system.
 
@@ -472,6 +515,7 @@ def _advance(rho, key, sectors, delta, g, ramp, duration, t0, t1):
     pulse time t is bump time t on the rising edge and
     t - (duration - 2*ramp) on the falling edge.
     """
+    # (start, end, bump ramp or 0 for a constant coupling, bump time at start)
     if ramp > 0:
         top = duration - ramp
         fall = max(t0, top)
@@ -482,20 +526,25 @@ def _advance(rho, key, sectors, delta, g, ramp, duration, t0, t1):
         )
     else:
         windows = ((t0, t1, 0.0, 0.0),)
+    spans = [(_span_key(hi - lo), bump, _span_key(tau)) for lo, hi, bump, tau in windows]
+    props = [_propagator(key, delta, g, *span) for span in spans if span[0] > 0]
     flat = rho.reshape(-1)
+    out = np.zeros_like(flat)
     indices = _sector_indices(key.dim)
-    # (start, end, bump ramp or 0 for a constant coupling, bump time at start)
-    for lo, hi, bump, tau in windows:
-        span = _span_key(hi - lo)
-        if span <= 0:
-            continue
-        props = _propagator(key, delta, g, span, bump, _span_key(tau))
-        out = np.zeros_like(flat)
-        for k in sectors:
-            idx = indices[k][2]
-            out[idx] = props[k] @ flat[idx]
-        flat = out
-    return flat.reshape(rho.shape)
+    basis = _hermitian_basis(key.dim)
+    for k in sectors:
+        idx = indices[k][2]
+        # Re(x^H T) = Re(T^H x), without a conjugated copy of T
+        vec = (flat[idx].conj() @ basis).real if k == 0 else flat[idx]
+        for prop in props:
+            vec = prop[k] @ vec
+        if k == 0:
+            out[idx] = basis @ vec
+        else:
+            out[idx] = vec
+            rows, cols, mirror = indices[-k]
+            out[mirror] = out[cols * rho.shape[0] + rows].conj()
+    return out.reshape(rho.shape)
 
 
 def qubit_rotation(axis: str, angle: float, phase: float, dim: int) -> np.ndarray:
@@ -522,23 +571,6 @@ def resonator_populations(rho: np.ndarray) -> np.ndarray:
     dim = rho.shape[-1] // 2
     diag = np.diagonal(rho, axis1=-2, axis2=-1).real
     return diag[..., :dim] + diag[..., dim:]
-
-
-def bloch_vector(rho: np.ndarray) -> np.ndarray:
-    dim = rho.shape[0] // 2
-    rho_q = np.array(
-        [
-            [np.trace(rho[:dim, :dim]), np.trace(rho[:dim, dim:])],
-            [np.trace(rho[dim:, :dim]), np.trace(rho[dim:, dim:])],
-        ]
-    )
-    return np.array(
-        [
-            np.trace(rho_q @ SIGMA_X).real,
-            np.trace(rho_q @ SIGMA_Y).real,
-            np.trace(rho_q @ SIGMA_Z).real,
-        ]
-    )
 
 
 @dataclass
@@ -640,7 +672,8 @@ def batched_excited_traces(
     coupled at ``params.g`` and detuned by ``delta``.
 
     P_e lies in the k = 0 sector, which the Liouvillian never couples to the
-    others, so only that sector is propagated.  Returns an array of shape
+    others, so only that sector is propagated, in real arithmetic.  The
+    states must be Hermitian.  Returns an array of shape
     (batch, len(t_grid)); visibility is applied.
     """
     t_grid = np.asarray(t_grid, dtype=float)
@@ -651,9 +684,12 @@ def batched_excited_traces(
     rho = np.array(rhos, dtype=complex)
     if rho.ndim != 3:
         raise DomainError("rhos must be a stack of density matrices")
+    _check_hermitian(rho)
     _check_finite(delta=delta)
     rows, cols, idx = _sector_indices(params.dim)[0]
-    vec = rho.reshape(rho.shape[0], -1)[:, idx]
+    # the stack's k = 0 coordinates in the real basis, where the diagonal
+    # entries keep their positions
+    vec = (rho.reshape(rho.shape[0], -1)[:, idx].conj() @ _hermitian_basis(params.dim)).real
     excited = params.visibility * ((rows == cols) & (rows >= params.dim))
     out = np.empty((rho.shape[0], t_grid.size))
     key = _liouvillian_key(params)
@@ -663,7 +699,7 @@ def batched_excited_traces(
         if span > 0:
             vec = vec @ _propagator(key, delta, params.g, span)[0].T
         t_prev = t
-        out[:, i] = (vec @ excited).real
+        out[:, i] = vec @ excited
     return out
 
 
@@ -680,8 +716,10 @@ def run_sequence(
     params: SystemParams,
     rho0: np.ndarray | None = None,
 ) -> SequenceResult:
-    """Execute a sequence from the thermal state, recording each Measure."""
+    """Execute a sequence from the thermal state, or from the Hermitian
+    ``rho0``, recording each Measure."""
     rho = thermal_state(params) if rho0 is None else rho0.astype(complex)
+    _check_hermitian(rho)
     rho, measured = _walk(rho, seq, params)
     return SequenceResult(measured, rho)
 

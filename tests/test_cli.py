@@ -200,12 +200,20 @@ class TestScans:
         assert np.array_equal(same, np.repeat(same[:1], 3, axis=0))
         assert runs["same"][1]["optimal_tau_s"] == 20e-9
 
-    def test_lifetimes_decreasing_holds_match_full_sequences(self, tmp_path):
-        # t_max_s below the first hold, 2 ns, makes the grid decrease
+    @pytest.mark.parametrize("t_max_s", [1e-9, 2e-9])
+    def test_lifetimes_t_max_not_above_first_hold_exits_3(self, tmp_path, capsys, t_max_s):
+        # the holds start at 2 ns, so a t_max_s at or below it leaves no
+        # span to fit T1r and T2r on
+        config = write_config(tmp_path, {"kind": "lifetimes", "params": {"t_max_s": t_max_s}})
+        assert cli.main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
+        assert "first hold" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "t1r.csv").exists()
+
+    def test_lifetimes_holds_match_full_sequences(self, tmp_path):
         out = cli.execute_scenario(cli.parse_scenario(
-            {"kind": "lifetimes", "params": {"t_max_s": 1e-9, "n_points": 5}}), tmp_path / "out")
+            {"kind": "lifetimes", "params": {"t_max_s": 20e-9, "n_points": 5}}), tmp_path / "out")
         t1r, t2r = self.rows(out, "t1r.csv"), self.rows(out, "t2r.csv")
-        assert np.all(np.diff(t1r[:, 0]) < 0)
+        assert np.all(np.diff(t1r[:, 0]) > 0)
         p = lb.SystemParams(delta=2 * np.pi * 53e6)
         swap = lb.swap_segment(p)
 

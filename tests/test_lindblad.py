@@ -442,7 +442,8 @@ class TestEvolve:
 
     def test_thermal_superposition_builds_only_occupied_ramps(self, monkeypatch):
         # thermal start (k = 0) then a pi/2 rotation: only k = -1, 0, 1 are
-        # occupied, so the swap's ramps are built for those three sectors
+        # occupied, and k = -1 is the conjugate transpose of k = 1, so the
+        # swap's ramps are built for k = 0 and 1
         p = lb.SystemParams()
         built = set()
         magnus = lb._magnus
@@ -454,7 +455,7 @@ class TestEvolve:
         monkeypatch.setattr(lb, "_magnus", counting)
         lb._propagator.cache_clear()
         lb.run_sequence(lb.prepare_sequence("0+1", p), p)
-        assert built == {-1, 0, 1}
+        assert built == {0, 1}
 
     @pytest.mark.parametrize("make", [
         pytest.param(lambda p: lb.prepare_sequence("1", p), id="1"),
@@ -585,6 +586,76 @@ class TestRampProduct:
         assert 5 <= order <= 7
 
 
+class TestHermitianHalf:
+    """The walker propagates k >= 0, and k = 0 in real arithmetic."""
+
+    @pytest.mark.parametrize("dim", [3, 10])
+    def test_population_sector_is_real_in_the_hermitian_basis(self, dim):
+        p = lb.SystemParams(dim=dim)
+        idx = lb._sector_indices(dim)[0][2]
+        basis = lb._hermitian_basis(dim)
+        assert np.max(np.abs(basis.conj().T @ basis - np.eye(idx.size))) < 1e-15
+        # D, N and V of L(delta, g) = D + delta*N + g*V
+        closed = closed_params(dim)
+        parts = (dense_liouvillian(p, 0.0, 0.0), dense_liouvillian(closed, 1.0, 0.0),
+                 dense_liouvillian(closed, 0.0, 1.0))
+        stored = lb._generators(lb._liouvillian_key(p))[0]
+        for dense, block in zip(parts, stored):
+            rotated = basis.conj().T @ dense[np.ix_(idx, idx)] @ basis
+            scale = np.max(np.abs(rotated))
+            assert np.max(np.abs(rotated.imag)) < 1e-12 * scale
+            assert block.dtype == float
+            assert np.max(np.abs(block - rotated.real)) < 1e-12 * scale
+
+    def test_rotated_displaced_coupled_state_is_exactly_hermitian(self):
+        p = lb.SystemParams()
+        seq = lb.PulseSequence([
+            lb.Rotation("x", 1.1, 0.4), lb.Displace(0.6 - 0.4j),
+            lb.Couple(p.g, 30e-9, TWO_PI * 4e6, 5e-9),
+        ])
+        rho = lb.run_sequence(seq, p).rho_final
+        k = excitation_sectors(p.dim)
+        assert min(np.max(np.abs(rho[k == kk])) for kk in np.unique(k)) > 0
+        assert np.array_equal(rho, rho.conj().T)
+
+    def test_no_negative_sector_is_built(self, monkeypatch):
+        # a displaced state fills every sector; the walker, its samples and
+        # the traces still build generators, ramps and propagators for k >= 0
+        p = lb.SystemParams()
+        built = []
+        missing = lb._PerSector.__missing__
+
+        def counting(self, k):
+            built.append(k)
+            return missing(self, k)
+
+        monkeypatch.setattr(lb._PerSector, "__missing__", counting)
+        lb._generators.cache_clear()
+        lb._propagator.cache_clear()
+        seq = lb.PulseSequence([
+            lb.Rotation("x", math.pi / 2), lb.Displace(0.5 + 0.3j),
+            lb.Couple(p.g, 30e-9, 0.0, 5e-9), lb.Idle(10e-9), lb.Measure(),
+        ])
+        rho = lb.run_sequence(seq, p).rho_final
+        lb.evolve(rho, seq, p, [5e-9, 20e-9, 35e-9])
+        lb.batched_excited_traces([rho], p, [10e-9, 20e-9])
+        assert set(built) == set(range(p.dim + 1))
+
+    def test_non_hermitian_start_rejected(self):
+        p = lb.SystemParams(dim=3)
+        seq = lb.PulseSequence([lb.Couple(p.g, 10e-9)])
+        rho0 = lb.thermal_state(p)
+        rho0[0, 4] = rho0[4, 0] = 0.01
+        lb.run_sequence(seq, p, rho0)
+        rho0[4, 0] += 5e-11  # within check_density_matrix's 1e-10
+        lb.run_sequence(seq, p, rho0)
+        rho0[4, 0] += 1e-9
+        with pytest.raises(DomainError, match="not Hermitian"):
+            lb.run_sequence(seq, p, rho0)
+        with pytest.raises(DomainError, match="not Hermitian"):
+            lb.batched_excited_traces([rho0], p, [1e-9])
+
+
 class TestDisplacement:
     def test_zero_is_identity(self):
         p = closed_params()
@@ -695,6 +766,13 @@ class TestRunSequence:
         assert res.p_e[0] == pytest.approx(0.97 * p_raw)
 
 
+def bloch_vector(rho):
+    """The qubit's Bloch vector (x, y, z) of a composite state."""
+    dim = rho.shape[0] // 2
+    rho_q = rho.reshape(2, dim, 2, dim).trace(axis1=1, axis2=3)
+    return np.array([np.trace(rho_q @ s).real for s in (lb.SIGMA_X, lb.SIGMA_Y, lb.SIGMA_Z)])
+
+
 class TestBlochTomography:
     def test_simulated_superposition_matches_oracle(self):
         p = lb.SystemParams(
@@ -702,7 +780,7 @@ class TestBlochTomography:
             p_e_th=0.0, p_1_th=0.0, visibility=1.0,
         )
         base = lb.PulseSequence([lb.Rotation("x", math.pi / 2)])
-        vec = lb.bloch_vector(lb.run_sequence(base, p).rho_final)
+        vec = bloch_vector(lb.run_sequence(base, p).rho_final)
         assert np.allclose(np.linalg.norm(vec), 1.0, atol=1e-9)
         assert vec[2] == pytest.approx(0.0, abs=1e-9)
         # Rx(pi/2)|g> = (|g> - i|e>)/sqrt(2) points along -y
@@ -716,7 +794,7 @@ class TestBlochTomography:
             base = lb.PulseSequence(
                 [lb.Rotation("x", math.pi), lb.Couple(p.g, tau)]
             )
-            return float(np.linalg.norm(lb.bloch_vector(lb.run_sequence(base, p).rho_final)))
+            return float(np.linalg.norm(bloch_vector(lb.run_sequence(base, p).rho_final)))
 
         full = 2.0 * t_half
         l_half = length(t_half)
@@ -770,10 +848,13 @@ class TestStateChecks:
     @given(dim=st.integers(3, 6), data=st.data(), seed=st.integers(0, 2**32 - 1),
            segments=st.lists(_continuous, min_size=1, max_size=4))
     def test_continuous_segments_keep_a_sector(self, dim, data, seed, segments):
-        k = data.draw(st.integers(-dim, dim), label="k")
-        inside = excitation_sectors(dim) == k
+        # the walker runs on Hermitian states, so the state fills the pair of
+        # sectors +-k (one sector for k = 0)
+        k = data.draw(st.integers(0, dim), label="k")
+        inside = np.abs(excitation_sectors(dim)) == k
         rng = np.random.default_rng(seed)
         entries = rng.standard_normal(inside.shape) + 1j * rng.standard_normal(inside.shape)
+        entries = entries + entries.conj().T
         rho0 = np.where(inside, entries, 0.0)
         rho = lb.run_sequence(lb.PulseSequence(segments), lb.SystemParams(dim=dim), rho0).rho_final
         assert np.max(np.abs(rho[inside])) > 0
