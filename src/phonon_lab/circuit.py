@@ -414,9 +414,7 @@ def fit_circuit(spectroscopy):
             "circuit fit is ill-conditioned; covariance uses a pseudo-inverse",
             IllConditionedFitWarning,
         )
-        cov_log = np.linalg.pinv(jtj) * sigma2
-    else:
-        cov_log = np.linalg.inv(jtj) * sigma2
+    cov_log = np.linalg.pinv(jtj) * sigma2
     # d(param)/d(log param) = param
     return fitted, cov_log * np.outer(values, values)
 

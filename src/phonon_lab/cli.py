@@ -241,6 +241,9 @@ def run_coupling_sweep(scn: Scenario) -> tuple[dict, dict]:
     }
     mags = np.abs(g)
     nonzero = mags[mags > 0]
+    if nonzero.size == 0:
+        raise DomainError("the sweep has no nonzero coupling to take the on/off ratio from "
+                          f"(m = {cp.m:g} H)")
     return files, {
         "max_g_hz": float(mags.max() / TWO_PI),
         "phi_at_max": float(phi[int(np.argmax(mags))]),
@@ -255,6 +258,11 @@ def run_loss_spectrum(scn: Scenario) -> tuple[dict, dict]:
     grid = TWO_PI * np.linspace(
         scn.params["f_lo_hz"], scn.params["f_hi_hz"], scn.params["n_points"]
     )
+    f_hz = grid / TWO_PI
+    # the summary reads the emission band 3.85-3.90 GHz and the point at 3.95 GHz
+    band = (f_hz >= 3.85e9) & (f_hz <= 3.90e9)
+    if not (band.any() and f_hz[0] <= 3.85e9 and f_hz[-1] >= 3.95e9):
+        raise DomainError("the grid must span 3.85-3.95 GHz with a point in 3.85-3.90 GHz")
     spec = saw.resonator_admittance(grid, p_saw)
     bvd = saw.reference_bvd()
     cp = circuit.CircuitParams()
@@ -266,12 +274,10 @@ def run_loss_spectrum(scn: Scenario) -> tuple[dict, dict]:
         "loss.csv": _columns_csv(
             ["freq_hz", "inv_q_max", "inv_q_mid", "inv_q_off"],
             ["%.3f", "%.6e", "%.6e", "%.6e"],
-            grid / TWO_PI, loss_max, loss_mid, loss_off,
+            f_hz, loss_max, loss_mid, loss_off,
         ),
         "params.json": _json_text(cp.to_dict()),
     }
-    f_hz = grid / TWO_PI
-    band = (f_hz >= 3.85e9) & (f_hz <= 3.90e9)
     return files, {
         "phi_moderate": float(phi_mid),
         "band_mean_inv_q_mid": float(loss_mid[band].mean()),
@@ -286,9 +292,7 @@ def run_chevron(scn: Scenario) -> tuple[dict, dict]:
     deltas = TWO_PI * np.linspace(-span / 2, span / 2, s["n_delta"])
     taus = np.linspace(1e-9, s["tau_max_s"], s["n_tau"])
 
-    rho0 = lb.thermal_state(params)
-    u = lb.qubit_rotation("x", math.pi, 0.0, params.dim)
-    rho0 = u @ rho0 @ u.conj().T
+    rho0 = lb.run_sequence(lb.PulseSequence([lb.Rotation("x", math.pi)]), params).rho_final
     z = np.array(
         [lb.batched_excited_traces([rho0], params, taus, delta=d)[0] for d in deltas]
     )  # (n_delta, n_tau)

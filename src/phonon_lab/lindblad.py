@@ -171,10 +171,8 @@ def collapse_operators(params: SystemParams) -> list[np.ndarray]:
 def thermal_state(params: SystemParams) -> np.ndarray:
     """Product of qubit and single-phonon thermal mixtures."""
     rho_q = np.diag([1.0 - params.p_e_th, params.p_e_th]).astype(complex)
-    diag_r = np.zeros(params.dim)
-    diag_r[0] = 1.0 - params.p_1_th
-    diag_r[1] = params.p_1_th
-    return np.kron(rho_q, np.diag(diag_r).astype(complex))
+    p_1, dim = params.p_1_th, params.dim
+    return np.kron(rho_q, (1.0 - p_1) * fock_state(dim, 0) + p_1 * fock_state(dim, 1))
 
 
 def fock_state(dim: int, n: int) -> np.ndarray:
@@ -560,9 +558,10 @@ def qubit_rotation(axis: str, angle: float, phase: float, dim: int) -> np.ndarra
     return np.kron(u2, np.eye(dim))
 
 
-def excited_probability(rho: np.ndarray, params: SystemParams, *, scaled: bool = True) -> float:
-    dim = rho.shape[0] // 2
-    p = float(np.trace(rho[dim:, dim:]).real)
+def excited_probability(rho: np.ndarray, params: SystemParams, *, scaled: bool = True):
+    """Qubit P_e of a state or of each state of a stack; ``scaled`` applies visibility."""
+    dim = rho.shape[-1] // 2
+    p = np.trace(rho[..., dim:, dim:], axis1=-2, axis2=-1).real
     return params.visibility * p if scaled else p
 
 
@@ -577,10 +576,10 @@ def resonator_populations(rho: np.ndarray) -> np.ndarray:
 class Trajectory:
     """States and observables sampled on a time grid during continuous evolution.
 
-    ``phase[i]`` is the frame phase, sum of delta*duration, up to ``t[i]``; a run
-    continued from ``states[i]`` adds it to the phase of each of its rotations."""
+    ``phase[i]`` is the frame phase, sum of delta*duration, up to the i-th time
+    of the ``evolve`` grid; a run continued from ``states[i]`` adds it to the
+    phase of each of its rotations."""
 
-    t: np.ndarray
     p_e: np.ndarray
     populations: np.ndarray
     states: np.ndarray
@@ -632,6 +631,21 @@ def _walk(rho, schedule: PulseSequence, params: SystemParams, samples=(), sample
     return rho, measured
 
 
+def _check_grid(t_grid, duration: float = math.inf) -> np.ndarray:
+    """``t_grid`` as floats; GridError unless it is a non-empty, finite,
+    nonnegative, strictly increasing 1-d grid that ends by ``duration``."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size == 0:
+        raise GridError("t_grid must be a non-empty 1-d array")
+    if not np.all(np.isfinite(t_grid)):
+        raise GridError("t_grid must be finite")
+    if t_grid[0] < 0 or np.any(np.diff(t_grid) <= 0):
+        raise GridError("t_grid must be nonnegative and strictly increasing")
+    if t_grid[-1] > duration + 1e-15:
+        raise GridError("t_grid extends outside the schedule duration")
+    return t_grid
+
+
 def evolve(
     rho0: np.ndarray,
     schedule: PulseSequence,
@@ -643,23 +657,15 @@ def evolve(
     Instantaneous segments act at their position in the schedule; ``t_grid``
     must be increasing and lie within the total schedule duration.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0:
-        raise GridError("t_grid must be a non-empty 1-d array")
-    if not np.all(np.isfinite(t_grid)):
-        raise GridError("t_grid must be finite")
-    if np.any(np.diff(t_grid) <= 0):
-        raise GridError("t_grid must be strictly increasing")
-    if t_grid[0] < 0 or t_grid[-1] > schedule.duration() + 1e-15:
-        raise GridError("t_grid extends outside the schedule duration")
+    t_grid = _check_grid(t_grid, schedule.duration())
     check_density_matrix(rho0)
 
     samples = []
     rho, _ = _walk(rho0.astype(complex), schedule, params, t_grid,
                    lambda rho, theta: samples.append((rho, theta)))
     states, phase = (np.array(column) for column in zip(*samples))
-    p_e = params.visibility * np.trace(states[:, params.dim:, params.dim:], axis1=1, axis2=2).real
-    return Trajectory(t_grid.copy(), p_e, resonator_populations(states), states, phase, rho)
+    return Trajectory(excited_probability(states, params), resonator_populations(states),
+                      states, phase, rho)
 
 
 def batched_excited_traces(
@@ -676,11 +682,7 @@ def batched_excited_traces(
     states must be Hermitian.  Returns an array of shape
     (batch, len(t_grid)); visibility is applied.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if not np.all(np.isfinite(t_grid)):
-        raise GridError("t_grid must be finite")
-    if np.any(t_grid < 0) or np.any(np.diff(t_grid) <= 0):
-        raise GridError("t_grid must be nonnegative and strictly increasing")
+    t_grid = _check_grid(t_grid)
     rho = np.array(rhos, dtype=complex)
     if rho.ndim != 3:
         raise DomainError("rhos must be a stack of density matrices")
@@ -757,12 +759,8 @@ def prepare_sequence(state: str, params: SystemParams) -> PulseSequence:
 
 
 def fock2_sequence(params: SystemParams, tau: float) -> PulseSequence:
-    """Two-step |2> synthesis: excite, swap, re-excite, interact for tau."""
-    seq = PulseSequence()
-    seq.append(Rotation("x", math.pi))
-    seq.append(Idle(QUBIT_PULSE_PAD))
-    seq.append(swap_segment(params))
-    seq.append(Idle(COUPLER_SETTLE))
+    """Two-step |2> synthesis: prepare |1>, re-excite, interact for tau."""
+    seq = prepare_sequence("1", params)
     seq.append(Rotation("x", math.pi))
     seq.append(Idle(QUBIT_PULSE_PAD))
     seq.append(Couple(params.g, tau))
@@ -771,16 +769,10 @@ def fock2_sequence(params: SystemParams, tau: float) -> PulseSequence:
 
 
 # ---------------------------------------------------------------------------
-# tomography pulses
+# tomography pulses: the quarter rotations that turn the qubit's transverse
+# Bloch components into P_e, as the T2r scans read them
 
 TOMOGRAPHY_PULSES = {
-    "none": None,
     "x90": Rotation("x", math.pi / 2.0),
-    "x-90": Rotation("x", -math.pi / 2.0),
     "y90": Rotation("y", math.pi / 2.0),
-    "y-90": Rotation("y", -math.pi / 2.0),
-    "x180": Rotation("x", math.pi),
-    "x-180": Rotation("x", -math.pi),
-    "y180": Rotation("y", math.pi),
-    "y-180": Rotation("y", -math.pi),
 }

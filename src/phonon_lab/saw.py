@@ -1,8 +1,9 @@
 """One-dimensional coupling-of-modes model of a SAW resonator.
 
-The resonator is a two-port acoustic cascade: Bragg mirror / transducer /
-Bragg mirror, each region a uniform grating solved in closed form and
-combined with a scattering-cascade rule.  Conventions:
+The resonator is a two-port acoustic cascade: Bragg mirror / gap /
+transducer / gap / Bragg mirror, each region a uniform section solved in
+closed form and combined with a scattering-cascade rule (a gap of zero
+length is the identity under it).  Conventions:
 
 * Wave amplitudes are slow envelopes over the lithographic carrier
   ``exp(-i*k_c*x)`` with ``k_c = 2*pi/wavelength``; both the transducer
@@ -18,6 +19,9 @@ combined with a scattering-cascade rule.  Conventions:
   unperturbed transducer.
 * The admittance element of a section excludes the static capacitance;
   ``C_t`` is added once, in parallel, at the top level.
+* With ``s = sqrt(delta**2 - |c12|**2)``, sin(s*L)/s and (cos(s*L) - 1)/s**2
+  are ``np.sinc`` identities, exact at s = 0; ``p33``, a ratio of two terms
+  that vanish like s**2, takes its series for |s*L| < 1e-2.
 
 The three-port blocks follow the standard P-matrix sign conventions
 (reciprocity ``P13 = -P31/2``, ``P23 = -P32/2``, ``P12 = P21``).
@@ -216,28 +220,6 @@ def _check_omega(omega) -> np.ndarray:
     return arr
 
 
-def _sin_over(w: np.ndarray, length: float) -> np.ndarray:
-    """sin(s*L)/s evaluated through w = s*L, stable near w = 0."""
-    out = np.empty_like(w, dtype=complex)
-    small = np.abs(w) < 1e-4
-    ws = w[small]
-    out[small] = length * (1.0 - ws**2 / 6.0 + ws**4 / 120.0)
-    wl = w[~small]
-    out[~small] = np.sin(wl) * length / wl
-    return out
-
-
-def _cosm1_over_sq(w: np.ndarray, length: float) -> np.ndarray:
-    """(cos(s*L) - 1)/s**2 through w = s*L, stable near w = 0."""
-    out = np.empty_like(w, dtype=complex)
-    small = np.abs(w) < 1e-4
-    ws = w[small]
-    out[small] = -(length**2) / 2.0 * (1.0 - ws**2 / 12.0 + ws**4 / 360.0)
-    wl = w[~small]
-    out[~small] = (np.cos(wl) - 1.0) * length**2 / wl**2
-    return out
-
-
 def _section_pmatrix(
     omega: np.ndarray,
     v: float,
@@ -261,9 +243,9 @@ def _section_pmatrix(
     s = np.sqrt(z.astype(complex))
     w = s * length
 
-    f1 = _sin_over(w, length)
+    f1 = length * np.sinc(w / np.pi)
     f2 = np.cos(w)
-    g3 = _cosm1_over_sq(w, length)
+    g3 = -0.5 * length**2 * np.sinc(w / TWO_PI) ** 2
     d = f2 + 1j * delta * f1
 
     phase = cmath.exp(-1j * k_c * length)
@@ -411,16 +393,9 @@ def resonator_admittance(grid, params: SawModelParams) -> AdmittanceSpectrum:
     if np.any(np.diff(omega) <= 0):
         raise GridError("grid must be strictly increasing")
 
-    sections = [_mirror_section(omega, params)]
-    if params.gap_t_m > 0:
-        sections.append(_gap_section(omega, params))
-    sections.append(transducer_response(omega, params))
-    if params.gap_t_m > 0:
-        sections.append(_gap_section(omega, params))
-    sections.append(_mirror_section(omega, params))
-
-    total = sections[0]
-    for sec in sections[1:]:
+    mirror, gap = _mirror_section(omega, params), _gap_section(omega, params)
+    total = mirror
+    for sec in (gap, transducer_response(omega, params), gap, mirror):
         total = _cascade(total, sec)
 
     y = total.p33 + 1j * omega * params.c_t

@@ -14,11 +14,12 @@ Analysis conventions (matching the measurement procedure they invert):
   uncertainty comes from the analytic curvature of the quadratic cost.
 * The analysis runs at the dataset's Fock dimension ``params.dim``: the
   population fits have that many levels, and the reconstruction displaces
-  in that space with the exactly unitary truncated-generator displacement
-  (the same operator the forward fits use).  The state is reconstructed on
-  its lowest ``STATE_LEVELS`` levels as an expansion over the generalized
-  Gell-Mann generators, compared to the fitted populations in unweighted
-  linear least squares, giving the parameter covariance directly.
+  in that space with ``lindblad.displacement_operator``, the exactly
+  unitary truncated-generator displacement the forward synthesis applies.
+  The state is reconstructed on its lowest ``STATE_LEVELS`` levels as an
+  expansion over the generalized Gell-Mann generators, compared to the
+  fitted populations in unweighted linear least squares, giving the
+  parameter covariance directly.
 """
 
 from __future__ import annotations
@@ -115,11 +116,6 @@ class ReconstructedState:
     @property
     def rho_small(self) -> np.ndarray:
         return self.rho[:STATE_LEVELS, :STATE_LEVELS]
-
-
-def tomography_displacement(alpha: complex, dim: int) -> np.ndarray:
-    """Exactly unitary displacement on the truncated analysis space."""
-    return lb.displacement_operator(dim, alpha, check=False)
 
 
 def basis_responses(
@@ -235,7 +231,7 @@ def parity_operator(dim: int) -> np.ndarray:
 def wigner_from_state(rho: np.ndarray, alpha: complex) -> float:
     """Direct parity-operator evaluation, for cross-checks against wigner_point."""
     dim = rho.shape[0]
-    d = tomography_displacement(-alpha, dim)
+    d = lb.displacement_operator(dim, -alpha, check=False)
     displaced = d @ rho @ d.conj().T
     return float(2.0 / math.pi * np.trace(displaced @ parity_operator(dim)).real)
 
@@ -303,7 +299,8 @@ def reconstruct_density_matrix(fits: list[PopulationFit]) -> ReconstructedState:
         )
 
     # diag(D X D^dag) of a state X on the lowest levels needs only those columns of D
-    v = np.array([tomography_displacement(-f.alpha, dim)[:, :STATE_LEVELS] for f in fits])
+    v = np.array([lb.displacement_operator(dim, -f.alpha, check=False)[:, :STATE_LEVELS]
+                  for f in fits])
     b = np.sum(np.abs(v) ** 2, axis=2).ravel() / STATE_LEVELS
     m = np.einsum("fni,kij,fnj->fnk", v, _GELL_MANN, v.conj()).real.reshape(-1, n_par)
     y = np.concatenate([f.p_n for f in fits])

@@ -289,7 +289,7 @@ class TestCriterion10PropertySuites:
                 rho = x @ x.conj().T
                 rho /= np.trace(rho).real
                 alpha = complex(rng.normal(0, 0.6), rng.normal(0, 0.6))
-                d = tg.tomography_displacement(-alpha, dim)
+                d = lb.displacement_operator(dim, -alpha, check=False)
                 displaced = d @ rho @ d.conj().T
                 w_pops = tg.wigner_point(np.diag(displaced).real)
                 w_parity = float(

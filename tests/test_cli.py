@@ -245,6 +245,28 @@ class TestScans:
         assert len(held) == walks
 
 
+class TestSummaryDomain:
+    """A run whose summary has nothing to read exits 3 before writing."""
+
+    @pytest.mark.parametrize("params", [
+        {"f_lo_hz": 4.0e9, "f_hi_hz": 4.5e9},
+        {"f_lo_hz": 3.5e9, "f_hi_hz": 3.9e9},
+        {"n_points": 3},
+    ], ids=["starts-above-band", "ends-below-3p95", "no-band-point"])
+    def test_loss_spectrum_outside_band_exits_3(self, tmp_path, capsys, params):
+        config = write_config(tmp_path, {"kind": "loss-spectrum", "params": params})
+        assert cli.main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
+        assert "3.85-3.95 GHz" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_coupling_sweep_without_mutual_exits_3(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"kind": "coupling-sweep",
+                                         "params": {"m": 0.0, "sweep_points": 11}})
+        assert cli.main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
+        assert "no nonzero coupling" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+
 class TestReproduce:
     def test_fig4a_thermometry(self, tmp_path, capsys):
         out = tmp_path / "fig4a"

@@ -549,6 +549,12 @@ class TestEvolve:
         with pytest.raises(GridError, match="finite"):
             lb.batched_excited_traces([qubit_excited(p.dim)], p, [1e-9, bad])
 
+    @pytest.mark.parametrize("grid", [[[1e-9, 2e-9]], []], ids=["2-d", "empty"])
+    def test_traces_reject_grid_that_is_not_1d_or_empty(self, grid):
+        p = closed_params()
+        with pytest.raises(GridError, match="non-empty 1-d"):
+            lb.batched_excited_traces([qubit_excited(p.dim)], p, grid)
+
 
 class TestRampProduct:
     @pytest.mark.parametrize("window", [(0.0, 1.0), (1.0, 2.0), (0.3, 0.7)],
@@ -764,6 +770,16 @@ class TestRunSequence:
         res = lb.run_sequence(seq, p)
         p_raw = lb.excited_probability(res.rho_final, p, scaled=False)
         assert res.p_e[0] == pytest.approx(0.97 * p_raw)
+
+    def test_excited_probability_of_a_stack_is_per_state(self):
+        p = lb.SystemParams(visibility=0.97)
+        seq = lb.PulseSequence([lb.Rotation("x", 1.1), lb.Couple(p.g, 20e-9)])
+        states = lb.evolve(lb.thermal_state(p), seq, p, np.linspace(0.0, 20e-9, 7)).states
+        for scaled in (True, False):
+            stacked = lb.excited_probability(states, p, scaled=scaled)
+            assert stacked.shape == (7,)
+            single = [lb.excited_probability(rho, p, scaled=scaled) for rho in states]
+            assert np.array_equal(stacked, single)
 
 
 def bloch_vector(rho):

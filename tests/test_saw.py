@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -50,6 +51,38 @@ def ode_section_pmatrix(delta, c12, a1, length, k_c):
     q = -part[1] / tmat[1, 1]
     p33 = integrate(0, q, 1.0)[2]
     return np.array([p11, p12, p22, p31, p32, p33])
+
+
+def mp_section_pmatrix(omega, v, length, c12, a1, eta, k_c, loading):
+    """The closed forms of ``saw._section_pmatrix`` at one frequency in
+    60-digit mpmath, with sin(s*L)/s and (cos(s*L) - 1)/s**2 taken as written."""
+    with mpmath.workdps(60):
+        omega, v, length, eta, k_c, loading = map(
+            mpmath.mpf, (omega, v, length, eta, k_c, loading))
+        c12, a1 = mpmath.mpc(c12), mpmath.mpc(a1)
+        delta = (omega - k_c * v * (1 - loading)) / v - 1j * eta
+        z = delta**2 - abs(c12) ** 2
+        s = mpmath.sqrt(z)
+        f1 = mpmath.sin(s * length) / s
+        g3 = (mpmath.cos(s * length) - 1) / z
+        d = mpmath.cos(s * length) + 1j * delta * f1
+        phase = mpmath.exp(-1j * k_c * length)
+        a1c = mpmath.conj(a1)
+        k2g = (a1 * mpmath.conj(c12) + 1j * delta * a1c) * g3
+        k1g = (a1c * c12 - 1j * delta * a1) * g3
+        beta = a1**2 * mpmath.conj(c12) - a1c**2 * c12
+        wgt = abs(a1) ** 2
+        e = (beta + 2j * delta * wgt) * (f1 - length * d) + 2 * g3 * (
+            wgt * (abs(c12) ** 2 + delta**2) - 1j * delta * beta)
+        out = [
+            -mpmath.conj(c12) * f1 / d,
+            phase / d,
+            c12 * f1 * phase**2 / d,
+            2 * (a1c * f1 - k2g) / d,
+            -2 * (a1 * f1 + k1g) * phase / d,
+            2 * e / (z * d),
+        ]
+        return np.array([complex(x) for x in out])
 
 
 class TestMirrorReflection:
@@ -203,6 +236,22 @@ class TestTransducerResponse:
             assert np.all(np.isfinite(ga))
             assert np.max(np.abs(np.diff(ga.real))) < 1e-3 * max(np.max(np.abs(ga.real)), 1e-12)
 
+    @pytest.mark.parametrize("sgn", [-1, 1], ids=["lower", "upper"])
+    def test_band_edge_matches_high_precision_closed_forms(self, sgn):
+        # at eta = 0, z = delta**2 - |c12|**2 crosses zero at the band edges,
+        # where p33 = 2E/(z d) takes its series
+        p = saw.SawModelParams(eta=0.0)
+        c12 = 2 * p.r_t / p.wavelength
+        a1 = saw.transduction_per_length(p)
+        f_edge = p.transducer_center_hz + sgn * abs(c12) * p.v_t / TWO_PI
+        args = (p.v_t, p.transducer_length, c12, a1, 0.0, p.carrier_wavenumber, p.loading)
+        for df in (-50.0, -5.0, -0.5, 0.0, 0.5, 5.0, 50.0):
+            omega = TWO_PI * (f_edge + df)
+            pm = saw._section_pmatrix(np.array([omega]), *args)
+            got = np.array([pm.p11[0], pm.p12[0], pm.p22[0], pm.p31[0], pm.p32[0], pm.p33[0]])
+            ref = mp_section_pmatrix(omega, *args)
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
 
 class TestResonatorAdmittance:
     def test_single_dominant_peak_at_resonance(self):
@@ -225,6 +274,15 @@ class TestResonatorAdmittance:
         pm = saw.transducer_response(grid, p)
         y_t = pm.p33 + 1j * grid * p.c_t
         assert np.max(np.abs(spec.y - y_t) / np.abs(y_t)) < 1e-12
+
+    def test_zero_gap_is_mirror_transducer_mirror(self):
+        p = saw.SawModelParams(gap_t_m=0.0)
+        grid = saw.default_grid(3.9e9, 4.1e9, 401)
+        mirror = saw._mirror_section(grid, p)
+        total = saw._cascade(saw._cascade(mirror, saw.transducer_response(grid, p)), mirror)
+        y = total.p33 + 1j * grid * p.c_t
+        spec = saw.resonator_admittance(grid, p)
+        assert np.max(np.abs(spec.y - y) / np.abs(y)) < 1e-12
 
     def test_zero_lines_equals_zero_reflectivity(self):
         grid = saw.default_grid(3.9e9, 4.1e9, 401)

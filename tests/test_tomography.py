@@ -214,7 +214,7 @@ class TestWignerPoint:
             rho = x @ x.conj().T
             rho /= np.trace(rho).real
             for alpha in (0.3 + 0.1j, -0.7j, 1.1):
-                d = tg.tomography_displacement(-alpha, dim)
+                d = lb.displacement_operator(dim, -alpha, check=False)
                 displaced = d @ rho @ d.conj().T
                 via_pops = tg.wigner_point(np.diag(displaced).real)
                 via_parity = float(
@@ -227,7 +227,7 @@ class TestWignerPoint:
 def _ideal_fits(rho_res, params, t_grid, responses, alphas, dim=10):
     fits = []
     for a in alphas:
-        d = tg.tomography_displacement(-a, dim)
+        d = lb.displacement_operator(dim, -a, check=False)
         pn = np.diag(d @ rho_res @ d.conj().T).real
         rec = tg.TraceRecord(a, t_grid, responses.T @ pn, 0.03)
         fits.append(tg.fit_populations(rec, params, responses=responses))
@@ -318,7 +318,7 @@ class TestReconstruction:
         rho = lb.fock_state(10, 1)
         fits = []
         for a in np.linspace(-2.0, 2.0, 16):
-            d = tg.tomography_displacement(-a, 10)
+            d = lb.displacement_operator(10, -a, check=False)
             pn = np.clip(np.diag(d @ rho @ d.conj().T).real, 0.0, None)
             fits.append(tg.PopulationFit(pn / pn.sum(), np.zeros(10), 0.0, complex(a)))
         with pytest.warns(IllConditionedFitWarning):
@@ -411,7 +411,7 @@ class TestFidelity:
         rng = np.random.default_rng(4)
         fits = []
         for a in tg.default_alpha_grid():
-            d = tg.tomography_displacement(-a, 10)
+            d = lb.displacement_operator(10, -a, check=False)
             pn = np.diag(d @ lb.fock_state(10, 1) @ d.conj().T).real
             rec = tg.TraceRecord(a, t, resp.T @ pn + 0.01 * rng.standard_normal(t.size), 0.03)
             fits.append(tg.fit_populations(rec, closed_params, responses=resp))
