@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -341,21 +341,24 @@ def qubit_loss_spectrum(
     return y_loaded.real / (omega * params.c_q) + background
 
 
-def fit_circuit(spectroscopy):
+def fit_circuit(spectroscopy, params: CircuitParams = CircuitParams()):
     """Fit (L_q, L_1, L_2) to (phi_g, omega_ge) pairs.
 
-    ``L_cj0`` and ``C_q`` are held fixed at the ``CircuitParams`` defaults:
-    a coupler-flux sweep of the qubit frequency follows a Moebius curve in
-    ``u = cos(delta)`` and therefore constrains exactly three combinations
-    beyond the junction scale, so the qubit capacitance must come from an
+    Every other value, ``C_q``, ``L_cj0``, ``M``, ``L_sec`` and the
+    background T1, is held fixed at its value in ``params``, whose own
+    (L_q, L_1, L_2) are not used.  ``C_q`` must be known: a coupler-flux
+    sweep of the qubit frequency follows a Moebius curve in ``u =
+    cos(delta)`` and therefore constrains exactly three combinations beyond
+    the junction scale, so the qubit capacitance must come from an
     independent measurement.  With ``y = 1/(C_q omega^2) = L_q + L_par`` the
     curve reads ``y = A + B u - C u y``, linear in (A, B, C); its least
     squares solution starts the fit at ``L_1 + L_2 = C L_cj0``,
     ``L_1 = sqrt((A C - B) L_cj0)`` and ``L_q = A - L_1``; data whose start
     has an inductance that is not positive raise IdentifiabilityError.
     ``saw._levenberg_marquardt`` then minimises the relative frequency
-    residual over the log-inductances with its analytic Jacobian.  Returns ``(CircuitParams, covariance)`` with the
-    3x3 covariance ordered (l_q, l_1, l_2); ``ConvergenceError`` when the fit
+    residual over the log-inductances with its analytic Jacobian.  Returns
+    ``(params with the fitted inductances, covariance)`` with the 3x3
+    covariance ordered (l_q, l_1, l_2); ``ConvergenceError`` when the fit
     hits ``saw.FIT_MAX_NFEV`` evaluations.
     """
     data = np.asarray(spectroscopy, dtype=float)
@@ -368,8 +371,7 @@ def fit_circuit(spectroscopy):
     if phi.max() - phi.min() < 0.5:
         raise IdentifiabilityError("data must span at least half a flux period")
 
-    defaults = CircuitParams()
-    c_q, l_cj0 = defaults.c_q, defaults.l_cj0
+    c_q, l_cj0 = params.c_q, params.l_cj0
     _, l_cj = _junction_inductance(phi, l_cj0)
     u = l_cj0 / l_cj  # cos(delta), exactly 0 at the open junction
     y = 1.0 / (c_q * omega**2)
@@ -397,7 +399,7 @@ def fit_circuit(spectroscopy):
 
     x, _, converged = _levenberg_marquardt(residuals, np.zeros(3))
     values = np.exp(x) * scale
-    fitted = CircuitParams(l_q=values[0], l_1=values[1], l_2=values[2])
+    fitted = replace(params, l_q=values[0], l_1=values[1], l_2=values[2])
     res, jac = residuals(x)
     if not converged:
         raise ConvergenceError(

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__, circuit, lindblad as lb, saw, tomography as tg
 from ._svgmap import heatmap_svg
-from .errors import ConfigError, ConvergenceError, DomainError, PhononLabError
+from .errors import ConfigError, ConvergenceError, DomainError, GridError, PhononLabError
 from .schema_io import load_schema, validate_document
 
 TWO_PI = 2.0 * math.pi
@@ -54,7 +54,8 @@ def parse_scenario(doc: dict, seed=None) -> Scenario:
     """Check a scenario document and fill in its kind's defaults.
 
     Each key takes its type from its default in ``KINDS``: an int is
-    accepted for a float and coerced, a bool is never a number.
+    accepted for a float and coerced, a bool is never a number, a float
+    must be finite, and an int (a count, or the seed) must not be negative.
     """
     validate_document(doc, load_schema("scenario"))
     kind = doc["kind"]
@@ -67,8 +68,12 @@ def parse_scenario(doc: dict, seed=None) -> Scenario:
             )
         want = type(params[key])
         if want is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+            if not abs(value) <= sys.float_info.max:
+                raise ConfigError(f"$.params.{key}: must be a finite number, got {value}")
             params[key] = float(value)
         elif want is int and isinstance(value, int) and not isinstance(value, bool):
+            if value < 0:
+                raise ConfigError(f"$.params.{key}: must be >= 0, got {value}")
             params[key] = value
         elif want is list and isinstance(value, list):
             params[key] = value
@@ -82,11 +87,10 @@ def parse_scenario(doc: dict, seed=None) -> Scenario:
                 f"$.params.states: unknown state {state!r}; "
                 f"allowed: {list(lb.PREPARABLE_STATES)}"
             )
-    return Scenario(
-        kind=kind,
-        params=params,
-        seed=doc.get("seed", 0) if seed is None else seed,
-    )
+    seed = doc.get("seed", 0) if seed is None else seed
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return Scenario(kind=kind, params=params, seed=seed)
 
 
 def load_config(path) -> dict:
@@ -291,6 +295,8 @@ def run_chevron(scn: Scenario) -> tuple[dict, dict]:
     span = s["delta_span_hz"]
     deltas = TWO_PI * np.linspace(-span / 2, span / 2, s["n_delta"])
     taus = np.linspace(1e-9, s["tau_max_s"], s["n_tau"])
+    if deltas.size == 0:
+        raise GridError("n_delta must be at least 1")
 
     rho0 = lb.run_sequence(lb.PulseSequence([lb.Rotation("x", math.pi)]), params).rho_final
     z = np.array(
@@ -321,6 +327,8 @@ def _scan(build, durations, params) -> tuple[lb.Trajectory, np.ndarray]:
     increasing order; the index returned maps them back onto ``durations``.
     Building the shortest one raises DomainError for a negative duration."""
     grid, back = np.unique(durations, return_inverse=True)
+    if grid.size == 0:
+        raise GridError("the scan needs at least one duration")
     build(grid[0])
     seq = build(grid[-1])
     t_grid = seq.duration() - grid[-1] + grid

@@ -24,8 +24,10 @@ product of sixth-order Magnus steps on its ramps (Blanes, Casas, Oteo &
 Ros, Phys. Rep. 470, 151 (2009)) and one exponential on its flat top.  The
 ramps are the two windows of one cosine bump, so they do not depend on the
 pulse length.  Only the sectors in which the state holds non-zero entries
-are propagated; a segment window's sector propagators are cached together
-and each is built the first time its sector is occupied.
+are propagated.  Generators and propagators are cached one sector matrix at
+a time, in least-recently-used caches of 64 and 256 entries that hold at
+most 118 MB and 157 MB at dim 50, so each sector is built the first time it
+is occupied and a window's ramps stay cached while other spans come and go.
 
 Only the Hermitian half of the state is propagated.  The Liouvillian
 preserves Hermiticity, so sector -k of a state is the conjugate transpose
@@ -354,18 +356,6 @@ def _span_key(span: float) -> float:
     return round(span, 21)
 
 
-class _PerSector(dict):
-    """Map from k to a sector's matrix, built by ``build(k)`` on first access."""
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, k):
-        self[k] = value = self.build(k)
-        return value
-
-
 @lru_cache(maxsize=16)
 def _sector_indices(dim: int) -> dict:
     """(rows, cols, flat index) of the density-matrix entries of each sector k."""
@@ -415,43 +405,55 @@ def _liouvillian_key(params: SystemParams) -> SystemParams:
     return SystemParams(dim=params.dim, t1=params.t1, t2_ramsey=params.t2_ramsey, t1r=params.t1r)
 
 
+# Generators and propagators are cached one sector per entry, bounded for
+# dim 50, where the largest sector matrix (k = 1, 196 x 196 complex) takes
+# 0.615 MB: a generator entry (D, N, V) is <= 1.85 MB, so 64 entries are
+# <= 118 MB, and 256 propagator entries are <= 157 MB.  The dense terms
+# of a system take 1.2 MB, so 4 systems are <= 5 MB.  A pass of the
+# perfbench dynamics workload uses 51 sector propagators (1.3 MB), so the
+# swap ramps outlive the scans between them.
+
+
 @lru_cache(maxsize=4)
-def _generators(params: SystemParams) -> _PerSector:
-    """Sector blocks (D, N, V) of L(delta, g) = D + delta*N + g*V, per k;
-    ``params`` is a ``_liouvillian_key``.  The k = 0 blocks are T^H B T in
-    the real basis T of ``_hermitian_basis``, and are real."""
-    dim = params.dim
+def _liouvillian_terms(key: SystemParams) -> tuple:
+    """Dense terms of D, N and V in L(delta, g) = D + delta*N + g*V for the
+    system whose ``_liouvillian_key`` is ``key``; each term (A, B) maps rho
+    to A rho B^T."""
+    dim = key.dim
     eye = np.eye(2 * dim)
-    # each term (A, B) maps rho to A rho B^T
     dissipator = []
-    for c in collapse_operators(params):
-        cdc = c.conj().T @ c
-        dissipator += [(c, c.conj()), (-0.5 * cdc, eye), (eye, -0.5 * cdc.T)]
+    for c in collapse_operators(key):
+        c = c.real.copy()  # real: half the memory, and c* = c
+        half = -0.5 * (c.T @ c)
+        dissipator += [(c, c), (half, eye), (eye, half.T)]
 
     def commutator(h):
         return [(-1j * h, eye), (eye, 1j * h.T)]
 
-    parts = (
+    return (
         dissipator,
         commutator(build_hamiltonian(1, 0, dim)),
         commutator(build_hamiltonian(0, 1, dim)),
     )
-    indices = _sector_indices(dim)
 
-    def blocks(k):
-        rows, cols, _ = indices[k]
-        out = []
-        for terms in parts:
-            block = np.zeros((rows.size, rows.size), dtype=complex)
-            for a_op, b_op in terms:
-                block += a_op[np.ix_(rows, rows)] * b_op[np.ix_(cols, cols)]
-            if k == 0:
-                basis = _hermitian_basis(dim)
-                block = (basis.conj().T @ block @ basis).real
-            out.append(block)
-        return tuple(out)
 
-    return _PerSector(blocks)
+@lru_cache(maxsize=64)
+def _generators(key: SystemParams, k: int) -> tuple:
+    """Sector k's blocks (D, N, V) of L(delta, g) = D + delta*N + g*V for the
+    system whose ``_liouvillian_key`` is ``key``.  The k = 0 blocks are
+    T^H B T in the real basis T of ``_hermitian_basis``, and are real."""
+    rows, cols, _ = _sector_indices(key.dim)[k]
+    out = []
+    for terms in _liouvillian_terms(key):
+        block = np.zeros((rows.size, rows.size), dtype=complex)
+        for a_op, b_op in terms:
+            block += a_op[np.ix_(rows, rows)] * b_op[np.ix_(cols, cols)]
+        if k == 0:
+            basis = _hermitian_basis(key.dim)
+            # a copy: the .real view would keep the complex product alive
+            block = (basis.conj().T @ block @ basis).real.copy()
+        out.append(block)
+    return tuple(out)
 
 
 def _magnus(params, k, delta, g, ramp, tau0, tau1) -> np.ndarray:
@@ -464,7 +466,7 @@ def _magnus(params, k, delta, g, ramp, tau0, tau1) -> np.ndarray:
         0.5 * g * (1.0 - np.cos(np.pi * (tau + c * h) / ramp))
         for c in (0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0)
     )
-    d, n_q, v = _generators(params)[k]
+    d, n_q, v = _generators(params, k)
     l0 = d + delta * n_q
     prop = np.eye(l0.shape[0], dtype=l0.dtype)
     for a1, a2, a3 in zip(e1, e2, e3):
@@ -482,25 +484,18 @@ def _magnus(params, k, delta, g, ramp, tau0, tau1) -> np.ndarray:
     return prop
 
 
-# one entry per segment window, holding the sectors propagated through it;
-# all dim + 1 sectors k >= 0 (k = 0 real) take 0.085 MB at dim 10 and
-# 10.7 MB at dim 50
-@lru_cache(maxsize=16)
-def _propagator(key, delta, g, span, ramp=0.0, start=0.0) -> _PerSector:
-    """Sector propagators over a span at (delta, g), per k, of the system
-    whose ``_liouvillian_key`` is ``key``.
+@lru_cache(maxsize=256)
+def _propagator(key, k, delta, g, span, ramp=0.0, start=0.0) -> np.ndarray:
+    """Sector k's propagator over a span at (delta, g) of the system whose
+    ``_liouvillian_key`` is ``key``.
 
     With ``ramp`` > 0 the coupling is the cosine bump of ``_magnus`` and the
     span is its window [start, start + span]; otherwise it is constant.
     """
-
-    def build(k):
-        if ramp > 0:
-            return _magnus(key, k, delta, g, ramp, start, start + span)
-        d, n_q, v = _generators(key)[k]
-        return expm(span * (d + delta * n_q + g * v))
-
-    return _PerSector(build)
+    if ramp > 0:
+        return _magnus(key, k, delta, g, ramp, start, start + span)
+    d, n_q, v = _generators(key, k)
+    return expm(span * (d + delta * n_q + g * v))
 
 
 def _advance(rho, key, sectors, delta, g, ramp, duration, t0, t1):
@@ -525,7 +520,7 @@ def _advance(rho, key, sectors, delta, g, ramp, duration, t0, t1):
     else:
         windows = ((t0, t1, 0.0, 0.0),)
     spans = [(_span_key(hi - lo), bump, _span_key(tau)) for lo, hi, bump, tau in windows]
-    props = [_propagator(key, delta, g, *span) for span in spans if span[0] > 0]
+    spans = [span for span in spans if span[0] > 0]
     flat = rho.reshape(-1)
     out = np.zeros_like(flat)
     indices = _sector_indices(key.dim)
@@ -534,8 +529,8 @@ def _advance(rho, key, sectors, delta, g, ramp, duration, t0, t1):
         idx = indices[k][2]
         # Re(x^H T) = Re(T^H x), without a conjugated copy of T
         vec = (flat[idx].conj() @ basis).real if k == 0 else flat[idx]
-        for prop in props:
-            vec = prop[k] @ vec
+        for span in spans:
+            vec = _propagator(key, k, delta, g, *span) @ vec
         if k == 0:
             out[idx] = basis @ vec
         else:
@@ -699,7 +694,7 @@ def batched_excited_traces(
     for i, t in enumerate(t_grid):
         span = _span_key(t - t_prev)
         if span > 0:
-            vec = vec @ _propagator(key, delta, params.g, span)[0].T
+            vec = vec @ _propagator(key, 0, delta, params.g, span).T
         t_prev = t
         out[:, i] = vec @ excited
     return out

@@ -91,6 +91,8 @@ class SawModelParams:
             raise DomainError("wavelength must be positive")
         if self.transducer_pairs < 1 or self.mirror_lines < 0:
             raise DomainError("transducer_pairs must be >= 1, mirror_lines >= 0")
+        if not (self.v_t > 0 and self.v_m > 0):
+            raise DomainError("SAW velocities v_t and v_m must be positive")
         if self.eta < 0:
             raise DomainError("propagation loss eta must be >= 0")
         if abs(self.r_t) >= 1 or abs(self.r_m) >= 1:

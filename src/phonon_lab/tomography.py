@@ -345,7 +345,10 @@ def fidelity(
     if psi.size > STATE_LEVELS:
         raise DomainError(f"target state has {psi.size} levels, more than the "
                           f"STATE_LEVELS = {STATE_LEVELS} reconstructed ones")
-    psi = psi / np.linalg.norm(psi)
+    norm = np.linalg.norm(psi)
+    if not 0 < norm < math.inf:
+        raise DomainError("target state must be finite and non-zero")
+    psi = psi / norm
     d = psi.size
     rho_small = rho[:d, :d]
     overlap = float(np.real(psi.conj() @ rho_small @ psi))
@@ -382,7 +385,9 @@ def fit_oscillation_amplitude(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     design = np.column_stack([np.ones_like(x), -0.5 * np.cos(math.pi * x)])
-    coef, res, _, _ = np.linalg.lstsq(design, y, rcond=None)
+    coef, res, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank < 2:
+        raise IdentifiabilityError("the amplitude fit needs two distinct cos(pi x) values")
     dof = max(x.size - 2, 1)
     s2 = float(res[0]) / dof if res.size else 0.0
     cov = np.linalg.inv(design.T @ design) * s2
@@ -400,6 +405,8 @@ def rabi_population_estimate(a_e, a_g, sigma_e=0.0, sigma_g=0.0):
         raise DomainError("ground-trace amplitude must be positive")
     if total == 0:
         raise DomainError("amplitude sum must be nonzero")
+    if not math.isfinite(total * total):
+        raise DomainError("amplitude sum must be finite when squared")
     p = a_e / total
     dp_de = a_g / total**2
     dp_dg = -a_e / total**2

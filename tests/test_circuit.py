@@ -359,6 +359,18 @@ class TestFitCircuit:
         )
         assert resid < 1e-10
 
+    def test_fixed_values_come_from_params(self):
+        # the default m = 0.13 nH needs l_2 >= m**2/l_sec = 0.058 nH, so this
+        # device fits only with its own m held fixed
+        truth = circuit.CircuitParams(l_2=0.05e-9, m=0.1e-9)
+        data = self._synthetic(truth, 60, 0.0)
+        with pytest.raises(DomainError, match="sqrt"):
+            circuit.fit_circuit(data)
+        fit, _ = circuit.fit_circuit(data, truth)
+        assert fit.m == truth.m
+        for name in ("l_q", "l_1", "l_2"):
+            assert abs(getattr(fit, name) / getattr(truth, name) - 1.0) < 1e-9
+
     @pytest.mark.parametrize("seed", range(100, 106))
     def test_matches_finite_difference_lm(self, seed):
         # criterion 10's round trips; the oracle is scipy's finite-difference

@@ -267,6 +267,31 @@ class TestSummaryDomain:
         assert not (tmp_path / "out" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("doc,code", [
+    ({"kind": "chevron", "params": {"n_tau": -1}}, 2),
+    ({"kind": "coupling-sweep", "params": {"sweep_points": -5}}, 2),
+    ({"kind": "thermometry", "seed": -1}, 2),
+    ({"kind": "coupling-sweep", "params": {"m": float("nan")}}, 2),
+    ({"kind": "fock2", "params": {"n_tau": 0}}, 3),
+    ({"kind": "lifetimes", "params": {"n_points": 0}}, 3),
+    ({"kind": "chevron", "params": {"n_delta": 0}}, 3),
+    ({"kind": "thermometry", "params": {"n_points": 0}}, 3),
+    ({"kind": "thermometry", "params": {"n_points": 2}}, 3),
+    ({"kind": "thermometry", "params": {"noise": 1e300}}, 3),
+    ({"kind": "admittance", "params": {"v_t": -1.0}}, 3),
+], ids=["chevron-n_tau-negative", "sweep_points-negative", "seed-negative", "m-nan",
+        "fock2-n_tau-0", "lifetimes-n_points-0", "chevron-n_delta-0", "thermometry-n_points-0",
+        "thermometry-n_points-2", "thermometry-noise-overflow", "admittance-v_t-negative"])
+def test_unusable_config_exits_2_or_3_without_traceback(tmp_path, capsys, doc, code):
+    # a negative count or seed and a non-finite number are configuration
+    # errors; a count too small to run on, or a value outside the model's
+    # domain, is a numerical failure
+    config = write_config(tmp_path, doc)
+    assert cli.main(["run", str(config), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err and "Traceback" not in err
+
+
 class TestReproduce:
     def test_fig4a_thermometry(self, tmp_path, capsys):
         out = tmp_path / "fig4a"

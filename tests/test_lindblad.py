@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -390,6 +391,30 @@ class TestEvolve:
             lb.run_sequence(seq, p)
         assert len(builds) == 2
 
+    def test_swap_ramps_outlive_a_chevron_scan(self, monkeypatch):
+        # fig3c's default scan fills a propagator entry per detuning; the
+        # swap ramps built before it must still be cached after it
+        p = lb.SystemParams()
+        builds = []
+        magnus = lb._magnus
+
+        def counting(*args):
+            builds.append(args)
+            return magnus(*args)
+
+        monkeypatch.setattr(lb, "_magnus", counting)
+        lb._propagator.cache_clear()
+        swap = lb.prepare_sequence("1", p)
+        lb.run_sequence(swap, p)
+        assert len(builds) == 2
+        rho0 = lb.run_sequence(lb.PulseSequence([lb.Rotation("x", math.pi)]), p).rho_final
+        taus = np.linspace(1e-9, 150e-9, 76)
+        for delta in TWO_PI * np.linspace(-20e6, 20e6, 41):
+            lb.batched_excited_traces([rho0], p, taus, delta=delta)
+        builds.clear()
+        lb.run_sequence(swap, p)
+        assert builds == []
+
     def test_global_frame_offset_leaves_qubit_invariant(self):
         # adding the same offset to qubit and resonator only shifts the frame
         p = closed_params(dim=5, g=TWO_PI * 6e6)
@@ -605,12 +630,12 @@ class TestHermitianHalf:
         closed = closed_params(dim)
         parts = (dense_liouvillian(p, 0.0, 0.0), dense_liouvillian(closed, 1.0, 0.0),
                  dense_liouvillian(closed, 0.0, 1.0))
-        stored = lb._generators(lb._liouvillian_key(p))[0]
+        stored = lb._generators(lb._liouvillian_key(p), 0)
         for dense, block in zip(parts, stored):
             rotated = basis.conj().T @ dense[np.ix_(idx, idx)] @ basis
             scale = np.max(np.abs(rotated))
             assert np.max(np.abs(rotated.imag)) < 1e-12 * scale
-            assert block.dtype == float
+            assert block.dtype == float and block.flags.c_contiguous
             assert np.max(np.abs(block - rotated.real)) < 1e-12 * scale
 
     def test_rotated_displaced_coupled_state_is_exactly_hermitian(self):
@@ -629,15 +654,14 @@ class TestHermitianHalf:
         # the traces still build generators, ramps and propagators for k >= 0
         p = lb.SystemParams()
         built = []
-        missing = lb._PerSector.__missing__
+        for name in ("_generators", "_propagator"):
+            build = getattr(lb, name).__wrapped__
 
-        def counting(self, k):
-            built.append(k)
-            return missing(self, k)
+            def counting(key, k, *args, build=build):
+                built.append(k)
+                return build(key, k, *args)
 
-        monkeypatch.setattr(lb._PerSector, "__missing__", counting)
-        lb._generators.cache_clear()
-        lb._propagator.cache_clear()
+            monkeypatch.setattr(lb, name, lru_cache(maxsize=None)(counting))
         seq = lb.PulseSequence([
             lb.Rotation("x", math.pi / 2), lb.Displace(0.5 + 0.3j),
             lb.Couple(p.g, 30e-9, 0.0, 5e-9), lb.Idle(10e-9), lb.Measure(),

@@ -488,6 +488,18 @@ class TestFidelity:
         with pytest.raises(DomainError, match="STATE_LEVELS"):
             tg.fidelity(rho, np.eye(5)[1], covariance)
 
+    @pytest.mark.parametrize("covariance", [None, 1e-6 * np.eye(15)], ids=["plain", "mc"])
+    @pytest.mark.parametrize("psi", [np.zeros(4), [math.nan, 1, 0, 0], [math.inf, 0, 0, 0]],
+                             ids=["zero", "nan", "inf"])
+    def test_zero_or_nonfinite_target_rejected(self, psi, covariance):
+        # these used to return a NaN fidelity with only a RuntimeWarning
+        rho = np.zeros((10, 10), dtype=complex)
+        rho[0, 0] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite and non-zero"):
+                tg.fidelity(rho, np.array(psi, dtype=complex), covariance)
+
     def test_invalid_covariance_rejected(self):
         rho = np.zeros((10, 10), dtype=complex)
         rho[0, 0] = 1.0
