@@ -59,6 +59,8 @@ def parse_scenario(doc: dict, seed=None) -> Scenario:
     """
     validate_document(doc, load_schema("scenario"))
     kind = doc["kind"]
+    if kind not in KINDS:
+        raise ConfigError(f"$.kind: unknown kind {kind!r}; allowed: {list(KINDS)}")
     params = copy.deepcopy(KINDS[kind][1])  # a caller may edit its own lists
     for key, value in doc.get("params", {}).items():
         if key not in params:
@@ -100,8 +102,8 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
+    except ValueError as exc:  # malformed JSON, or an int past Python's digit limit
+        raise ConfigError(f"cannot parse config: {exc}") from exc
 
 
 def _json_text(doc) -> str:
@@ -321,7 +323,7 @@ def run_chevron(scn: Scenario) -> tuple[dict, dict]:
     return files, {"swap_time_s": float(taus[i_min]), "n_delta": s["n_delta"], "n_tau": s["n_tau"]}
 
 
-def _scan(build, durations, params) -> tuple[lb.Trajectory, np.ndarray]:
+def _scan(build, durations, params) -> tuple[lb.SequenceResult, np.ndarray]:
     """One walk from the thermal state of ``build(d)``, whose last continuous
     segment lasts d, sampled where it has lasted each distinct duration, in
     increasing order; the index returned maps them back onto ``durations``.
@@ -332,7 +334,7 @@ def _scan(build, durations, params) -> tuple[lb.Trajectory, np.ndarray]:
     build(grid[0])
     seq = build(grid[-1])
     t_grid = seq.duration() - grid[-1] + grid
-    return lb.evolve(lb.thermal_state(params), seq, params, t_grid), back
+    return lb.run_sequence(seq, params, t_grid=t_grid), back
 
 
 def run_lifetimes(scn: Scenario) -> tuple[dict, dict]:
@@ -355,9 +357,9 @@ def run_lifetimes(scn: Scenario) -> tuple[dict, dict]:
     def swap_back(held, pulse=None):
         """P_e after swapping each held state back and applying ``pulse``,
         whose axis carries the frame phase accumulated through the hold."""
-        traj, back = held
+        res, back = held
         p_e = []
-        for rho, theta in zip(traj.states, traj.phase):
+        for rho, theta in zip(res.states, res.phase):
             tail = [] if pulse is None else [dataclasses.replace(pulse, phase=pulse.phase + theta)]
             seq = lb.PulseSequence([swap, *tail, lb.Measure()])
             p_e.append(lb.run_sequence(seq, params, rho).p_e[0])
@@ -483,11 +485,11 @@ def run_wigner(scn: Scenario) -> tuple[dict, dict]:
 def run_fock2(scn: Scenario) -> tuple[dict, dict]:
     params = lb.SystemParams()
     taus = np.linspace(scn.params["tau_lo_s"], scn.params["tau_hi_s"], scn.params["n_tau"])
-    traj, back = _scan(lambda tau: lb.fock2_sequence(params, tau), taus, params)
-    pops = traj.populations[back, :3]
+    res, back = _scan(lambda tau: lb.fock2_sequence(params, tau), taus, params)
+    pops = lb.resonator_populations(res.states)[back, :3]
     text = _columns_csv(
         ["tau_s", "p_e", "p0", "p1", "p2"], ["%.4e"] + ["%.6f"] * 4,
-        taus, traj.p_e[back], *pops.T,
+        taus, lb.excited_probability(res.states, params)[back], *pops.T,
     )
     best = int(np.argmax(pops[:, 2]))
     return {"fock2.csv": text}, {

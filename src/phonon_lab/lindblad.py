@@ -14,8 +14,9 @@ Conventions:
 * Qubit drive pulses are resonant with the qubit, so their rotation axis
   precesses at the instantaneous detuning; the segment walker tracks the
   accumulated frame phase, the sum of delta*duration, and applies it to each
-  rotation.  ``evolve`` reports that phase at every sample, so a run
-  continued from a sampled state adds it to the phase of its rotations.
+  rotation.  ``run_sequence`` reports that phase at every sample of its
+  grid, so a run continued from a sampled state adds it to the phase of its
+  rotations.
 
 Propagation has no time step: the Liouvillian is block diagonal in
 k = N_ket - N_bra, so a constant span is one matrix exponential per
@@ -567,65 +568,6 @@ def resonator_populations(rho: np.ndarray) -> np.ndarray:
     return diag[..., :dim] + diag[..., dim:]
 
 
-@dataclass
-class Trajectory:
-    """States and observables sampled on a time grid during continuous evolution.
-
-    ``phase[i]`` is the frame phase, sum of delta*duration, up to the i-th time
-    of the ``evolve`` grid; a run continued from ``states[i]`` adds it to the
-    phase of each of its rotations."""
-
-    p_e: np.ndarray
-    populations: np.ndarray
-    states: np.ndarray
-    phase: np.ndarray
-    rho_final: np.ndarray
-
-
-def _walk(rho, schedule: PulseSequence, params: SystemParams, samples=(), sample=None):
-    """Run ``schedule`` on ``rho``; the one segment walker.
-
-    Calls ``sample(rho, theta)`` at each time of the increasing ``samples``
-    (seconds from the start), within the continuous segment that reaches it,
-    with the frame phase ``theta`` accumulated up to that time.  Returns
-    the final state and the P_e of every Measure.
-    """
-    dim = params.dim
-    key = _liouvillian_key(params)
-    pending = list(samples)
-    measured = []
-    now = 0.0
-    theta = 0.0  # accumulated qubit-frame phase, sum of delta*duration
-    for seg in schedule.segments:
-        if isinstance(seg, Rotation):
-            u = qubit_rotation(seg.axis, seg.angle, seg.phase + theta, dim)
-            rho = u @ rho @ u.conj().T
-        elif isinstance(seg, Displace):
-            rho = displacement(rho, seg.alpha)
-        elif isinstance(seg, Measure):
-            measured.append(excited_probability(rho, params))
-        elif isinstance(seg, (Detune, Idle, Couple)):
-            delta = params.delta if isinstance(seg, Idle) else seg.delta
-            g = seg.g if isinstance(seg, Couple) else 0.0
-            ramp = seg.ramp if isinstance(seg, Couple) else 0.0
-            dur = seg.duration
-            sectors = _occupied(rho)
-            local = 0.0
-            while pending and pending[0] <= now + dur + 1e-15:
-                t = max(local, min(pending.pop(0) - now, dur))
-                rho = _advance(rho, key, sectors, delta, g, ramp, dur, local, t)
-                local = t
-                sample(rho, theta + delta * t)
-            rho = _advance(rho, key, sectors, delta, g, ramp, dur, local, dur)
-            now += dur
-            theta += delta * dur
-        else:
-            raise DomainError(f"unknown segment {seg!r}")
-    for _ in pending:
-        sample(rho, theta)
-    return rho, measured
-
-
 def _check_grid(t_grid, duration: float = math.inf) -> np.ndarray:
     """``t_grid`` as floats; GridError unless it is a non-empty, finite,
     nonnegative, strictly increasing 1-d grid that ends by ``duration``."""
@@ -639,28 +581,6 @@ def _check_grid(t_grid, duration: float = math.inf) -> np.ndarray:
     if t_grid[-1] > duration + 1e-15:
         raise GridError("t_grid extends outside the schedule duration")
     return t_grid
-
-
-def evolve(
-    rho0: np.ndarray,
-    schedule: PulseSequence,
-    params: SystemParams,
-    t_grid: np.ndarray,
-) -> Trajectory:
-    """Run a schedule, sampling the state and its observables at ``t_grid`` (seconds).
-
-    Instantaneous segments act at their position in the schedule; ``t_grid``
-    must be increasing and lie within the total schedule duration.
-    """
-    t_grid = _check_grid(t_grid, schedule.duration())
-    check_density_matrix(rho0)
-
-    samples = []
-    rho, _ = _walk(rho0.astype(complex), schedule, params, t_grid,
-                   lambda rho, theta: samples.append((rho, theta)))
-    states, phase = (np.array(column) for column in zip(*samples))
-    return Trajectory(excited_probability(states, params), resonator_populations(states),
-                      states, phase, rho)
 
 
 def batched_excited_traces(
@@ -702,23 +622,72 @@ def batched_excited_traces(
 
 @dataclass
 class SequenceResult:
-    """Measurement record of one sequence execution."""
+    """Measurement record of one sequence execution.
+
+    ``p_e`` holds the P_e of each Measure.  ``states`` holds the state at
+    each time of the ``run_sequence`` grid, and ``phase[i]`` is the frame
+    phase, sum of delta*duration, up to the i-th time of that grid; a run
+    continued from ``states[i]`` adds it to the phase of each of its
+    rotations.  Both are empty for a run without a grid."""
 
     p_e: list
     rho_final: np.ndarray
+    states: np.ndarray
+    phase: np.ndarray
 
 
 def run_sequence(
     seq: PulseSequence,
     params: SystemParams,
     rho0: np.ndarray | None = None,
+    t_grid=(),
 ) -> SequenceResult:
     """Execute a sequence from the thermal state, or from the Hermitian
-    ``rho0``, recording each Measure."""
+    ``rho0``, recording each Measure; the one segment walker.
+
+    A non-empty ``t_grid`` (seconds from the start, increasing, within the
+    sequence's duration) also samples the state at each of its times,
+    within the continuous segment that reaches it; instantaneous segments
+    act at their position in the sequence.
+    """
     rho = thermal_state(params) if rho0 is None else rho0.astype(complex)
     _check_hermitian(rho)
-    rho, measured = _walk(rho, seq, params)
-    return SequenceResult(measured, rho)
+    pending = list(_check_grid(t_grid, seq.duration())) if np.size(t_grid) else []
+    dim = params.dim
+    key = _liouvillian_key(params)
+    measured, states, phase = [], [], []
+    now = 0.0
+    theta = 0.0  # accumulated qubit-frame phase, sum of delta*duration
+    for seg in seq.segments:
+        if isinstance(seg, Rotation):
+            u = qubit_rotation(seg.axis, seg.angle, seg.phase + theta, dim)
+            rho = u @ rho @ u.conj().T
+        elif isinstance(seg, Displace):
+            rho = displacement(rho, seg.alpha)
+        elif isinstance(seg, Measure):
+            measured.append(excited_probability(rho, params))
+        elif isinstance(seg, (Detune, Idle, Couple)):
+            delta = params.delta if isinstance(seg, Idle) else seg.delta
+            g = seg.g if isinstance(seg, Couple) else 0.0
+            ramp = seg.ramp if isinstance(seg, Couple) else 0.0
+            dur = seg.duration
+            sectors = _occupied(rho)
+            local = 0.0
+            while pending and pending[0] <= now + dur + 1e-15:
+                t = max(local, min(pending.pop(0) - now, dur))
+                rho = _advance(rho, key, sectors, delta, g, ramp, dur, local, t)
+                local = t
+                states.append(rho)
+                phase.append(theta + delta * t)
+            rho = _advance(rho, key, sectors, delta, g, ramp, dur, local, dur)
+            now += dur
+            theta += delta * dur
+        else:
+            raise DomainError(f"unknown segment {seg!r}")
+    for _ in pending:
+        states.append(rho)
+        phase.append(theta)
+    return SequenceResult(measured, rho, np.array(states), np.array(phase))
 
 
 # ---------------------------------------------------------------------------

@@ -257,12 +257,6 @@ def _section_pmatrix(
     p22 = c12 * f1 * phase**2 / d
 
     n = omega.size
-    if a1 == 0:
-        p31 = np.zeros(n, dtype=complex)
-        p32 = np.zeros(n, dtype=complex)
-        p33 = np.zeros(n, dtype=complex)
-        return PMatrix(p11, p12, p22, p31, p32, p33)
-
     a1c = np.conj(a1)
     # K2*(f2-1) and K1*(f2-1) with the 1/s**2 singularity absorbed into g3.
     k2g = (a1 * np.conj(c12) + 1j * delta * a1c) * g3

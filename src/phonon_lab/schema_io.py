@@ -25,7 +25,7 @@ def load_schema(name: str) -> dict:
 def validate_document(doc, schema, path: str = "$"):
     """Check a JSON document against the subset of JSON Schema used here.
 
-    Supports type / required / properties / items / enum; raises
+    Supports type / required / properties / items; raises
     ``ConfigError`` naming the offending field.
     """
     expected = schema.get("type")
@@ -37,8 +37,6 @@ def validate_document(doc, schema, path: str = "$"):
             ok = isinstance(doc, py) and not (py is int and isinstance(doc, bool))
         if not ok:
             raise ConfigError(f"{path}: expected {expected}, got {type(doc).__name__}")
-    if "enum" in schema and doc not in schema["enum"]:
-        raise ConfigError(f"{path}: value {doc!r} not one of {schema['enum']}")
     if expected == "object":
         for key in schema.get("required", []):
             if key not in doc:

@@ -100,9 +100,9 @@ class TestCriterion4VacuumRabi:
         rho0 = np.kron(np.diag([0.0, 1.0]).astype(complex), lb.fock_state(p.dim, 0))
         seq = lb.PulseSequence([lb.Couple(p.g, 40e-9)])
         t = np.linspace(30e-9, 38e-9, 1601)
-        traj = lb.evolve(rho0, seq, p, t)
-        i = int(np.argmin(traj.p_e))
-        a, b, c = traj.p_e[i - 1], traj.p_e[i], traj.p_e[i + 1]
+        p_e = lb.excited_probability(lb.run_sequence(seq, p, rho0, t).states, p)
+        i = int(np.argmin(p_e))
+        a, b, c = p_e[i - 1], p_e[i], p_e[i + 1]
         t_swap = t[i] + 0.5 * (a - c) / (a - 2 * b + c) * (t[1] - t[0])
         analytic = math.pi / (2 * p.g)
 
@@ -267,8 +267,7 @@ class TestCriterion10PropertySuites:
             u = lb.qubit_rotation("x", rng.uniform(0, math.pi), rng.uniform(0, TWO_PI), dim)
             rho0 = u @ rho0 @ u.conj().T
             seq = lb.PulseSequence([lb.Couple(p.g, 40e-9, p.delta)])
-            traj = lb.evolve(rho0, seq, p, np.linspace(0, 40e-9, 6))
-            rho = traj.rho_final
+            rho = lb.run_sequence(seq, p, rho0, np.linspace(0, 40e-9, 6)).rho_final
             worst_trace = max(worst_trace, abs(np.trace(rho).real - 1.0))
             worst_herm = max(worst_herm, float(np.max(np.abs(rho - rho.conj().T))))
             worst_eig = max(worst_eig, -float(np.min(np.linalg.eigvalsh(rho))))

@@ -251,16 +251,16 @@ class TestEvolve:
         p = closed_params()
         seq = lb.PulseSequence([lb.Couple(p.g, 80e-9)])
         t = np.linspace(0.0, 80e-9, 801)
-        traj = lb.evolve(qubit_excited(p.dim), seq, p, t)
-        assert np.max(np.abs(traj.p_e - np.cos(p.g * t) ** 2)) < 1e-9
+        states = lb.run_sequence(seq, p, qubit_excited(p.dim), t).states
+        assert np.max(np.abs(lb.excited_probability(states, p) - np.cos(p.g * t) ** 2)) < 1e-9
 
     def test_swap_time(self):
         p = closed_params()
         seq = lb.PulseSequence([lb.Couple(p.g, 40e-9)])
         t = np.linspace(30e-9, 38e-9, 801)
-        traj = lb.evolve(qubit_excited(p.dim), seq, p, t)
-        i = int(np.argmin(traj.p_e))
-        a, b, c = traj.p_e[i - 1], traj.p_e[i], traj.p_e[i + 1]
+        p_e = lb.excited_probability(lb.run_sequence(seq, p, qubit_excited(p.dim), t).states, p)
+        i = int(np.argmin(p_e))
+        a, b, c = p_e[i - 1], p_e[i], p_e[i + 1]
         t_min = t[i] + 0.5 * (a - c) / (a - 2 * b + c) * (t[1] - t[0])
         assert abs(t_min - math.pi / (2 * p.g)) < 0.1e-9
 
@@ -272,8 +272,7 @@ class TestEvolve:
         rho0 = np.kron(np.diag([1.0, 0.0]).astype(complex), lb.fock_state(p.dim, 1))
         seq = lb.PulseSequence([lb.Idle(296e-9)])
         t = np.linspace(0.0, 296e-9, 75)
-        traj = lb.evolve(rho0, seq, p, t)
-        p1 = traj.populations[:, 1]
+        p1 = lb.resonator_populations(lb.run_sequence(seq, p, rho0, t).states)[:, 1]
         assert np.max(np.abs(p1 - np.exp(-t / p.t1r))) < 1e-6
         assert np.interp(148e-9, t, p1) == pytest.approx(math.exp(-1), abs=1e-6)
 
@@ -284,17 +283,17 @@ class TestEvolve:
         rho0 = u @ rho0 @ u.conj().T
         seq = lb.PulseSequence([lb.Couple(p.g, 100e-9, 0.0, 5e-9)])
         t = np.linspace(0.0, 100e-9, 21)
-        traj = lb.evolve(rho0, seq, p, t)
-        assert abs(np.trace(traj.rho_final).real - 1.0) < 1e-9
-        assert np.min(np.linalg.eigvalsh(traj.rho_final)) > -1e-8
+        rho = lb.run_sequence(seq, p, rho0, t).rho_final
+        assert abs(np.trace(rho).real - 1.0) < 1e-9
+        assert np.min(np.linalg.eigvalsh(rho)) > -1e-8
 
     def test_excitation_conserved_without_dissipation(self):
         p = closed_params(dim=6)
         seq = lb.PulseSequence([lb.Couple(p.g, 60e-9, TWO_PI * 5e6)])
         t = np.linspace(0.0, 60e-9, 31)
-        traj = lb.evolve(qubit_excited(6), seq, p, t)
-        n_exc = traj.populations @ np.arange(6.0)  # phonons
-        p_e_raw = traj.p_e  # visibility = 1 here
+        states = lb.run_sequence(seq, p, qubit_excited(6), t).states
+        n_exc = lb.resonator_populations(states) @ np.arange(6.0)  # phonons
+        p_e_raw = lb.excited_probability(states, p)  # visibility = 1 here
         total = n_exc + p_e_raw
         assert np.max(np.abs(total - total[0])) < 1e-8
 
@@ -311,7 +310,7 @@ class TestEvolve:
         v_int = lb.build_hamiltonian(0.0, 1.0, p.dim)
         for ramp in (0.0, 5e-9):
             seq = lb.PulseSequence([lb.Couple(p.g, duration, delta, ramp)])
-            traj = lb.evolve(rho0, seq, p, t)
+            res = lb.run_sequence(seq, p, rho0, t)
 
             def env(time, ramp=ramp):
                 edge = min(time, duration - time)
@@ -320,10 +319,10 @@ class TestEvolve:
             ref = rk4_states(rho0, t, delta * n_q, lb.collapse_operators(p), 0.01e-9,
                              p.g * v_int, env)
             p_e = [np.trace(r[p.dim:, p.dim:]).real for r in ref]
-            assert np.max(np.abs(traj.p_e - p_e)) < 1e-9
+            assert np.max(np.abs(lb.excited_probability(res.states, p) - p_e)) < 1e-9
             pops = [lb.resonator_populations(r) for r in ref]
-            assert np.max(np.abs(traj.populations - pops)) < 1e-9
-            assert np.max(np.abs(traj.rho_final - ref[-1])) < 1e-9
+            assert np.max(np.abs(lb.resonator_populations(res.states) - pops)) < 1e-9
+            assert np.max(np.abs(res.rho_final - ref[-1])) < 1e-9
 
     def test_bump_windows_match_fine_step_rk4(self):
         # two ramped pulses of different lengths and ramps around an idle,
@@ -362,14 +361,14 @@ class TestEvolve:
         rho0 = lb.thermal_state(p)
         u = lb.qubit_rotation("x", 2.0, 0.0, p.dim)
         rho0 = u @ rho0 @ u.conj().T
-        traj = lb.evolve(rho0, seq, p, t)
+        res = lb.run_sequence(seq, p, rho0, t)
         ref = rk4_states(rho0, t, p.delta * n_q, lb.collapse_operators(p), 0.01e-9,
                          p.g * v_int, env)
         p_e = [np.trace(r[p.dim:, p.dim:]).real for r in ref]
-        assert np.max(np.abs(traj.p_e - p_e)) < 1e-9
+        assert np.max(np.abs(lb.excited_probability(res.states, p) - p_e)) < 1e-9
         pops = [lb.resonator_populations(r) for r in ref]
-        assert np.max(np.abs(traj.populations - pops)) < 1e-9
-        assert np.max(np.abs(traj.rho_final - ref[-1])) < 1e-9
+        assert np.max(np.abs(lb.resonator_populations(res.states) - pops)) < 1e-9
+        assert np.max(np.abs(res.rho_final - ref[-1])) < 1e-9
 
     def test_length_scan_builds_each_ramp_once(self, monkeypatch):
         # the rising and falling ramp products do not depend on the pulse
@@ -422,7 +421,7 @@ class TestEvolve:
         offset = TWO_PI * 40e6
         t = np.linspace(0.0, 50e-9, 26)
         seq = lb.PulseSequence([lb.Couple(p.g, 50e-9, delta)])
-        ref = lb.evolve(qubit_excited(5), seq, p, t)
+        ref = lb.excited_probability(lb.run_sequence(seq, p, qubit_excited(5), t).states, p)
 
         a = lb.lowering_operator(5)
         h_off = lb.build_hamiltonian(delta, p.g, 5) + offset * (
@@ -430,7 +429,7 @@ class TestEvolve:
         )
         states = rk4_states(qubit_excited(5), t, h_off, [], 0.05e-9)
         p_e = [np.trace(rho[5:, 5:]).real for rho in states]
-        assert np.max(np.abs(ref.p_e - np.array(p_e))) < 1e-7
+        assert np.max(np.abs(ref - np.array(p_e))) < 1e-7
 
     def test_liouvillian_never_leaves_an_excitation_sector(self):
         p = lb.SystemParams(dim=6, delta=TWO_PI * 2e6)
@@ -532,9 +531,9 @@ class TestEvolve:
         delta = TWO_PI * 4e6
         t = np.linspace(0.0, 80e-9, 41)
         seq = lb.PulseSequence([lb.Couple(p.g, 80e-9, delta)])
-        traj = lb.evolve(rho0, seq, p, t)
+        p_e = lb.excited_probability(lb.run_sequence(seq, p, rho0, t).states, p)
         traces = lb.batched_excited_traces([rho0], p, t, delta=delta)
-        assert np.max(np.abs(traces[0] - traj.p_e)) < 1e-12
+        assert np.max(np.abs(traces[0] - p_e)) < 1e-12
 
     def test_sampled_states_continue_with_their_frame_phase(self):
         # the lifetimes sequence cut inside its hold: each sampled state,
@@ -545,12 +544,12 @@ class TestEvolve:
         holds = np.array([0.0, 3e-9, 7.5e-9, 20e-9])
         rot = lb.Rotation("x", math.pi / 2)
         seq = lb.PulseSequence([rot, swap, lb.Idle(holds[-1])])
-        traj = lb.evolve(lb.thermal_state(p), seq, p, swap.duration + holds)
-        assert np.max(np.abs(traj.phase - p.delta * holds)) < 1e-9 * p.delta * holds[-1]
+        res = lb.run_sequence(seq, p, t_grid=swap.duration + holds)
+        assert np.max(np.abs(res.phase - p.delta * holds)) < 1e-9 * p.delta * holds[-1]
         for pulse in (lb.TOMOGRAPHY_PULSES["x90"], lb.TOMOGRAPHY_PULSES["y90"]):
             shifted = [lb.Rotation(pulse.axis, pulse.angle, pulse.phase + theta)
-                       for theta in traj.phase]
-            for w, rho, tail in zip(holds, traj.states, shifted):
+                       for theta in res.phase]
+            for w, rho, tail in zip(holds, res.states, shifted):
                 full = lb.run_sequence(lb.PulseSequence([rot, swap, lb.Idle(w), swap, pulse]), p)
                 cont = lb.run_sequence(lb.PulseSequence([swap, tail]), p, rho)
                 assert np.max(np.abs(cont.rho_final - full.rho_final)) < 1e-12
@@ -559,9 +558,9 @@ class TestEvolve:
         p = closed_params()
         seq = lb.PulseSequence([lb.Couple(p.g, 10e-9)])
         with pytest.raises(GridError):
-            lb.evolve(qubit_excited(p.dim), seq, p, np.array([0.0, 20e-9]))
+            lb.run_sequence(seq, p, qubit_excited(p.dim), np.array([0.0, 20e-9]))
         with pytest.raises(GridError):
-            lb.evolve(qubit_excited(p.dim), seq, p, np.array([5e-9, 1e-9]))
+            lb.run_sequence(seq, p, qubit_excited(p.dim), np.array([5e-9, 1e-9]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_time_rejected(self, bad):
@@ -570,9 +569,22 @@ class TestEvolve:
         p = closed_params()
         seq = lb.PulseSequence([lb.Couple(p.g, 10e-9)])
         with pytest.raises(GridError, match="finite"):
-            lb.evolve(qubit_excited(p.dim), seq, p, np.array([1e-9, bad]))
+            lb.run_sequence(seq, p, qubit_excited(p.dim), np.array([1e-9, bad]))
         with pytest.raises(GridError, match="finite"):
             lb.batched_excited_traces([qubit_excited(p.dim)], p, [1e-9, bad])
+
+    def test_sampled_run_checks_start_and_grid(self):
+        # a valid grid does not let a non-Hermitian start through, and the
+        # thermal start does not skip the grid checks
+        p = closed_params()
+        seq = lb.PulseSequence([lb.Couple(p.g, 10e-9)])
+        rho0 = qubit_excited(p.dim)
+        rho0[0, p.dim] = 1e-9
+        with pytest.raises(DomainError, match="not Hermitian"):
+            lb.run_sequence(seq, p, rho0, np.array([1e-9, 5e-9]))
+        for bad in ([0.0, 20e-9], [5e-9, 1e-9], [1e-9, math.nan], [1e-9, math.inf]):
+            with pytest.raises(GridError):
+                lb.run_sequence(seq, p, t_grid=np.array(bad))
 
     @pytest.mark.parametrize("grid", [[[1e-9, 2e-9]], []], ids=["2-d", "empty"])
     def test_traces_reject_grid_that_is_not_1d_or_empty(self, grid):
@@ -667,7 +679,7 @@ class TestHermitianHalf:
             lb.Couple(p.g, 30e-9, 0.0, 5e-9), lb.Idle(10e-9), lb.Measure(),
         ])
         rho = lb.run_sequence(seq, p).rho_final
-        lb.evolve(rho, seq, p, [5e-9, 20e-9, 35e-9])
+        lb.run_sequence(seq, p, rho, [5e-9, 20e-9, 35e-9])
         lb.batched_excited_traces([rho], p, [10e-9, 20e-9])
         assert set(built) == set(range(p.dim + 1))
 
@@ -740,10 +752,10 @@ class TestRunSequence:
         t = np.linspace(0.0, 150e-9, 151)
         seq = lb.PulseSequence([lb.Couple(p.g, 150e-9, delta)])
         rho0 = qubit_excited(p.dim)
-        traj = lb.evolve(rho0, seq, p, t)
+        p_e = lb.excited_probability(lb.run_sequence(seq, p, rho0, t).states, p)
         f_expected = math.sqrt(delta**2 + 4 * p.g**2) / TWO_PI
         popt, _ = curve_fit(
-            damped_cosine, t, traj.p_e,
+            damped_cosine, t, p_e,
             p0=[0.4, f_expected, 0.0, 1e-6, 0.6], maxfev=20000,
         )
         assert abs(abs(popt[1]) - f_expected) / f_expected < 0.02
@@ -795,10 +807,25 @@ class TestRunSequence:
         p_raw = lb.excited_probability(res.rho_final, p, scaled=False)
         assert res.p_e[0] == pytest.approx(0.97 * p_raw)
 
+    def test_grid_leaves_measures_and_final_state_alone(self):
+        # the samples fall in an idle and a flat coupling, where a split span
+        # is the same exponential
+        p = lb.SystemParams()
+        swap = lb.swap_segment(p)
+        seq = lb.PulseSequence([
+            lb.Rotation("x", math.pi / 2), swap, lb.Idle(20e-9), lb.Measure(),
+            lb.Displace(0.3 - 0.2j), lb.Couple(p.g, 30e-9, TWO_PI * 4e6), lb.Measure(),
+        ])
+        t = swap.duration + np.array([5e-9, 12e-9, 27e-9, 41e-9, 50e-9])
+        plain, sampled = lb.run_sequence(seq, p), lb.run_sequence(seq, p, t_grid=t)
+        assert plain.states.size == 0 and sampled.states.shape == (5, 2 * p.dim, 2 * p.dim)
+        assert np.max(np.abs(np.subtract(sampled.p_e, plain.p_e))) < 1e-12
+        assert np.max(np.abs(sampled.rho_final - plain.rho_final)) < 1e-12
+
     def test_excited_probability_of_a_stack_is_per_state(self):
         p = lb.SystemParams(visibility=0.97)
         seq = lb.PulseSequence([lb.Rotation("x", 1.1), lb.Couple(p.g, 20e-9)])
-        states = lb.evolve(lb.thermal_state(p), seq, p, np.linspace(0.0, 20e-9, 7)).states
+        states = lb.run_sequence(seq, p, t_grid=np.linspace(0.0, 20e-9, 7)).states
         for scaled in (True, False):
             stacked = lb.excited_probability(states, p, scaled=scaled)
             assert stacked.shape == (7,)
@@ -864,8 +891,7 @@ class TestStateChecks:
             seq = lb.PulseSequence(
                 [lb.Couple(p.g, 60e-9, TWO_PI * rng.uniform(-10e6, 10e6))]
             )
-            traj = lb.evolve(rho0, seq, p, np.linspace(0, 60e-9, 7))
-            rho = traj.rho_final
+            rho = lb.run_sequence(seq, p, rho0, np.linspace(0, 60e-9, 7)).rho_final
             assert abs(np.trace(rho).real - 1) < 1e-9
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
             assert np.min(np.linalg.eigvalsh(rho)) > -1e-8
