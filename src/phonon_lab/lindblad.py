@@ -373,24 +373,40 @@ def _sector_indices(dim: int) -> dict:
 
 
 @lru_cache(maxsize=16)
-def _hermitian_basis(dim: int) -> np.ndarray:
-    """Unitary T on the k = 0 sector whose coordinates T^H x of a Hermitian
-    state are real: a diagonal entry maps to itself, and each transpose pair
-    (rho_rc, rho_cr), r < c, to sqrt(2)*Re and sqrt(2)*Im of rho_rc, at the
-    positions of rho_rc and rho_cr."""
+def _hermitian_pairs(dim: int) -> tuple:
+    """(partner, a, b) of the unitary T on the k = 0 sector whose coordinates
+    T^H x of a Hermitian state are real: column j of T is
+    a[j] e_j + b[j] e_partner[j].  A diagonal entry maps to itself, and each
+    transpose pair (rho_rc, rho_cr), r < c, to sqrt(2)*Re and sqrt(2)*Im of
+    rho_rc, at the positions of rho_rc and rho_cr."""
     rows, cols, idx = _sector_indices(dim)[0]
     # sector 0 is closed under transposition, and idx is sorted
     partner = np.searchsorted(idx, cols * 2 * dim + rows)
-    diag = np.flatnonzero(rows == cols)
-    upper = np.flatnonzero(rows < cols)
-    lower = partner[upper]
     half = math.sqrt(0.5)
-    basis = np.zeros((idx.size, idx.size), dtype=complex)
-    basis[diag, diag] = 1.0
-    basis[upper, upper] = basis[lower, upper] = half
-    basis[upper, lower] = 1j * half
-    basis[lower, lower] = -1j * half
+    diag, upper = rows == cols, rows < cols
+    a = np.where(diag, 1.0, np.where(upper, half, -1j * half))
+    b = np.where(diag, 0.0, np.where(upper, half, 1j * half))
+    return partner, a, b
+
+
+@lru_cache(maxsize=16)
+def _hermitian_basis(dim: int) -> np.ndarray:
+    """The unitary T of ``_hermitian_pairs`` as a dense matrix."""
+    partner, a, b = _hermitian_pairs(dim)
+    j = np.arange(partner.size)
+    basis = np.diag(a)
+    basis[partner, j] += b
     return basis
+
+
+def _to_hermitian_basis(block: np.ndarray, dim: int) -> np.ndarray:
+    """T^H B T for T of ``_hermitian_pairs``, with two terms per entry."""
+    partner, a, b = _hermitian_pairs(dim)
+    left = a.conj()[:, None] * block  # T^H B
+    left += b.conj()[:, None] * block[partner]
+    out = left * a
+    out += left[:, partner] * b
+    return out
 
 
 def _occupied(rho) -> tuple:
@@ -450,9 +466,8 @@ def _generators(key: SystemParams, k: int) -> tuple:
         for a_op, b_op in terms:
             block += a_op[np.ix_(rows, rows)] * b_op[np.ix_(cols, cols)]
         if k == 0:
-            basis = _hermitian_basis(key.dim)
             # a copy: the .real view would keep the complex product alive
-            block = (basis.conj().T @ block @ basis).real.copy()
+            block = _to_hermitian_basis(block, key.dim).real.copy()
         out.append(block)
     return tuple(out)
 

@@ -19,7 +19,10 @@ Analysis conventions (matching the measurement procedure they invert):
   The state is reconstructed on its lowest ``STATE_LEVELS`` levels as an
   expansion over the generalized Gell-Mann generators, compared to the
   fitted populations in unweighted linear least squares, giving the
-  parameter covariance directly.
+  parameter covariance directly.  The estimate is not projected onto
+  physical states, so it can have small negative eigenvalues; the fidelity
+  overlap is linear in its parameters, and its error bar is the exact
+  linear propagation of their covariance.
 """
 
 from __future__ import annotations
@@ -267,17 +270,6 @@ def density_from_parameters(c: np.ndarray) -> np.ndarray:
     return np.eye(STATE_LEVELS, dtype=complex) / STATE_LEVELS + np.tensordot(c, _GELL_MANN, 1)
 
 
-def project_physical(rho: np.ndarray) -> np.ndarray:
-    """Clip negative eigenvalues to zero and renormalize, per matrix of a ``(..., d, d)`` stack."""
-    vals, vecs = np.linalg.eigh(rho)
-    vals = np.clip(vals, 0.0, None)
-    total = vals.sum(axis=-1, keepdims=True)
-    if np.any(total <= 0):
-        raise FitError("state projection collapsed to zero trace")
-    vals = vals / total
-    return (vecs * vals[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
-
-
 def reconstruct_density_matrix(fits: list[PopulationFit]) -> ReconstructedState:
     """Unweighted linear least squares over the Gell-Mann expansion.
 
@@ -320,26 +312,22 @@ def reconstruct_density_matrix(fits: list[PopulationFit]) -> ReconstructedState:
     covariance = gram_inv * (chi2 / dof)
 
     return ReconstructedState(
-        rho=np.pad(project_physical(density_from_parameters(c)), (0, dim - STATE_LEVELS)),
+        rho=np.pad(density_from_parameters(c), (0, dim - STATE_LEVELS)),
         parameters=c,
         covariance=covariance,
         residual=chi2,
     )
 
 
-def fidelity(
-    rho: np.ndarray,
-    psi: np.ndarray,
-    covariance: np.ndarray | None = None,
-    n_samples: int = 1000,
-    seed: int = 7,
-):
-    """State fidelity sqrt(<psi|rho|psi>) with Monte Carlo uncertainty.
+def fidelity(rho: np.ndarray, psi: np.ndarray, covariance: np.ndarray | None = None):
+    """State fidelity F = sqrt(<psi|rho|psi>) with its linear uncertainty.
 
-    When a parameter covariance from the reconstruction is given, parameter
-    vectors are resampled, rebuilt, projected, and re-scored as one
-    ``(n_samples, STATE_LEVELS, STATE_LEVELS)`` stack; the standard
-    deviation of the resampled fidelities is returned as the uncertainty.
+    The overlap F^2 = <psi|rho|psi> of the reconstruction is linear in its
+    Gell-Mann parameters, F^2 = a + b.c with b_k = Re<psi|lambda_k|psi>, so
+    for a parameter covariance S its variance is exactly b^T S b, and
+    sigma_F = sqrt(b^T S b) / (2F).  No projection onto physical states is
+    applied: it would bias F low (Schwemmer et al., PRL 114, 080403 (2015)),
+    so an overlap above 1 is returned as it is.
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.size > STATE_LEVELS:
@@ -350,30 +338,20 @@ def fidelity(
         raise DomainError("target state must be finite and non-zero")
     psi = psi / norm
     d = psi.size
-    rho_small = rho[:d, :d]
-    overlap = float(np.real(psi.conj() @ rho_small @ psi))
+    overlap = float(np.real(psi.conj() @ rho[:d, :d] @ psi))
     value = math.sqrt(max(overlap, 0.0))
     if covariance is None:
         return value, 0.0
 
     covariance = np.asarray(covariance, dtype=float)
     sym = 0.5 * (covariance + covariance.T)
-    min_eig = np.min(np.linalg.eigvalsh(sym))
-    if min_eig < -1e-12 * max(np.max(np.abs(sym)), 1e-300):
+    if np.min(np.linalg.eigvalsh(sym)) < -1e-12 * max(np.max(np.abs(sym)), 1e-300):
         raise FitError("covariance matrix is not positive semidefinite")
-    jitter = max(-min_eig, 0.0) + 1e-300
-    chol = np.linalg.cholesky(sym + jitter * np.eye(sym.shape[0]))
-
-    # center the resampling on the parameters implied by rho's reconstructed block
-    block = rho[:STATE_LEVELS, :STATE_LEVELS]
-    c0 = np.einsum("kij,ji->k", _GELL_MANN, block).real / 2.0
-    # one draw of all samples is the same stream, in the same order, as one draw per sample
-    z = np.random.default_rng(seed).standard_normal((n_samples, c0.size))
-    # a unit-trace expansion keeps each clipped spectrum's sum >= 1, so the
-    # projection always succeeds
-    rho_s = project_physical(density_from_parameters(c0 + z @ chol.T))
-    overlaps = np.einsum("i,sij,j->s", psi.conj(), rho_s[:, :d, :d], psi).real
-    return value, float(np.std(np.sqrt(np.maximum(overlaps, 0.0))))
+    b = np.einsum("i,kij,j->k", psi.conj(), _GELL_MANN[:, :d, :d], psi).real
+    variance = max(float(b @ sym @ b), 0.0)
+    if value == 0.0:
+        return value, math.inf if variance > 0.0 else 0.0
+    return value, math.sqrt(variance) / (2.0 * value)
 
 
 def fit_oscillation_amplitude(x, y):
@@ -467,7 +445,7 @@ def synthesize_dataset(
     records = []
     for alpha, p_e in zip(alphas, traces):
         if noise > 0:
-            p_e = p_e + noise * rng.standard_normal(p_e.size)
+            p_e = p_e + rng.normal(0.0, noise, p_e.size)
         records.append(
             TraceRecord(alpha=alpha, t_s=t_grid, p_e=p_e, initial_p_e=initial_p_e)
         )
@@ -491,11 +469,13 @@ def analyze_dataset(
 
 
 def reconstruction_report(recon: ReconstructedState, fidelity_value) -> dict:
-    """JSON-ready report with the density matrix, parameters, covariance and
-    the ``(value, sigma)`` of the state fidelity."""
+    """JSON-ready report with the density matrix, its smallest eigenvalue
+    (negative when the linear estimate is unphysical), parameters,
+    covariance and the ``(value, sigma)`` of the state fidelity."""
     report = {
         "rho_re": recon.rho.real.tolist(),
         "rho_im": recon.rho.imag.tolist(),
+        "min_eigenvalue": float(np.linalg.eigvalsh(recon.rho_small)[0]),
         "parameters": recon.parameters.tolist(),
         "covariance": recon.covariance.tolist(),
         "residual": recon.residual,

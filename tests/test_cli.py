@@ -316,6 +316,18 @@ class TestReproduce:
         got = doc["computed"]["qubit"]["population"]
         assert abs(got - 0.0169) < 0.001
 
+    def test_fig4d_reconstructions_report_min_eigenvalue(self, tmp_path, capsys):
+        out = tmp_path / "fig4d"
+        assert cli.main(["reproduce", "fig4d", "--out", str(out)]) == 0
+        for tag in ("0", "1", "0plus1"):
+            doc = json.loads((out / f"reconstruction_{tag}.json").read_text())
+            validate_document(doc, load_schema("reconstruction"))
+            rho = np.array(doc["rho_re"]) + 1j * np.array(doc["rho_im"])
+            assert doc["min_eigenvalue"] == pytest.approx(
+                np.linalg.eigvalsh(rho[:4, :4])[0], abs=1e-15)
+            # the linear estimate is reported as it is, without a projection
+            assert tag == "0" or doc["min_eigenvalue"] < 0
+
     def test_unknown_figure_lists_supported(self, capsys):
         assert cli.main(["reproduce", "nope"]) == 2
         err = capsys.readouterr().err
@@ -493,7 +505,7 @@ class TestLifetimeFits:
 
 
 # in a fresh process: import the CLI, run the lifetimes scenario and a
-# circuit fit, and score one state with a Monte Carlo sigma after building
+# circuit fit, and score one state with its linear sigma after building
 # the default dynamics parameters (which fit the reference device)
 _FITTING_PROCESS = """
 import sys

@@ -333,22 +333,6 @@ class TestReconstruction:
         with pytest.raises(IdentifiabilityError):
             tg.reconstruct_density_matrix(fits)
 
-    def test_projection_bounded_by_truncated_mass(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            rho = x @ x.conj().T
-            rho /= np.trace(rho).real
-            # inject a small negative eigenvalue like fit noise does
-            vals, vecs = np.linalg.eigh(rho)
-            vals[0] = -0.02
-            vals = vals / vals.sum()
-            rho_noisy = (vecs * vals) @ vecs.conj().T
-            projected = tg.project_physical(rho_noisy)
-            truncated_mass = float(np.sum(np.abs(np.clip(vals, None, 0.0))))
-            dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(projected - rho_noisy)))
-            assert dist <= truncated_mass + 1e-9
-
     def test_wigner_normalization_of_reconstruction(self, closed_params, closed_responses):
         t, resp = closed_responses
         rng = np.random.default_rng(21)
@@ -391,95 +375,83 @@ class TestFidelity:
         value, _ = tg.fidelity(rho, psi)
         assert value == 0.0
 
-    def test_monte_carlo_spread(self):
-        rho = np.zeros((10, 10), dtype=complex)
-        rho[:4, :4] = np.diag([0.9, 0.1, 0.0, 0.0])
-        cov = np.eye(15) * 1e-4
-        psi = np.array([1, 0, 0, 0], dtype=complex)
-        value, sigma = tg.fidelity(rho, psi, cov, n_samples=400, seed=3)
-        assert 0 < sigma < 0.1
-        # deterministic given the seed
-        value2, sigma2 = tg.fidelity(rho, psi, cov, n_samples=400, seed=3)
-        assert sigma == sigma2
-
-    def test_inflated_covariance_scores_every_sample(
-        self, closed_params, closed_responses, monkeypatch
-    ):
-        # 1e4 times a fitted covariance drives most samples far from physical;
-        # each one is still projected and scored, so sigma stays finite
-        t, resp = closed_responses
-        rng = np.random.default_rng(4)
-        fits = []
-        for a in tg.default_alpha_grid():
-            d = lb.displacement_operator(10, -a, check=False)
-            pn = np.diag(d @ lb.fock_state(10, 1) @ d.conj().T).real
-            rec = tg.TraceRecord(a, t, resp.T @ pn + 0.01 * rng.standard_normal(t.size), 0.03)
-            fits.append(tg.fit_populations(rec, closed_params, responses=resp))
-        recon = tg.reconstruct_density_matrix(fits)
-        project = tg.project_physical
-        projected = []
-
-        def counting_projection(rho):
-            projected.append(rho)
-            return project(rho)
-
-        monkeypatch.setattr(tg, "project_physical", counting_projection)
-        psi = np.array([0, 1, 0, 0], dtype=complex)
-        _, sigma = tg.fidelity(recon.rho, psi, 1e4 * recon.covariance, n_samples=1000)
-        # one projection of the whole stack, holding every sample
-        assert len(projected) == 1 and projected[0].shape == (1000, 4, 4)
-        assert math.isfinite(sigma) and 0 < sigma < 1
-
-    def test_resampling_centres_on_the_state(self, monkeypatch):
-        # with a negligible covariance every sample is the given (complex) state
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        rho4 = x @ x.conj().T
-        rho4 /= np.trace(rho4).real
-        sampled = []
-        monkeypatch.setattr(tg, "project_physical", lambda r: sampled.append(r) or r)
-        psi = np.array([1, 1j, 0, 0], dtype=complex)
-        tg.fidelity(np.pad(rho4, (0, 6)), psi, 1e-20 * np.eye(15), n_samples=3)
-        assert len(sampled) == 1 and sampled[0].shape == (3, 4, 4)
-        assert all(np.max(np.abs(r - rho4)) < 1e-8 for r in sampled[0])
-
     @pytest.mark.parametrize("seed", [7, 11])
     @pytest.mark.parametrize("state", ["0", "1", "0+1"])
-    def test_batched_sigma_matches_per_sample_loop(self, state, seed):
+    def test_sigma_matches_unclipped_monte_carlo(self, state, seed):
         psi = {"0": np.eye(4)[0], "1": np.eye(4)[1],
                "0+1": np.array([1, 1, 0, 0]) / math.sqrt(2)}[state].astype(complex)
         rho4 = 0.9 * np.outer(psi, psi.conj()) + 0.025 * np.eye(4)
         a = np.random.default_rng(seed).standard_normal((15, 15))
         covariance = 1e-4 * a @ a.T / 15
-        _, sigma = tg.fidelity(np.pad(rho4, (0, 6)), psi, covariance, n_samples=500, seed=seed)
+        value, sigma = tg.fidelity(np.pad(rho4, (0, 6)), psi, covariance)
 
-        # reference: draw, rebuild, project and score one sample at a time
-        chol = np.linalg.cholesky(covariance + 1e-300 * np.eye(15))
+        # oracle: the spread of the fidelities of 1e5 resampled, unprojected states
         c0 = np.einsum("kij,ji->k", tg._GELL_MANN, rho4).real / 2.0
-        rng = np.random.default_rng(seed)
-        samples = []
-        for _ in range(500):
-            vals, vecs = np.linalg.eigh(
-                tg.density_from_parameters(c0 + chol @ rng.standard_normal(15)))
-            vals = np.clip(vals, 0.0, None)
-            rho_s = (vecs * (vals / vals.sum())) @ vecs.conj().T
-            samples.append(math.sqrt(max(float(np.real(psi.conj() @ rho_s @ psi)), 0.0)))
-        want = float(np.std(samples))
-        assert sigma > 1e-3
-        assert abs(sigma - want) <= 1e-12 * want
+        draws = np.random.default_rng(seed).multivariate_normal(c0, covariance, 100_000)
+        overlaps = np.einsum("i,sij,j->s", psi.conj(), tg.density_from_parameters(draws), psi).real
+        assert value == pytest.approx(math.sqrt(0.925), abs=1e-12)
+        assert sigma == pytest.approx(np.std(np.sqrt(overlaps)), rel=0.02)
 
-    def test_zero_trace_member_of_a_stack_rejected(self):
-        stack = np.array([np.diag([0.5, 0.5, 0.0, 0.0]), -np.eye(4) / 4, np.eye(4) / 4])
-        with pytest.raises(FitError, match="zero trace"):
-            tg.project_physical(stack)
+    @pytest.mark.parametrize("levels", [2, 4])
+    def test_variance_matches_perturbed_parameters(self, levels):
+        rng = np.random.default_rng(levels)
+        c = 0.05 * rng.standard_normal(15)
+        psi = rng.standard_normal(levels) + 1j * rng.standard_normal(levels)
+        a = rng.standard_normal((15, 15))
+        covariance = a @ a.T
 
-    def test_stacked_projection_matches_each_matrix(self):
-        rng = np.random.default_rng(12)
-        x = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
-        stack = x + np.swapaxes(x.conj(), -1, -2)
-        projected = tg.project_physical(stack)
-        for rho, want in zip(stack, projected):
-            np.testing.assert_allclose(tg.project_physical(rho), want, atol=1e-14)
+        def overlap(params):
+            rho = tg.density_from_parameters(params)[:levels, :levels]
+            return float(np.real(psi.conj() @ rho @ psi)) / np.vdot(psi, psi).real
+
+        # the overlap is linear in c, so a unit step in c_k changes it by b_k exactly
+        b = np.array([overlap(c + step) - overlap(c) for step in np.eye(15)])
+        value, sigma = tg.fidelity(np.pad(tg.density_from_parameters(c), (0, 6)), psi, covariance)
+        assert value == pytest.approx(math.sqrt(overlap(c)), rel=1e-12)
+        assert 2.0 * value * sigma == pytest.approx(math.sqrt(b @ covariance @ b), rel=1e-12)
+
+    def test_zero_fidelity_and_zero_covariance(self):
+        rho = np.zeros((10, 10), dtype=complex)
+        rho[0, 0] = 1.0
+        psi = np.array([0, 1, 0, 0], dtype=complex)
+        assert tg.fidelity(rho, psi, 1e-6 * np.eye(15)) == (0.0, math.inf)
+        assert tg.fidelity(rho, psi, np.zeros((15, 15))) == (0.0, 0.0)
+        assert tg.fidelity(rho, np.array([1, 1j, 0, 0]), np.zeros((15, 15)))[1] == 0.0
+
+    def test_overlap_above_one_is_not_clipped(self):
+        # a unit-trace but unphysical linear estimate, as fit noise can give
+        rho = np.pad(np.diag([1.1, -0.1, 0.0, 0.0]).astype(complex), (0, 6))
+        psi = np.array([1, 0, 0, 0], dtype=complex)
+        covariance = 1e-4 * np.eye(15)
+        value, sigma = tg.fidelity(rho, psi, covariance)
+        b = tg._GELL_MANN[:, 0, 0].real
+        assert value == pytest.approx(math.sqrt(1.1), rel=1e-12)
+        assert sigma == pytest.approx(math.sqrt(b @ covariance @ b) / (2 * math.sqrt(1.1)),
+                                      rel=1e-12)
+
+    def test_sigma_calibrated_on_seeded_noise(self, device_params, trace_grid, responses):
+        # twenty noisy repeats of one |1> measurement: the spread of the fitted
+        # fidelities and the reported sigma agree within a factor of two
+        psi = np.array([0, 1, 0, 0], dtype=complex)
+        alphas = tg.default_alpha_grid()
+        truth = [np.abs(lb.displacement_operator(10, -a, check=False)[:, 1]) ** 2 for a in alphas]
+        values, sigmas = [], []
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            fits = [
+                tg.fit_populations(
+                    tg.TraceRecord(a, trace_grid,
+                                   responses.T @ p + 2e-4 * rng.standard_normal(trace_grid.size),
+                                   0.03),
+                    device_params, responses=responses)
+                for a, p in zip(alphas, truth)
+            ]
+            recon = tg.reconstruct_density_matrix(fits)
+            value, sigma = tg.fidelity(recon.rho, psi, recon.covariance)
+            values.append(value)
+            sigmas.append(sigma)
+        ratio = np.std(values, ddof=1) / np.median(sigmas)
+        assert 0.5 <= ratio <= 2.0
 
     @pytest.mark.parametrize("covariance", [None, 1e-6 * np.eye(15)])
     def test_target_longer_than_state_levels_rejected(self, covariance):
@@ -574,7 +546,7 @@ class TestDatasetIO:
     def test_reconstruction_report_fields(self):
         rng = np.random.default_rng(1)
         c = rng.standard_normal(15) * 0.01
-        rho = tg.project_physical(tg.density_from_parameters(c))
+        rho = tg.density_from_parameters(c)
         recon = tg.ReconstructedState(
             rho=np.pad(rho, ((0, 6), (0, 6))),
             parameters=c,
@@ -582,5 +554,7 @@ class TestDatasetIO:
             residual=0.1,
         )
         report = tg.reconstruction_report(recon, fidelity_value=(0.9, 0.01))
-        assert set(report) >= {"rho_re", "rho_im", "parameters", "covariance", "residual", "fidelity"}
+        assert set(report) >= {"rho_re", "rho_im", "min_eigenvalue", "parameters",
+                               "covariance", "residual", "fidelity"}
+        assert report["min_eigenvalue"] == pytest.approx(np.linalg.eigvalsh(rho)[0], abs=1e-15)
         json.dumps(report)
