@@ -392,6 +392,28 @@ class TestFidelity:
         assert value == pytest.approx(math.sqrt(0.925), abs=1e-12)
         assert sigma == pytest.approx(np.std(np.sqrt(overlaps)), rel=0.02)
 
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("state", ["0", "1", "0+1"])
+    def test_batched_sigma_matches_per_sample_loop(self, state, seed):
+        psi = {"0": np.eye(4)[0], "1": np.eye(4)[1],
+               "0+1": np.array([1, 1, 0, 0]) / math.sqrt(2)}[state].astype(complex)
+        rho4 = 0.9 * np.outer(psi, psi.conj()) + 0.025 * np.eye(4)
+        a = np.random.default_rng(seed).standard_normal((15, 15))
+        c0 = np.einsum("kij,ji->k", tg._GELL_MANN, rho4).real / 2.0
+        draws = np.random.default_rng(seed).multivariate_normal(c0, 1e-4 * a @ a.T / 15, 500)
+
+        # reference: rebuild and score one sample at a time
+        overlaps = []
+        for c in draws:
+            value_s, _ = tg.fidelity(np.pad(tg.density_from_parameters(c), (0, 6)), psi)
+            overlaps.append(value_s ** 2)
+        # the overlap is linear in c, so its spread over these draws is exactly
+        # the propagated sample covariance of the draws
+        value, sigma = tg.fidelity(np.pad(rho4, (0, 6)), psi, np.cov(draws.T))
+        want = float(np.std(overlaps, ddof=1))
+        assert want > 1e-3
+        assert 2.0 * value * sigma == pytest.approx(want, rel=1e-10)
+
     @pytest.mark.parametrize("levels", [2, 4])
     def test_variance_matches_perturbed_parameters(self, levels):
         rng = np.random.default_rng(levels)
