@@ -24,16 +24,18 @@ occupied k-sector, and a cosine-ramped coupling pulse is a time-ordered
 product of sixth-order Magnus steps on its ramps (Blanes, Casas, Oteo &
 Ros, Phys. Rep. 470, 151 (2009)) and one exponential on its flat top.  The
 ramps are the two windows of one cosine bump, so they do not depend on the
-pulse length.  Only the sectors in which the state holds non-zero entries
-are propagated.  Generators and propagators are cached one sector matrix at
-a time, in least-recently-used caches of 64 and 256 entries that hold at
-most 118 MB and 157 MB at dim 50, so each sector is built the first time it
-is occupied and a window's ramps stay cached while other spans come and go.
+pulse length.  Only the occupied sectors are propagated: those whose
+largest entry exceeds 1e-14 of the state's largest entry, so round-off left
+by a rotation does not count.  Generators and propagators are cached one
+sector matrix at a time, in least-recently-used caches of 64 and 256 entries
+that hold at most 118 MB and 157 MB at dim 50, so each sector is built the
+first time it is occupied and a window's ramps stay cached while other spans
+come and go.
 
 Only the Hermitian half of the state is propagated.  The Liouvillian
 preserves Hermiticity, so sector -k of a state is the conjugate transpose
 of sector k: the walker propagates k >= 0 and writes each -k sector from k.
-The k = 0 sector runs in real arithmetic, in the basis ``_hermitian_basis``
+The k = 0 sector runs in real arithmetic, in the basis of ``_hermitian_pairs``
 where a Hermitian state's coordinates are real (each transpose pair of
 entries becomes sqrt(2) times its real and imaginary part), so its
 generators, exponentials and Magnus products are real matrices.  States
@@ -196,9 +198,21 @@ def dephase_qubit(rho: np.ndarray) -> np.ndarray:
 
 
 def _check_hermitian(rho: np.ndarray):
-    """Raise if ``rho``, a matrix or a stack of them, is not Hermitian within 1e-10."""
+    """Raise if ``rho``, a matrix or a stack of them, is not finite or not
+    Hermitian within 1e-10."""
+    # a NaN entry would pass the comparison below, and every occupancy test
+    if not np.all(np.isfinite(rho)):
+        raise DomainError("density matrix must be finite")
     if np.max(np.abs(rho - np.swapaxes(rho, -1, -2).conj())) > 1e-10:
         raise DomainError("density matrix is not Hermitian")
+
+
+def _check_state(rho: np.ndarray, dim: int):
+    """Raise unless ``rho``, a matrix or a stack of them, is a Hermitian
+    state of the composite space at resonator dimension ``dim``."""
+    if rho.shape[-2:] != (2 * dim, 2 * dim):
+        raise DomainError(f"a state at dim {dim} must be {2 * dim} x {2 * dim}, not {rho.shape}")
+    _check_hermitian(rho)
 
 
 def check_density_matrix(rho: np.ndarray):
@@ -340,7 +354,7 @@ class PulseSequence:
 # two sectors and a displacement into every sector, so the occupied sectors
 # are read from the state itself at the start of each continuous segment.
 # Sector -k is the conjugate transpose of sector k in a Hermitian state, so
-# only k >= 0 is propagated, and k = 0 in the real basis _hermitian_basis.
+# only k >= 0 is propagated, and k = 0 in the real basis of _hermitian_pairs.
 
 # sixth-order Magnus steps per full cosine ramp (a partial window gets its
 # share, rounded up); at the default parameters 16 steps put either edge of
@@ -389,17 +403,7 @@ def _hermitian_pairs(dim: int) -> tuple:
     return partner, a, b
 
 
-@lru_cache(maxsize=16)
-def _hermitian_basis(dim: int) -> np.ndarray:
-    """The unitary T of ``_hermitian_pairs`` as a dense matrix."""
-    partner, a, b = _hermitian_pairs(dim)
-    j = np.arange(partner.size)
-    basis = np.diag(a)
-    basis[partner, j] += b
-    return basis
-
-
-def _to_hermitian_basis(block: np.ndarray, dim: int) -> np.ndarray:
+def _to_real_basis(block: np.ndarray, dim: int) -> np.ndarray:
     """T^H B T for T of ``_hermitian_pairs``, with two terms per entry."""
     partner, a, b = _hermitian_pairs(dim)
     left = a.conj()[:, None] * block  # T^H B
@@ -409,11 +413,19 @@ def _to_hermitian_basis(block: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
+# A sector is occupied when its largest entry exceeds this share of the
+# state's largest entry.  A closed-form rotation leaves at most about 1e-16
+# in the sectors it should leave empty (cos(pi/2) = 6.1e-17), and dropping
+# a sector changes the state by at most the floor times its largest entry.
+_OCCUPANCY_FLOOR = 1e-14
+
+
 def _occupied(rho) -> tuple:
-    """The sectors k >= 0 in which the Hermitian ``rho`` has a non-zero entry."""
-    flat = rho.reshape(-1)
+    """The sectors k >= 0 that the Hermitian ``rho`` occupies."""
+    flat = np.abs(rho.reshape(-1))
+    floor = _OCCUPANCY_FLOOR * flat.max()
     indices = _sector_indices(rho.shape[0] // 2)
-    return tuple(k for k, (_, _, idx) in indices.items() if k >= 0 and flat[idx].any())
+    return tuple(k for k, (_, _, idx) in indices.items() if k >= 0 and flat[idx].max() > floor)
 
 
 def _liouvillian_key(params: SystemParams) -> SystemParams:
@@ -426,31 +438,24 @@ def _liouvillian_key(params: SystemParams) -> SystemParams:
 # dim 50, where the largest sector matrix (k = 1, 196 x 196 complex) takes
 # 0.615 MB: a generator entry (D, N, V) is <= 1.85 MB, so 64 entries are
 # <= 118 MB, and 256 propagator entries are <= 157 MB.  The dense terms
-# of a system take 1.2 MB, so 4 systems are <= 5 MB.  A pass of the
+# of a system take 0.64 MB, so 4 systems are <= 3 MB.  A pass of the
 # perfbench dynamics workload uses 51 sector propagators (1.3 MB), so the
 # swap ramps outlive the scans between them.
 
 
 @lru_cache(maxsize=4)
 def _liouvillian_terms(key: SystemParams) -> tuple:
-    """Dense terms of D, N and V in L(delta, g) = D + delta*N + g*V for the
-    system whose ``_liouvillian_key`` is ``key``; each term (A, B) maps rho
-    to A rho B^T."""
-    dim = key.dim
-    eye = np.eye(2 * dim)
-    dissipator = []
-    for c in collapse_operators(key):
-        c = c.real.copy()  # real: half the memory, and c* = c
-        half = -0.5 * (c.T @ c)
-        dissipator += [(c, c), (half, eye), (eye, half.T)]
-
-    def commutator(h):
-        return [(-1j * h, eye), (eye, 1j * h.T)]
-
+    """(K, jumps) of D, N and V in L(delta, g) = D + delta*N + g*V for the
+    system whose ``_liouvillian_key`` is ``key``: each part maps rho to
+    K rho + rho K^H + sum of c rho c^H over its jumps c (Breuer & Petruccione,
+    The Theory of Open Quantum Systems, ch. 3)."""
+    # real collapse operators: half the memory, and c^H = c^T
+    jumps = tuple(c.real.copy() for c in collapse_operators(key))
+    k_d = -0.5 * sum((c.T @ c for c in jumps), np.zeros((2 * key.dim,) * 2))
     return (
-        dissipator,
-        commutator(build_hamiltonian(1, 0, dim)),
-        commutator(build_hamiltonian(0, 1, dim)),
+        (k_d, jumps),
+        (-1j * build_hamiltonian(1, 0, key.dim), ()),
+        (-1j * build_hamiltonian(0, 1, key.dim), ()),
     )
 
 
@@ -458,16 +463,19 @@ def _liouvillian_terms(key: SystemParams) -> tuple:
 def _generators(key: SystemParams, k: int) -> tuple:
     """Sector k's blocks (D, N, V) of L(delta, g) = D + delta*N + g*V for the
     system whose ``_liouvillian_key`` is ``key``.  The k = 0 blocks are
-    T^H B T in the real basis T of ``_hermitian_basis``, and are real."""
+    T^H B T in the real basis T of ``_hermitian_pairs``, and are real."""
     rows, cols, _ = _sector_indices(key.dim)[k]
+    at_rows, at_cols = np.ix_(rows, rows), np.ix_(cols, cols)
+    # the identity factors of K (x) 1 and 1 (x) K*, on the sector's entries
+    same_rows, same_cols = rows[:, None] == rows, cols[:, None] == cols
     out = []
-    for terms in _liouvillian_terms(key):
-        block = np.zeros((rows.size, rows.size), dtype=complex)
-        for a_op, b_op in terms:
-            block += a_op[np.ix_(rows, rows)] * b_op[np.ix_(cols, cols)]
+    for eff, jumps in _liouvillian_terms(key):
+        block = eff[at_rows] * same_cols + same_rows * eff[at_cols].conj()
+        for c in jumps:
+            block += c[at_rows] * c[at_cols]
         if k == 0:
             # a copy: the .real view would keep the complex product alive
-            block = _to_hermitian_basis(block, key.dim).real.copy()
+            block = _to_real_basis(block, key.dim).real.copy()
         out.append(block)
     return tuple(out)
 
@@ -540,15 +548,16 @@ def _advance(rho, key, sectors, delta, g, ramp, duration, t0, t1):
     flat = rho.reshape(-1)
     out = np.zeros_like(flat)
     indices = _sector_indices(key.dim)
-    basis = _hermitian_basis(key.dim)
+    partner, a, b = _hermitian_pairs(key.dim)
     for k in sectors:
         idx = indices[k][2]
-        # Re(x^H T) = Re(T^H x), without a conjugated copy of T
-        vec = (flat[idx].conj() @ basis).real if k == 0 else flat[idx]
+        vec = flat[idx]
+        if k == 0:
+            vec = (a.conj() * vec + b.conj() * vec[partner]).real  # T^H x
         for span in spans:
             vec = _propagator(key, k, delta, g, *span) @ vec
         if k == 0:
-            out[idx] = basis @ vec
+            out[idx] = a * vec + b[partner] * vec[partner]  # T v
         else:
             out[idx] = vec
             rows, cols, mirror = indices[-k]
@@ -565,7 +574,7 @@ def qubit_rotation(axis: str, angle: float, phase: float, dim: int) -> np.ndarra
     else:
         raise DomainError("rotation axis must be 'x' or 'y'")
     gen = math.cos(base) * SIGMA_X + math.sin(base) * SIGMA_Y
-    u2 = expm(-0.5j * angle * gen)
+    u2 = math.cos(0.5 * angle) * np.eye(2) - 1j * math.sin(0.5 * angle) * gen
     return np.kron(u2, np.eye(dim))
 
 
@@ -616,12 +625,14 @@ def batched_excited_traces(
     rho = np.array(rhos, dtype=complex)
     if rho.ndim != 3:
         raise DomainError("rhos must be a stack of density matrices")
-    _check_hermitian(rho)
+    _check_state(rho, params.dim)
     _check_finite(delta=delta)
     rows, cols, idx = _sector_indices(params.dim)[0]
-    # the stack's k = 0 coordinates in the real basis, where the diagonal
-    # entries keep their positions
-    vec = (rho.reshape(rho.shape[0], -1)[:, idx].conj() @ _hermitian_basis(params.dim)).real
+    partner, a, b = _hermitian_pairs(params.dim)
+    # the stack's k = 0 coordinates T^H x in the real basis, where the
+    # diagonal entries keep their positions
+    x = rho.reshape(rho.shape[0], -1)[:, idx]
+    vec = (a.conj() * x + b.conj() * x[:, partner]).real
     excited = params.visibility * ((rows == cols) & (rows >= params.dim))
     out = np.empty((rho.shape[0], t_grid.size))
     key = _liouvillian_key(params)
@@ -666,7 +677,7 @@ def run_sequence(
     act at their position in the sequence.
     """
     rho = thermal_state(params) if rho0 is None else rho0.astype(complex)
-    _check_hermitian(rho)
+    _check_state(rho, params.dim)
     pending = list(_check_grid(t_grid, seq.duration())) if np.size(t_grid) else []
     dim = params.dim
     key = _liouvillian_key(params)

@@ -44,7 +44,6 @@ from .errors import (
 from . import lindblad as lb
 from .schema_io import load_schema, validate_document
 
-TWO_PI = 2.0 * math.pi
 STATE_LEVELS = 4  # the reconstructed subspace: Fock levels 0 .. STATE_LEVELS - 1
 
 

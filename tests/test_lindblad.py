@@ -99,6 +99,14 @@ def excitation_sectors(dim):
     return n_exc[:, None] - n_exc[None, :]
 
 
+def hermitian_basis(dim):
+    """The unitary T of ``lb._hermitian_pairs`` as a dense matrix."""
+    partner, a, b = lb._hermitian_pairs(dim)
+    basis = np.diag(a)
+    basis[partner, np.arange(a.size)] += b
+    return basis
+
+
 def dense_liouvillian(p, delta, g):
     """Row-major superoperator over every sector: rho -> A rho B is kron(A, B.T)."""
     h = lb.build_hamiltonian(delta, g, p.dim)
@@ -486,9 +494,10 @@ class TestEvolve:
         pytest.param(lambda p: lb.fock2_sequence(p, 20e-9), id="fock2"),
     ])
     def test_pi_rotation_from_thermal_builds_only_k0_ramps(self, monkeypatch, make):
-        # expm gives a pi rotation exact zeros on its diagonal, so the
-        # thermal state stays in k = 0 through every rotation; a round-off
-        # residue in k = +-1 would triple the swap's ramp builds
+        # a closed-form pi rotation leaves cos(pi/2) = 6.1e-17 on its
+        # diagonal, so the rotated thermal state holds round-off in k = +-1;
+        # the occupancy floor keeps it in k = 0, where counting that residue
+        # would triple the swap's ramp builds
         p = lb.SystemParams()
         built = set()
         magnus = lb._magnus
@@ -501,6 +510,39 @@ class TestEvolve:
         lb._propagator.cache_clear()
         lb.run_sequence(make(p), p)
         assert built == {0}
+
+    @pytest.mark.parametrize("level, sectors", [(1e-12, {0, 1}), (1e-17, {0})],
+                             ids=["above-floor", "below-floor"])
+    def test_occupancy_floor(self, monkeypatch, level, sectors):
+        # a thermal state with |e,0><g,0| coherences (k = +-1) at a share
+        # of its largest entry: above the floor k = 1 is propagated, below
+        # it the sector is dropped at a cost of at most the floor
+        p = lb.SystemParams()
+        rho0 = lb.thermal_state(p)
+        top = np.max(np.abs(rho0))
+        rho0[p.dim, 0] = rho0[0, p.dim] = level * top
+        built = set()
+        magnus = lb._magnus
+
+        def counting(params, k, *args):
+            built.add(k)
+            return magnus(params, k, *args)
+
+        monkeypatch.setattr(lb, "_magnus", counting)
+        lb._propagator.cache_clear()
+        lb.run_sequence(lb.PulseSequence([lb.swap_segment(p)]), p, rho0)
+        assert built == sectors
+        duration = 30e-9
+        prop = expm(duration * dense_liouvillian(p, 0.0, p.g))
+        ref = (prop @ rho0.reshape(-1)).reshape(rho0.shape)
+        rho = lb.run_sequence(lb.PulseSequence([lb.Couple(p.g, duration)]), p, rho0).rho_final
+        k = excitation_sectors(p.dim)
+        if level > lb._OCCUPANCY_FLOOR:
+            assert np.max(np.abs(rho[k == 1])) > 0.1 * level * top
+            assert np.max(np.abs(rho - ref)) < 1e-12
+        else:
+            assert not np.any(rho[k != 0])
+            assert np.max(np.abs(rho - ref)) <= lb._OCCUPANCY_FLOOR * top
 
     def test_fields_outside_the_liouvillian_share_ramps(self, monkeypatch):
         # the idle detuning, g, the thermal populations and the visibility
@@ -629,6 +671,21 @@ class TestRampProduct:
         assert 5 <= order <= 7
 
 
+class TestQubitRotation:
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_closed_form_matches_the_matrix_exponential(self, axis):
+        # the oracle exponentiates -i*angle/2 times the rotated axis
+        base = {"x": 0.0, "y": math.pi / 2}[axis]
+        dim = 3
+        for angle in np.linspace(-TWO_PI, TWO_PI, 33):
+            for phase in np.linspace(-math.pi, TWO_PI, 13):
+                u = lb.qubit_rotation(axis, angle, phase, dim)
+                gen = math.cos(base + phase) * lb.SIGMA_X + math.sin(base + phase) * lb.SIGMA_Y
+                oracle = np.kron(expm(-0.5j * angle * gen), np.eye(dim))
+                assert np.max(np.abs(u - oracle)) <= 1e-15
+                assert np.max(np.abs(u.conj().T @ u - np.eye(2 * dim))) <= 1e-15
+
+
 class TestHermitianHalf:
     """The walker propagates k >= 0, and k = 0 in real arithmetic."""
 
@@ -636,7 +693,7 @@ class TestHermitianHalf:
     def test_population_sector_is_real_in_the_hermitian_basis(self, dim):
         p = lb.SystemParams(dim=dim)
         idx = lb._sector_indices(dim)[0][2]
-        basis = lb._hermitian_basis(dim)
+        basis = hermitian_basis(dim)
         assert np.max(np.abs(basis.conj().T @ basis - np.eye(idx.size))) < 1e-15
         # D, N and V of L(delta, g) = D + delta*N + g*V
         closed = closed_params(dim)
@@ -649,6 +706,29 @@ class TestHermitianHalf:
             assert np.max(np.abs(rotated.imag)) < 1e-12 * scale
             assert block.dtype == float and block.flags.c_contiguous
             assert np.max(np.abs(block - rotated.real)) < 1e-12 * scale
+
+    @pytest.mark.parametrize("system", [
+        pytest.param(lambda dim: lb.SystemParams(dim=dim), id="lossy"),
+        pytest.param(lambda dim: closed_params(dim), id="no-collapse"),
+    ])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_generator_blocks_match_the_dense_liouvillian(self, k, system):
+        # each block of L(delta, g) = D + delta*N + g*V is the sector's block
+        # of the dense superoperator, in the real basis for k = 0; without
+        # collapse operators D is zero
+        dim = 5
+        p = system(dim)
+        idx = lb._sector_indices(dim)[k][2]
+        closed = closed_params(dim)
+        parts = (dense_liouvillian(p, 0.0, 0.0), dense_liouvillian(closed, 1.0, 0.0),
+                 dense_liouvillian(closed, 0.0, 1.0))
+        basis = hermitian_basis(dim) if k == 0 else np.eye(idx.size)
+        stored = lb._generators(lb._liouvillian_key(p), k)
+        for dense, block in zip(parts, stored):
+            expected = basis.conj().T @ dense[np.ix_(idx, idx)] @ basis
+            assert block.shape == expected.shape
+            assert np.max(np.abs(block - expected)) <= 1e-12 * max(np.max(np.abs(expected)), 1.0)
+        assert (np.max(np.abs(stored[0])) > 0) == bool(lb.collapse_operators(p))
 
     def test_rotated_displaced_coupled_state_is_exactly_hermitian(self):
         p = lb.SystemParams()
@@ -682,6 +762,37 @@ class TestHermitianHalf:
         lb.run_sequence(seq, p, rho, [5e-9, 20e-9, 35e-9])
         lb.batched_excited_traces([rho], p, [10e-9, 20e-9])
         assert set(built) == set(range(p.dim + 1))
+
+    @pytest.mark.parametrize("run", [
+        pytest.param(lambda p, rho: lb.batched_excited_traces([rho], p, [10e-9, 20e-9]),
+                     id="traces"),
+        pytest.param(lambda p, rho: lb.run_sequence(
+            lb.PulseSequence([lb.Couple(p.g, 30e-9), lb.Measure()]), p, rho), id="couple"),
+        pytest.param(lambda p, rho: lb.run_sequence(
+            lb.PulseSequence([lb.Rotation("x", math.pi), lb.Measure()]), p, rho), id="rotation"),
+    ])
+    def test_state_of_another_dim_rejected(self, run):
+        # a dim-12 state under dim-10 parameters used to be cut to the
+        # dim-10 sectors, or to die in a matrix product
+        big = lb.SystemParams(dim=12)
+        u = lb.qubit_rotation("x", math.pi, 0.0, big.dim)
+        rho = u @ lb.thermal_state(big) @ u.conj().T
+        with pytest.raises(DomainError, match="dim"):
+            run(lb.SystemParams(dim=10), rho)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_start_rejected(self, bad):
+        # a NaN entry used to pass the Hermiticity test, and the occupancy
+        # floor would then drop every sector and return zeros
+        p = lb.SystemParams(dim=3)
+        rho0 = lb.thermal_state(p)
+        rho0[1, 1] = bad
+        with pytest.raises(DomainError, match="finite"):
+            lb.check_density_matrix(rho0)
+        with pytest.raises(DomainError, match="finite"):
+            lb.run_sequence(lb.PulseSequence([lb.Couple(p.g, 10e-9)]), p, rho0)
+        with pytest.raises(DomainError, match="finite"):
+            lb.batched_excited_traces([rho0], p, [1e-9])
 
     def test_non_hermitian_start_rejected(self):
         p = lb.SystemParams(dim=3)
