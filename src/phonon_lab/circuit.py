@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .errors import (
     IdentifiabilityError,
     IllConditionedFitWarning,
 )
-from .saw import TWO_PI, AdmittanceSpectrum, BvdParams, _levenberg_marquardt
+from .saw import FIT_MAX_GRAM_COND, TWO_PI, AdmittanceSpectrum, BvdParams, _levenberg_marquardt
 
 DIVERGENCE_COS_FLOOR = 1e-9
 
@@ -58,9 +58,6 @@ class CircuitParams:
             raise DomainError("|m| must not exceed sqrt(l_2*l_sec)")
         if self.background_t1 <= 0:
             raise DomainError("background_t1 must be positive")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _junction_inductance(phi_g, l_cj0: float):
@@ -320,9 +317,7 @@ def qubit_loss_spectrum(
     f_saw = saw_spectrum.frequencies
     if omega.min() < f_saw.min() - 1e-9 or omega.max() > f_saw.max() + 1e-9:
         raise GridError("requested grid extends outside the admittance spectrum")
-    y_saw = np.interp(omega, f_saw, saw_spectrum.y.real) + 1j * np.interp(
-        omega, f_saw, saw_spectrum.y.imag
-    )
+    y_saw = np.interp(omega, f_saw, saw_spectrum.y)
 
     _, l_cj = _junction_inductance(phi_g, params.l_cj0)
     background = 1.0 / (omega * params.background_t1)
@@ -358,8 +353,8 @@ def fit_circuit(spectroscopy, params: CircuitParams = CircuitParams()):
     ``saw._levenberg_marquardt`` then minimises the relative frequency
     residual over the log-inductances with its analytic Jacobian.  Returns
     ``(params with the fitted inductances, covariance)`` with the 3x3
-    covariance ordered (l_q, l_1, l_2); ``ConvergenceError`` when the fit
-    hits ``saw.FIT_MAX_NFEV`` evaluations.
+    covariance ordered (l_q, l_1, l_2); ``ConvergenceError`` when that does
+    not converge.
     """
     data = np.asarray(spectroscopy, dtype=float)
     if data.ndim != 2 or data.shape[1] != 2:
@@ -403,7 +398,8 @@ def fit_circuit(spectroscopy, params: CircuitParams = CircuitParams()):
     res, jac = residuals(x)
     if not converged:
         raise ConvergenceError(
-            "circuit fit hit the evaluation cap", best=fitted, residual=float(np.linalg.norm(res))
+            "circuit fit did not converge: a singular step or the evaluation cap",
+            best=fitted, residual=float(np.linalg.norm(res)),
         )
 
     # covariance of the physical parameters from the log-space jacobian
@@ -411,7 +407,7 @@ def fit_circuit(spectroscopy, params: CircuitParams = CircuitParams()):
     sigma2 = float(res @ res) / dof
     jtj = jac.T @ jac
     cond = np.linalg.cond(jtj)
-    if cond > 1e12:
+    if cond > FIT_MAX_GRAM_COND:
         warnings.warn(
             "circuit fit is ill-conditioned; covariance uses a pseudo-inverse",
             IllConditionedFitWarning,

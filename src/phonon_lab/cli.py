@@ -34,10 +34,10 @@ import numpy as np
 
 from . import __version__, circuit, lindblad as lb, saw, tomography as tg
 from ._svgmap import heatmap_svg
-from .errors import ConfigError, ConvergenceError, DomainError, GridError, PhononLabError
-from .schema_io import load_schema, validate_document
-
-TWO_PI = 2.0 * math.pi
+from .errors import (ConfigError, ConvergenceError, DomainError, GridError,
+                     IdentifiabilityError, PhononLabError)
+from .saw import TWO_PI
+from .schema_io import document_text, load_schema, validate_document
 
 
 @dataclasses.dataclass
@@ -45,9 +45,6 @@ class Scenario:
     kind: str
     params: dict = dataclasses.field(default_factory=dict)
     seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": self.params, "seed": self.seed}
 
 
 def parse_scenario(doc: dict, seed=None) -> Scenario:
@@ -106,10 +103,6 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot parse config: {exc}") from exc
 
 
-def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def _columns_csv(header, formats, *columns) -> str:
     """CSV text of equal-length columns, each field %-formatted by its column's format.
 
@@ -159,9 +152,16 @@ def _fit_decay(model, t, y, start) -> np.ndarray:
 
     ``saw._levenberg_marquardt`` runs on the parameters in units of their
     start values; a start of 0 (an offset or a phase) has unit scale.
-    ``ConvergenceError`` when the fit hits ``saw.FIT_MAX_NFEV`` evaluations.
+    ``ConvergenceError`` when that does not converge.  ``IdentifiabilityError``
+    when there are fewer points than parameters, or when the Gram matrix
+    J^T J at the solution, in those units, has a condition number above
+    ``saw.FIT_MAX_GRAM_COND``: the samples cannot resolve the decay.
     """
     start = np.asarray(start, dtype=float)
+    if t.size < start.size:
+        raise IdentifiabilityError(
+            f"{t.size} points cannot determine the {start.size} parameters of the fit"
+        )
     scale = np.where(start != 0.0, np.abs(start), 1.0)
 
     def residuals(x):
@@ -170,8 +170,17 @@ def _fit_decay(model, t, y, start) -> np.ndarray:
 
     x, r, converged = saw._levenberg_marquardt(residuals, start / scale)
     if not converged:
-        raise ConvergenceError("lifetime fit hit the evaluation cap", best=x * scale,
-                               residual=float(np.linalg.norm(r)))
+        raise ConvergenceError(
+            "lifetime fit did not converge: a singular step or the evaluation cap",
+            best=x * scale, residual=float(np.linalg.norm(r)),
+        )
+    jac = residuals(x)[1]
+    cond = np.linalg.cond(jac.T @ jac)
+    if not cond <= saw.FIT_MAX_GRAM_COND:
+        raise IdentifiabilityError(
+            f"the samples cannot resolve the decay: the fit's Gram matrix has condition "
+            f"number {cond:.1e}"
+        )
     return x * scale
 
 
@@ -194,7 +203,7 @@ def run_admittance(scn: Scenario) -> tuple[dict, dict]:
     gamma = saw.mirror_reflection(grid, p)
     files = {
         "admittance.csv": _spectrum_csv(spec.frequencies_hz, spec.y),
-        "params.json": _json_text(spec.metadata),
+        "params.json": document_text(spec.metadata),
         "transducer.csv": _spectrum_csv(spec.frequencies_hz, pm.p33 + 1j * grid * p.c_t),
         "mirror.csv": _columns_csv(
             ["freq_hz", "gamma_abs", "gamma_re", "gamma_im"],
@@ -243,7 +252,7 @@ def run_coupling_sweep(scn: Scenario) -> tuple[dict, dict]:
         "qubit_frequency.csv": _columns_csv(
             ["phi_g", "omega_ge_hz"], ["%.6f", "%.3f"], phi, f_ge / TWO_PI
         ),
-        "params.json": _json_text(cp.to_dict()),
+        "params.json": document_text(dataclasses.asdict(cp)),
     }
     mags = np.abs(g)
     nonzero = mags[mags > 0]
@@ -282,7 +291,7 @@ def run_loss_spectrum(scn: Scenario) -> tuple[dict, dict]:
             ["%.3f", "%.6e", "%.6e", "%.6e"],
             f_hz, loss_max, loss_mid, loss_off,
         ),
-        "params.json": _json_text(cp.to_dict()),
+        "params.json": document_text(dataclasses.asdict(cp)),
     }
     return files, {
         "phi_moderate": float(phi_mid),
@@ -408,6 +417,8 @@ def run_lifetimes(scn: Scenario) -> tuple[dict, dict]:
 def run_thermometry(scn: Scenario) -> tuple[dict, dict]:
     rng = np.random.default_rng(scn.seed)
     noise, n = scn.params["noise"], scn.params["n_points"]
+    if not noise >= 0.0:
+        raise DomainError(f"noise must be >= 0, got {noise:g}")
     contrast = 0.95
     x = np.linspace(-1.0, 1.0, n)
     results = {}
@@ -462,7 +473,7 @@ def run_wigner(scn: Scenario) -> tuple[dict, dict]:
             phase = np.angle(recon.rho_small[0, 1])
             psi = np.array([1, np.exp(1j * phase), 0, 0], dtype=complex) / math.sqrt(2)
         value, sigma = tg.fidelity(recon.rho, psi, recon.covariance)
-        files[f"reconstruction_{tag}.json"] = _json_text(
+        files[f"reconstruction_{tag}.json"] = document_text(
             tg.reconstruction_report(recon, fidelity_value=(value, sigma))
         )
 
@@ -504,9 +515,7 @@ def run_large_alpha(scn: Scenario) -> tuple[dict, dict]:
     mags = np.linspace(0.0, s["alpha_max"], s["n_alpha"])
     taus = np.linspace(1e-9, s["tau_max_s"], s["n_tau"])
 
-    base = np.kron(
-        np.diag([1.0, 0.0]).astype(complex), lb.fock_state(dim, initial_fock)
-    )
+    base = lb.product_state(0.0, lb.fock_state(dim, initial_fock))
     rhos = [lb.displacement(base, complex(a), check=False) for a in mags]
     z = lb.batched_excited_traces(rhos, params, taus)
     files = {
@@ -615,7 +624,7 @@ def execute_scenario(scn: Scenario, out_dir) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     files, summary = KINDS[scn.kind][0](scn)
-    files["summary.json"] = _json_text(summary)
+    files["summary.json"] = document_text(summary)
     artifacts = {name: _write(out / name, text) for name, text in sorted(files.items())}
     finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
@@ -624,15 +633,14 @@ def execute_scenario(scn: Scenario, out_dir) -> Path:
     ).hexdigest()
     record = {
         "schema": "phonon-lab/run-record/v1",
-        "scenario": scn.to_dict(),
+        "scenario": dataclasses.asdict(scn),
         "toolkit_version": __version__,
         "started_utc": started,
         "finished_utc": finished,
         "artifacts": artifacts,
         "content_hash": content_hash,
     }
-    validate_document(record, load_schema("run_record"))
-    _write(out / "run_record.json", _json_text(record))
+    _write(out / "run_record.json", document_text(record, "run_record"))
     return out
 
 
@@ -649,7 +657,7 @@ def reproduce(figure_id: str, out_dir) -> dict:
         "reference": reference,
         "computed": json.loads((out / "summary.json").read_text()),
     }
-    _write(out / "reproduce_summary.json", _json_text(comparison))
+    _write(out / "reproduce_summary.json", document_text(comparison))
     return comparison
 
 
@@ -690,7 +698,7 @@ def main(argv=None) -> int:
         if args.command == "reproduce":
             out_dir = args.out or f"reproduce-{args.figure_id}"
             comparison = reproduce(args.figure_id, out_dir)
-            print(json.dumps(comparison, indent=2, sort_keys=True))
+            print(document_text(comparison), end="")
             return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

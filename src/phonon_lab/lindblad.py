@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -54,9 +54,8 @@ from scipy.linalg import expm
 
 from .circuit import CircuitParams, coupling_strength
 from .errors import DomainError, GridError, TruncationError
-from .saw import reference_bvd
+from .saw import TWO_PI, reference_bvd
 
-TWO_PI = 2.0 * math.pi
 DEFAULT_RAMP = 5e-9
 
 # pulse-timing overheads of the standard sequences: idle padding charged per
@@ -130,9 +129,6 @@ class SystemParams:
             return math.inf
         return 1.0 / rate
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def lowering_operator(dim: int) -> np.ndarray:
     a = np.zeros((dim, dim), dtype=complex)
@@ -173,11 +169,15 @@ def collapse_operators(params: SystemParams) -> list[np.ndarray]:
     return ops
 
 
+def product_state(p_e: float, rho_r: np.ndarray) -> np.ndarray:
+    """Qubit-major product diag(1 - p_e, p_e) (x) rho_r: a qubit without coherence."""
+    return np.kron(np.diag([1.0 - p_e, p_e]).astype(complex), rho_r)
+
+
 def thermal_state(params: SystemParams) -> np.ndarray:
     """Product of qubit and single-phonon thermal mixtures."""
-    rho_q = np.diag([1.0 - params.p_e_th, params.p_e_th]).astype(complex)
     p_1, dim = params.p_1_th, params.dim
-    return np.kron(rho_q, (1.0 - p_1) * fock_state(dim, 0) + p_1 * fock_state(dim, 1))
+    return product_state(params.p_e_th, (1.0 - p_1) * fock_state(dim, 0) + p_1 * fock_state(dim, 1))
 
 
 def fock_state(dim: int, n: int) -> np.ndarray:

@@ -60,6 +60,9 @@ DEFAULT_GAP_FRACTION = 0.363
 # maximum, with at most this many residual evaluations
 FIT_HALF_WIDTH_HZ = 10e6
 FIT_MAX_NFEV = 200
+# a fit whose Gram matrix J^T J at the solution has a larger condition
+# number does not determine its parameters
+FIT_MAX_GRAM_COND = 1e12
 
 
 @dataclass(frozen=True)
@@ -424,14 +427,18 @@ def _levenberg_marquardt(fun, x: np.ndarray):
     step that lowers the cost and rises tenfold after one that does not.
     Once a step's predicted decrease is round-off in the cost, no comparison
     of costs can judge it: it is taken and ends the fit.  Returns ``(x, r,
-    converged)``; ``converged`` is False when ``FIT_MAX_NFEV`` evaluations
-    did not get there.
+    converged)``; ``converged`` is False when a damped step is singular, as
+    it is where a parameter has no effect on the residual, or when
+    ``FIT_MAX_NFEV`` evaluations did not get there.
     """
     r, jac = fun(x)
     lam = 1e-3
     for _ in range(FIT_MAX_NFEV - 1):
         jtj, grad = jac.T @ jac, jac.T @ r
-        dx = -np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), grad)
+        try:
+            dx = -np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), grad)
+        except np.linalg.LinAlgError:
+            return x, r, False
         last = -dx @ (2.0 * grad + jtj @ dx) <= np.finfo(float).eps * (r @ r)
         r_new, jac_new = fun(x + dx)
         if last or r_new @ r_new < r @ r:
@@ -452,7 +459,7 @@ def fit_bvd(spectrum: AdmittanceSpectrum, c_t: float | None = None):
     not given) to remove the degenerate direction.  The log-parameter
     residual is minimised by ``_levenberg_marquardt`` with its analytic
     Jacobian.  Returns ``(BvdParams, residual_norm)``; ``ConvergenceError``
-    when the fit hits ``FIT_MAX_NFEV`` evaluations.
+    when that does not converge.
     """
     omega = spectrum.frequencies
     y = spectrum.y
@@ -504,7 +511,8 @@ def fit_bvd(spectrum: AdmittanceSpectrum, c_t: float | None = None):
     best = BvdParams(c_s=c_s, l_s=l_s, r_s=r_s, c_t=c_t)
     if not converged:
         raise ConvergenceError(
-            "BvD fit hit the evaluation cap", best=best, residual=residual
+            "BvD fit did not converge: a singular step or the evaluation cap",
+            best=best, residual=residual,
         )
     return best, residual
 

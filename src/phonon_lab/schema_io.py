@@ -1,4 +1,4 @@
-"""Versioned JSON schemas for emitted documents, with a small validator."""
+"""Versioned JSON schemas for emitted documents, a small validator and the one JSON writer."""
 
 from __future__ import annotations
 
@@ -47,3 +47,10 @@ def validate_document(doc, schema, path: str = "$"):
     if expected == "array" and "items" in schema:
         for i, item in enumerate(doc):
             validate_document(item, schema["items"], f"{path}[{i}]")
+
+
+def document_text(doc, schema: str | None = None) -> str:
+    """A JSON artifact's text, once ``doc`` passes the shipped schema named, if any."""
+    if schema is not None:
+        validate_document(doc, load_schema(schema))
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -27,10 +27,9 @@ Analysis conventions (matching the measurement procedure they invert):
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from .errors import (
     IllConditionedFitWarning,
 )
 from . import lindblad as lb
-from .schema_io import load_schema, validate_document
+from .schema_io import document_text, load_schema, validate_document
 
 STATE_LEVELS = 4  # the reconstructed subspace: Fock levels 0 .. STATE_LEVELS - 1
 
@@ -72,7 +71,7 @@ class TomographyDataset:
     def to_json(self) -> str:
         doc = {
             "state": self.state_label,
-            "params": self.params.to_dict(),
+            "params": asdict(self.params),
             "records": [
                 {
                     "alpha_re": r.alpha.real,
@@ -84,8 +83,7 @@ class TomographyDataset:
                 for r in self.records
             ],
         }
-        validate_document(doc, load_schema("dataset"))
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return document_text(doc, "dataset")
 
 
 @dataclass
@@ -132,8 +130,7 @@ def basis_responses(
     applied.  Returns an array of shape (dim, len(t_grid)).
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    rho_q = np.diag([1.0 - initial_p_e, initial_p_e]).astype(complex)
-    rhos = [np.kron(rho_q, lb.fock_state(params.dim, n)) for n in range(params.dim)]
+    rhos = [lb.product_state(initial_p_e, lb.fock_state(params.dim, n)) for n in range(params.dim)]
     return lb.batched_excited_traces(rhos, params, t_grid)
 
 
@@ -430,6 +427,8 @@ def synthesize_dataset(
     t_grid = np.asarray(t_grid, dtype=float)
     if alphas is None:
         alphas = default_alpha_grid()
+    if not noise >= 0.0:
+        raise DomainError(f"noise must be >= 0, got {noise:g}")
     rng = np.random.default_rng(seed)
 
     prep = lb.prepare_sequence(state, params)

@@ -12,7 +12,7 @@ import pytest
 
 from phonon_lab import cli, lindblad as lb, saw
 from phonon_lab.errors import ConfigError
-from phonon_lab.schema_io import load_schema, validate_document
+from phonon_lab.schema_io import document_text, load_schema, validate_document
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -223,7 +223,7 @@ class TestScans:
 
     def test_lifetimes_holds_match_full_sequences(self, tmp_path):
         out = cli.execute_scenario(cli.parse_scenario(
-            {"kind": "lifetimes", "params": {"t_max_s": 20e-9, "n_points": 5}}), tmp_path / "out")
+            {"kind": "lifetimes", "params": {"t_max_s": 200e-9, "n_points": 6}}), tmp_path / "out")
         t1r, t2r = self.rows(out, "t1r.csv"), self.rows(out, "t2r.csv")
         assert np.all(np.diff(t1r[:, 0]) > 0)
         p = lb.SystemParams(delta=2 * np.pi * 53e6)
@@ -291,9 +291,16 @@ class TestSummaryDomain:
     ({"kind": "thermometry", "params": {"n_points": 2}}, 3),
     ({"kind": "thermometry", "params": {"noise": 1e300}}, 3),
     ({"kind": "admittance", "params": {"v_t": -1.0}}, 3),
+    ({"kind": "lifetimes", "params": {"t_max_s": 7.999999999999999e-09, "n_points": 5}}, 3),
+    ({"kind": "lifetimes", "params": {"t_max_s": 20e-9, "n_points": 5}}, 3),
+    ({"kind": "lifetimes", "params": {"n_points": 2}}, 3),
+    ({"kind": "wigner", "params": {"noise": -0.01, "states": ["1"]}}, 3),
+    ({"kind": "thermometry", "params": {"noise": -0.001}}, 3),
 ], ids=["chevron-n_tau-negative", "sweep_points-negative", "seed-negative", "m-nan",
         "fock2-n_tau-0", "lifetimes-n_points-0", "chevron-n_delta-0", "thermometry-n_points-0",
-        "thermometry-n_points-2", "thermometry-noise-overflow", "admittance-v_t-negative"])
+        "thermometry-n_points-2", "thermometry-noise-overflow", "admittance-v_t-negative",
+        "lifetimes-8ns-singular-step", "lifetimes-20ns-unresolved", "lifetimes-n_points-2",
+        "wigner-noise-negative", "thermometry-noise-negative"])
 def test_unusable_config_exits_2_or_3_without_traceback(tmp_path, capsys, doc, code):
     # a negative count or seed and a non-finite number are configuration
     # errors; a count too small to run on, or a value outside the model's
@@ -367,6 +374,18 @@ class TestEmittedSchemas:
     def test_scenario_schema_rejects_bad_seed(self):
         with pytest.raises(ConfigError):
             validate_document({"kind": "chevron", "seed": "zero"}, load_schema("scenario"))
+
+    def test_document_text_is_the_artifact_format(self):
+        doc = {"b": [1, 2.5], "a": {"z": None, "y": "x"}}
+        assert document_text(doc) == (
+            '{\n  "a": {\n    "y": "x",\n    "z": null\n  },\n'
+            '  "b": [\n    1,\n    2.5\n  ]\n}\n'
+        )
+
+    def test_document_text_names_the_field_its_schema_rejects(self):
+        doc = {"kind": "chevron", "params": [], "seed": 0}
+        with pytest.raises(ConfigError, match=r"\$\.params: expected object"):
+            document_text(doc, "scenario")
 
 
 class TestRunRecord:

@@ -407,6 +407,17 @@ class TestBvdFit:
             saw.fit_bvd(self._model_spectrum(n=2001))
 
 
+def test_levenberg_marquardt_singular_step_is_not_converged():
+    # the second parameter never enters the residual: its Jacobian column is
+    # zero, so every damped step's matrix is singular
+    def fun(x):
+        return np.array([x[0] - 1.0, x[0] + 1.0]), np.array([[1.0, 0.0], [1.0, 0.0]])
+
+    x, r, converged = saw._levenberg_marquardt(fun, np.array([3.0, 2.0]))
+    assert not converged
+    assert np.array_equal(x, [3.0, 2.0]) and np.array_equal(r, [2.0, 4.0])
+
+
 def _log_cost(spec, bvd):
     """Residual and log-parameter Jacobian of the BvD fit's cost at ``bvd``.
 
