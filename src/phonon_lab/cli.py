@@ -399,6 +399,14 @@ def run_lifetimes(scn: Scenario) -> tuple[dict, dict]:
     envelope = np.hypot(sx - cx, sy - cy)
     popt2 = _fit_decay(_exponential_decay, waits, envelope, [envelope[0], 2.0 * params.t1r, 0.0])
     t2r_fit = float(abs(popt2[1]))
+    # a hold window under half a decay time fits well-conditioned but biased
+    # lifetimes: the single exponentials do not describe its early samples
+    window = waits[-1] - waits[0]
+    if window < 0.5 * max(t1r_fit, t2r_fit):
+        raise IdentifiabilityError(
+            f"the {window:.3g} s hold window is shorter than half the fitted "
+            f"T1r {t1r_fit:.3g} s or T2r {t2r_fit:.3g} s"
+        )
 
     # separate finely sampled short window resolves the oscillation itself
     fine = np.linspace(2e-9, 42e-9, 17)

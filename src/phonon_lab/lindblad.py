@@ -26,20 +26,18 @@ Ros, Phys. Rep. 470, 151 (2009)) and one exponential on its flat top.  The
 ramps are the two windows of one cosine bump, so they do not depend on the
 pulse length.  Only the occupied sectors are propagated: those whose
 largest entry exceeds 1e-14 of the state's largest entry, so round-off left
-by a rotation does not count.  Generators and propagators are cached one
-sector matrix at a time, in least-recently-used caches of 64 and 256 entries
-that hold at most 118 MB and 157 MB at dim 50, so each sector is built the
-first time it is occupied and a window's ramps stay cached while other spans
-come and go.
+by a rotation does not count.  Every exponential is the degree-13 Pade
+approximant with scaling and squaring of ``_expm``.  Generators and
+propagators are cached one sector matrix at a time, in least-recently-used
+caches of 64 and 256 entries that hold at most 121 MB and 161 MB at dim 50,
+so each sector is built the first time it is occupied and a window's ramps
+stay cached while other spans come and go.
 
 Only the Hermitian half of the state is propagated.  The Liouvillian
 preserves Hermiticity, so sector -k of a state is the conjugate transpose
-of sector k: the walker propagates k >= 0 and writes each -k sector from k.
-The k = 0 sector runs in real arithmetic, in the basis of ``_hermitian_pairs``
-where a Hermitian state's coordinates are real (each transpose pair of
-entries becomes sqrt(2) times its real and imaginary part), so its
-generators, exponentials and Magnus products are real matrices.  States
-passed in must be Hermitian.
+of sector k: the walker propagates k >= 0, and adds the conjugate transpose
+of its result, which writes each -k sector from k.  States passed in must be
+Hermitian.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .circuit import CircuitParams, coupling_strength
 from .errors import DomainError, GridError, TruncationError
@@ -224,11 +221,43 @@ def check_density_matrix(rho: np.ndarray):
         raise DomainError("density matrix has a significant negative eigenvalue")
 
 
+# the coefficients b_0 ... b_13 of the degree-13 Pade approximant to exp,
+# and the largest 1-norm at which it is accurate to double precision
+# without scaling (Higham 2005, Table 2.3)
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def _expm(m: np.ndarray) -> np.ndarray:
+    """exp(m) by scaling and squaring of the degree-13 Pade approximant
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), Algorithm 2.3)."""
+    norm = np.abs(m).sum(axis=0).max()
+    if not math.isfinite(norm):
+        raise DomainError("a span's generator overflows: duration times rate is not finite")
+    squarings = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
+    a = m / 2.0**squarings
+    b = _PADE13
+    eye = np.eye(a.shape[0], dtype=a.dtype)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    out = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
 @lru_cache(maxsize=256)
 def _displacement_cached(dim: int, alpha: complex) -> np.ndarray:
     a = lowering_operator(dim)
     gen = alpha * a.conj().T - np.conj(alpha) * a
-    return expm(gen)
+    return _expm(gen)
 
 
 def displacement_operator(dim: int, alpha: complex, *, check: bool = True) -> np.ndarray:
@@ -354,7 +383,7 @@ class PulseSequence:
 # two sectors and a displacement into every sector, so the occupied sectors
 # are read from the state itself at the start of each continuous segment.
 # Sector -k is the conjugate transpose of sector k in a Hermitian state, so
-# only k >= 0 is propagated, and k = 0 in the real basis of _hermitian_pairs.
+# only k >= 0 is propagated.
 
 # sixth-order Magnus steps per full cosine ramp (a partial window gets its
 # share, rounded up); at the default parameters 16 steps put either edge of
@@ -386,33 +415,6 @@ def _sector_indices(dim: int) -> dict:
     return out
 
 
-@lru_cache(maxsize=16)
-def _hermitian_pairs(dim: int) -> tuple:
-    """(partner, a, b) of the unitary T on the k = 0 sector whose coordinates
-    T^H x of a Hermitian state are real: column j of T is
-    a[j] e_j + b[j] e_partner[j].  A diagonal entry maps to itself, and each
-    transpose pair (rho_rc, rho_cr), r < c, to sqrt(2)*Re and sqrt(2)*Im of
-    rho_rc, at the positions of rho_rc and rho_cr."""
-    rows, cols, idx = _sector_indices(dim)[0]
-    # sector 0 is closed under transposition, and idx is sorted
-    partner = np.searchsorted(idx, cols * 2 * dim + rows)
-    half = math.sqrt(0.5)
-    diag, upper = rows == cols, rows < cols
-    a = np.where(diag, 1.0, np.where(upper, half, -1j * half))
-    b = np.where(diag, 0.0, np.where(upper, half, 1j * half))
-    return partner, a, b
-
-
-def _to_real_basis(block: np.ndarray, dim: int) -> np.ndarray:
-    """T^H B T for T of ``_hermitian_pairs``, with two terms per entry."""
-    partner, a, b = _hermitian_pairs(dim)
-    left = a.conj()[:, None] * block  # T^H B
-    left += b.conj()[:, None] * block[partner]
-    out = left * a
-    out += left[:, partner] * b
-    return out
-
-
 # A sector is occupied when its largest entry exceeds this share of the
 # state's largest entry.  A closed-form rotation leaves at most about 1e-16
 # in the sectors it should leave empty (cos(pi/2) = 6.1e-17), and dropping
@@ -435,15 +437,13 @@ def _liouvillian_key(params: SystemParams) -> SystemParams:
 
 
 # Generators and propagators are cached one sector per entry, bounded for
-# dim 50, where the largest sector matrix (k = 1, 196 x 196 complex) takes
-# 0.615 MB: a generator entry (D, N, V) is <= 1.85 MB, so 64 entries are
-# <= 118 MB, and 256 propagator entries are <= 157 MB.  The dense terms
-# of a system take 0.64 MB, so 4 systems are <= 3 MB.  A pass of the
-# perfbench dynamics workload uses 51 sector propagators (1.3 MB), so the
+# dim 50, where the largest sector matrix (k = 0, 198 x 198 complex) takes
+# 0.627 MB: a generator entry (D, N, V) is <= 1.88 MB, so 64 entries are
+# <= 121 MB, and 256 propagator entries are <= 161 MB.  A pass of the
+# perfbench dynamics workload uses 51 sector propagators (2.3 MB), so the
 # swap ramps outlive the scans between them.
 
 
-@lru_cache(maxsize=4)
 def _liouvillian_terms(key: SystemParams) -> tuple:
     """(K, jumps) of D, N and V in L(delta, g) = D + delta*N + g*V for the
     system whose ``_liouvillian_key`` is ``key``: each part maps rho to
@@ -462,8 +462,7 @@ def _liouvillian_terms(key: SystemParams) -> tuple:
 @lru_cache(maxsize=64)
 def _generators(key: SystemParams, k: int) -> tuple:
     """Sector k's blocks (D, N, V) of L(delta, g) = D + delta*N + g*V for the
-    system whose ``_liouvillian_key`` is ``key``.  The k = 0 blocks are
-    T^H B T in the real basis T of ``_hermitian_pairs``, and are real."""
+    system whose ``_liouvillian_key`` is ``key``."""
     rows, cols, _ = _sector_indices(key.dim)[k]
     at_rows, at_cols = np.ix_(rows, rows), np.ix_(cols, cols)
     # the identity factors of K (x) 1 and 1 (x) K*, on the sector's entries
@@ -473,9 +472,6 @@ def _generators(key: SystemParams, k: int) -> tuple:
         block = eff[at_rows] * same_cols + same_rows * eff[at_cols].conj()
         for c in jumps:
             block += c[at_rows] * c[at_cols]
-        if k == 0:
-            # a copy: the .real view would keep the complex product alive
-            block = _to_real_basis(block, key.dim).real.copy()
         out.append(block)
     return tuple(out)
 
@@ -504,7 +500,7 @@ def _magnus(params, k, delta, g, ramp, tau0, tau1) -> np.ndarray:
         y = -20.0 * alpha1 - alpha3 + c1
         z = alpha2 + c2
         omega = alpha1 + alpha3 / 12.0 + (y @ z - z @ y) / 240.0
-        prop = expm(omega) @ prop
+        prop = _expm(omega) @ prop
     return prop
 
 
@@ -519,14 +515,15 @@ def _propagator(key, k, delta, g, span, ramp=0.0, start=0.0) -> np.ndarray:
     if ramp > 0:
         return _magnus(key, k, delta, g, ramp, start, start + span)
     d, n_q, v = _generators(key, k)
-    return expm(span * (d + delta * n_q + g * v))
+    return _expm(span * (d + delta * n_q + g * v))
 
 
 def _advance(rho, key, sectors, delta, g, ramp, duration, t0, t1):
     """Propagate the Hermitian state's ``sectors`` k >= 0 over [t0, t1] of a
     segment and write each -k sector as the conjugate transpose of k; every
-    other sector must be zero, and stays zero.  ``key`` is the
-    ``_liouvillian_key`` of the system.
+    other sector must be zero, and stays zero.  Sector 0 is written at half
+    weight before the conjugate transpose is added, so it comes out exactly
+    Hermitian.  ``key`` is the ``_liouvillian_key`` of the system.
 
     A ramped pulse is a cosine bump cut open at its peak by a flat top:
     pulse time t is bump time t on the rising edge and
@@ -548,21 +545,14 @@ def _advance(rho, key, sectors, delta, g, ramp, duration, t0, t1):
     flat = rho.reshape(-1)
     out = np.zeros_like(flat)
     indices = _sector_indices(key.dim)
-    partner, a, b = _hermitian_pairs(key.dim)
     for k in sectors:
         idx = indices[k][2]
         vec = flat[idx]
-        if k == 0:
-            vec = (a.conj() * vec + b.conj() * vec[partner]).real  # T^H x
         for span in spans:
             vec = _propagator(key, k, delta, g, *span) @ vec
-        if k == 0:
-            out[idx] = a * vec + b[partner] * vec[partner]  # T v
-        else:
-            out[idx] = vec
-            rows, cols, mirror = indices[-k]
-            out[mirror] = out[cols * rho.shape[0] + rows].conj()
-    return out.reshape(rho.shape)
+        out[idx] = vec if k else 0.5 * vec
+    out = out.reshape(rho.shape)
+    return out + out.conj().T
 
 
 def qubit_rotation(axis: str, angle: float, phase: float, dim: int) -> np.ndarray:
@@ -617,9 +607,9 @@ def batched_excited_traces(
     coupled at ``params.g`` and detuned by ``delta``.
 
     P_e lies in the k = 0 sector, which the Liouvillian never couples to the
-    others, so only that sector is propagated, in real arithmetic.  The
-    states must be Hermitian.  Returns an array of shape
-    (batch, len(t_grid)); visibility is applied.
+    others, so only that sector is propagated, and P_e is the real part of
+    its excited-qubit diagonal.  The states must be Hermitian.  Returns an
+    array of shape (batch, len(t_grid)); visibility is applied.
     """
     t_grid = _check_grid(t_grid)
     rho = np.array(rhos, dtype=complex)
@@ -628,11 +618,7 @@ def batched_excited_traces(
     _check_state(rho, params.dim)
     _check_finite(delta=delta)
     rows, cols, idx = _sector_indices(params.dim)[0]
-    partner, a, b = _hermitian_pairs(params.dim)
-    # the stack's k = 0 coordinates T^H x in the real basis, where the
-    # diagonal entries keep their positions
-    x = rho.reshape(rho.shape[0], -1)[:, idx]
-    vec = (a.conj() * x + b.conj() * x[:, partner]).real
+    vec = rho.reshape(rho.shape[0], -1)[:, idx]
     excited = params.visibility * ((rows == cols) & (rows >= params.dim))
     out = np.empty((rho.shape[0], t_grid.size))
     key = _liouvillian_key(params)
@@ -642,7 +628,7 @@ def batched_excited_traces(
         if span > 0:
             vec = vec @ _propagator(key, 0, delta, params.g, span).T
         t_prev = t
-        out[:, i] = vec @ excited
+        out[:, i] = (vec @ excited).real
     return out
 
 

@@ -99,14 +99,6 @@ def excitation_sectors(dim):
     return n_exc[:, None] - n_exc[None, :]
 
 
-def hermitian_basis(dim):
-    """The unitary T of ``lb._hermitian_pairs`` as a dense matrix."""
-    partner, a, b = lb._hermitian_pairs(dim)
-    basis = np.diag(a)
-    basis[partner, np.arange(a.size)] += b
-    return basis
-
-
 def dense_liouvillian(p, delta, g):
     """Row-major superoperator over every sector: rho -> A rho B is kron(A, B.T)."""
     h = lb.build_hamiltonian(delta, g, p.dim)
@@ -644,12 +636,13 @@ class TestRampProduct:
         p = lb.SystemParams()
         ramp = lb.DEFAULT_RAMP
         expm_calls = []
+        library_expm = lb._expm
 
         def counting_expm(m):
             expm_calls.append(m)
-            return expm(m)
+            return library_expm(m)
 
-        monkeypatch.setattr(lb, "expm", counting_expm)
+        monkeypatch.setattr(lb, "_expm", counting_expm)
         steps = lb._RAMP_STEPS
 
         def product(ramp_steps):
@@ -686,26 +679,33 @@ class TestQubitRotation:
                 assert np.max(np.abs(u.conj().T @ u - np.eye(2 * dim))) <= 1e-15
 
 
-class TestHermitianHalf:
-    """The walker propagates k >= 0, and k = 0 in real arithmetic."""
+class TestMatrixExponential:
+    """The library's Pade exponential against scipy's, on the matrices it
+    exponentiates, within 1e-12 of the largest entry of scipy's result."""
 
-    @pytest.mark.parametrize("dim", [3, 10])
-    def test_population_sector_is_real_in_the_hermitian_basis(self, dim):
+    @staticmethod
+    def assert_matches_scipy(m):
+        ref = expm(m)
+        assert np.max(np.abs(lb._expm(m) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("delta", [0.0, TWO_PI * 53e6], ids=["resonant", "detuned"])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("dim", [10, 30, 50])
+    def test_sector_generators(self, dim, k, delta):
         p = lb.SystemParams(dim=dim)
-        idx = lb._sector_indices(dim)[0][2]
-        basis = hermitian_basis(dim)
-        assert np.max(np.abs(basis.conj().T @ basis - np.eye(idx.size))) < 1e-15
-        # D, N and V of L(delta, g) = D + delta*N + g*V
-        closed = closed_params(dim)
-        parts = (dense_liouvillian(p, 0.0, 0.0), dense_liouvillian(closed, 1.0, 0.0),
-                 dense_liouvillian(closed, 0.0, 1.0))
-        stored = lb._generators(lb._liouvillian_key(p), 0)
-        for dense, block in zip(parts, stored):
-            rotated = basis.conj().T @ dense[np.ix_(idx, idx)] @ basis
-            scale = np.max(np.abs(rotated))
-            assert np.max(np.abs(rotated.imag)) < 1e-12 * scale
-            assert block.dtype == float and block.flags.c_contiguous
-            assert np.max(np.abs(block - rotated.real)) < 1e-12 * scale
+        d, n_q, v = lb._generators(lb._liouvillian_key(p), k)
+        for span in (0.3e-9, 5e-9, 60e-9, 400e-9, 1.5e-6):
+            self.assert_matches_scipy(span * (d + delta * n_q + p.g * v))
+
+    @pytest.mark.parametrize("dim", [10, 50])
+    def test_displacement_generators(self, dim):
+        a = lb.lowering_operator(dim)
+        for alpha in (0.0, 0.3, 1.1 - 0.7j, 2j * math.sqrt(2), -3.0 + 4.0j, 5.0):
+            self.assert_matches_scipy(alpha * a.conj().T - np.conj(alpha) * a)
+
+
+class TestHermitianHalf:
+    """The walker propagates k >= 0 and writes each -k sector from k."""
 
     @pytest.mark.parametrize("system", [
         pytest.param(lambda dim: lb.SystemParams(dim=dim), id="lossy"),
@@ -714,18 +714,16 @@ class TestHermitianHalf:
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_generator_blocks_match_the_dense_liouvillian(self, k, system):
         # each block of L(delta, g) = D + delta*N + g*V is the sector's block
-        # of the dense superoperator, in the real basis for k = 0; without
-        # collapse operators D is zero
+        # of the dense superoperator; without collapse operators D is zero
         dim = 5
         p = system(dim)
         idx = lb._sector_indices(dim)[k][2]
         closed = closed_params(dim)
         parts = (dense_liouvillian(p, 0.0, 0.0), dense_liouvillian(closed, 1.0, 0.0),
                  dense_liouvillian(closed, 0.0, 1.0))
-        basis = hermitian_basis(dim) if k == 0 else np.eye(idx.size)
         stored = lb._generators(lb._liouvillian_key(p), k)
         for dense, block in zip(parts, stored):
-            expected = basis.conj().T @ dense[np.ix_(idx, idx)] @ basis
+            expected = dense[np.ix_(idx, idx)]
             assert block.shape == expected.shape
             assert np.max(np.abs(block - expected)) <= 1e-12 * max(np.max(np.abs(expected)), 1.0)
         assert (np.max(np.abs(stored[0])) > 0) == bool(lb.collapse_operators(p))
