@@ -21,19 +21,13 @@ its open-circuit point (``delta = pi/2``) and is resonantly enhanced around
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    GridError,
-    IdentifiabilityError,
-    IllConditionedFitWarning,
-)
-from .saw import FIT_MAX_GRAM_COND, TWO_PI, AdmittanceSpectrum, BvdParams, _levenberg_marquardt
+from . import _lsq
+from .errors import ConvergenceError, DomainError, GridError, IdentifiabilityError
+from .saw import TWO_PI, AdmittanceSpectrum, BvdParams
 
 DIVERGENCE_COS_FLOOR = 1e-9
 
@@ -350,11 +344,11 @@ def fit_circuit(spectroscopy, params: CircuitParams = CircuitParams()):
     squares solution starts the fit at ``L_1 + L_2 = C L_cj0``,
     ``L_1 = sqrt((A C - B) L_cj0)`` and ``L_q = A - L_1``; data whose start
     has an inductance that is not positive raise IdentifiabilityError.
-    ``saw._levenberg_marquardt`` then minimises the relative frequency
-    residual over the log-inductances with its analytic Jacobian.  Returns
-    ``(params with the fitted inductances, covariance)`` with the 3x3
-    covariance ordered (l_q, l_1, l_2); ``ConvergenceError`` when that does
-    not converge.
+    ``_lsq.solve`` then minimises the relative frequency residual over the
+    log-inductances with its analytic Jacobian.  Returns ``(params with the
+    fitted inductances, covariance)`` with the 3x3 covariance ordered (l_q,
+    l_1, l_2); ``ConvergenceError`` when that does not converge, and
+    ``IdentifiabilityError`` when the data do not determine the inductances.
     """
     data = np.asarray(spectroscopy, dtype=float)
     if data.ndim != 2 or data.shape[1] != 2:
@@ -392,27 +386,10 @@ def fit_circuit(spectroscopy, params: CircuitParams = CircuitParams()):
         jac = -0.5 * (model / (l_tot * omega))[:, None] * dl_tot
         return (model - omega) / omega, jac
 
-    x, _, converged = _levenberg_marquardt(residuals, np.zeros(3))
-    values = np.exp(x) * scale
-    fitted = replace(params, l_q=values[0], l_1=values[1], l_2=values[2])
-    res, jac = residuals(x)
-    if not converged:
-        raise ConvergenceError(
-            "circuit fit did not converge: a singular step or the evaluation cap",
-            best=fitted, residual=float(np.linalg.norm(res)),
-        )
+    def fitted(x):
+        l_q, l_1, l_2 = np.exp(x) * scale
+        return replace(params, l_q=l_q, l_1=l_1, l_2=l_2)
 
-    # covariance of the physical parameters from the log-space jacobian
-    dof = max(data.shape[0] - 3, 1)
-    sigma2 = float(res @ res) / dof
-    jtj = jac.T @ jac
-    cond = np.linalg.cond(jtj)
-    if cond > FIT_MAX_GRAM_COND:
-        warnings.warn(
-            "circuit fit is ill-conditioned; covariance uses a pseudo-inverse",
-            IllConditionedFitWarning,
-        )
-    cov_log = np.linalg.pinv(jtj) * sigma2
-    # d(param)/d(log param) = param
-    return fitted, cov_log * np.outer(values, values)
-
+    x, _, cov_log = _lsq.solve(residuals, np.zeros(3), "circuit", fitted)
+    values = np.exp(x) * scale  # d(param)/d(log param) = param
+    return fitted(x), cov_log * np.outer(values, values)

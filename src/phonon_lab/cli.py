@@ -32,10 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, circuit, lindblad as lb, saw, tomography as tg
+from . import __version__, _lsq, circuit, lindblad as lb, saw, tomography as tg
 from ._svgmap import heatmap_svg
-from .errors import (ConfigError, ConvergenceError, DomainError, GridError,
-                     IdentifiabilityError, PhononLabError)
+from .errors import ConfigError, DomainError, GridError, IdentifiabilityError, PhononLabError
 from .saw import TWO_PI
 from .schema_io import document_text, load_schema, validate_document
 
@@ -150,12 +149,12 @@ def _damped_cosine_decay(t, p):
 def _fit_decay(model, t, y, start) -> np.ndarray:
     """Least-squares parameters of ``model`` to ``y(t)`` from ``start``.
 
-    ``saw._levenberg_marquardt`` runs on the parameters in units of their
-    start values; a start of 0 (an offset or a phase) has unit scale.
-    ``ConvergenceError`` when that does not converge.  ``IdentifiabilityError``
-    when there are fewer points than parameters, or when the Gram matrix
-    J^T J at the solution, in those units, has a condition number above
-    ``saw.FIT_MAX_GRAM_COND``: the samples cannot resolve the decay.
+    ``_lsq.solve`` runs on the parameters in units of their start values; a
+    start of 0 (an offset or a phase) has unit scale.  ``ConvergenceError``
+    when that does not converge.  ``IdentifiabilityError`` when there are
+    fewer points than parameters, or when the Gram matrix J^T J at the
+    solution, in those units, has a condition number above
+    ``_lsq.MAX_GRAM_COND``: the samples cannot resolve the decay.
     """
     start = np.asarray(start, dtype=float)
     if t.size < start.size:
@@ -168,20 +167,7 @@ def _fit_decay(model, t, y, start) -> np.ndarray:
         value, jac = model(t, x * scale)
         return value - y, jac * scale
 
-    x, r, converged = saw._levenberg_marquardt(residuals, start / scale)
-    if not converged:
-        raise ConvergenceError(
-            "lifetime fit did not converge: a singular step or the evaluation cap",
-            best=x * scale, residual=float(np.linalg.norm(r)),
-        )
-    jac = residuals(x)[1]
-    cond = np.linalg.cond(jac.T @ jac)
-    if not cond <= saw.FIT_MAX_GRAM_COND:
-        raise IdentifiabilityError(
-            f"the samples cannot resolve the decay: the fit's Gram matrix has condition "
-            f"number {cond:.1e}"
-        )
-    return x * scale
+    return _lsq.solve(residuals, start / scale, "lifetime", lambda x: x * scale)[0] * scale
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +294,8 @@ def run_chevron(scn: Scenario) -> tuple[dict, dict]:
     taus = np.linspace(1e-9, s["tau_max_s"], s["n_tau"])
     if deltas.size == 0:
         raise GridError("n_delta must be at least 1")
+    if not math.isfinite(s["tau_max_s"] * 1e9):
+        raise GridError(f"tau_max_s = {s['tau_max_s']:g} s overflows the heatmap's ns axis")
 
     rho0 = lb.run_sequence(lb.PulseSequence([lb.Rotation("x", math.pi)]), params).rho_final
     z = np.array(

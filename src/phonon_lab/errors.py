@@ -22,7 +22,7 @@ class FitError(PhononLabError, RuntimeError):
 
 
 class ConvergenceError(FitError):
-    """Optimizer hit its iteration cap. Carries the best parameters found so far."""
+    """A solver hit its step cap or took a singular step. Carries its best parameters."""
 
     def __init__(self, message, best=None, residual=None):
         super().__init__(message)

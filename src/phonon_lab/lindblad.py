@@ -397,7 +397,10 @@ _SQRT15 = math.sqrt(15.0)
 def _span_key(span: float) -> float:
     """Cache key of a span or bump time: rounding to 1e-21 s merges the
     round-off spread of a uniform grid's steps, shifting no time measurably."""
-    return round(span, 21)
+    key = round(float(span), 21)  # numpy's round overflows above 1.8e287 s
+    if not math.isfinite(key):
+        raise GridError(f"a span of {span} s is not finite")
+    return key
 
 
 @lru_cache(maxsize=16)

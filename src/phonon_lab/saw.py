@@ -36,7 +36,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, FitError, GridError
+from . import _lsq
+from .errors import DomainError, FitError, GridError
 
 TWO_PI = 2.0 * math.pi
 
@@ -56,13 +57,8 @@ DEFAULT_K2_EFF = 0.0407
 # continuum gap; the value is calibrated to the single-mode frequency.
 DEFAULT_GAP_FRACTION = 0.363
 
-# the BvD fit uses the points within this distance of the conductance
-# maximum, with at most this many residual evaluations
+# the BvD fit uses the points within this distance of the conductance maximum
 FIT_HALF_WIDTH_HZ = 10e6
-FIT_MAX_NFEV = 200
-# a fit whose Gram matrix J^T J at the solution has a larger condition
-# number does not determine its parameters
-FIT_MAX_GRAM_COND = 1e12
 
 
 @dataclass(frozen=True)
@@ -418,48 +414,15 @@ def _find_peak(conductance: np.ndarray) -> int:
     return idx
 
 
-def _levenberg_marquardt(fun, x: np.ndarray):
-    """Minimise ``|r(x)|^2`` from ``x``; ``fun`` returns ``(r, dr/dx)``.
-
-    Levenberg-Marquardt with Marquardt's diagonal scaling (More, The
-    Levenberg-Marquardt algorithm, LNM 630, 1978): each step solves
-    ``(J^T J + lam diag(J^T J)) dx = -J^T r``, ``lam`` falls tenfold after a
-    step that lowers the cost and rises tenfold after one that does not.
-    Once a step's predicted decrease is round-off in the cost, no comparison
-    of costs can judge it: it is taken and ends the fit.  Returns ``(x, r,
-    converged)``; ``converged`` is False when a damped step is singular, as
-    it is where a parameter has no effect on the residual, or when
-    ``FIT_MAX_NFEV`` evaluations did not get there.
-    """
-    r, jac = fun(x)
-    lam = 1e-3
-    for _ in range(FIT_MAX_NFEV - 1):
-        jtj, grad = jac.T @ jac, jac.T @ r
-        try:
-            dx = -np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), grad)
-        except np.linalg.LinAlgError:
-            return x, r, False
-        last = -dx @ (2.0 * grad + jtj @ dx) <= np.finfo(float).eps * (r @ r)
-        r_new, jac_new = fun(x + dx)
-        if last or r_new @ r_new < r @ r:
-            x, r, jac = x + dx, r_new, jac_new
-            if last:
-                return x, r, True
-            lam *= 0.1
-        else:
-            lam *= 10.0
-    return x, r, False
-
-
 def fit_bvd(spectrum: AdmittanceSpectrum, c_t: float | None = None):
     """Least-squares BvD fit around the dominant conductance peak.
 
     The fit window is +-``FIT_HALF_WIDTH_HZ`` around the global Re[Y]
     maximum.  ``c_t`` is held fixed (taken from the spectrum metadata when
-    not given) to remove the degenerate direction.  The log-parameter
-    residual is minimised by ``_levenberg_marquardt`` with its analytic
-    Jacobian.  Returns ``(BvdParams, residual_norm)``; ``ConvergenceError``
-    when that does not converge.
+    not given) to remove the degenerate direction.  ``_lsq.solve`` minimises
+    the log-parameter residual with its analytic Jacobian.  Returns
+    ``(BvdParams, residual_norm)``; ``ConvergenceError`` when that does not
+    converge, ``IdentifiabilityError`` when the window does not determine it.
     """
     omega = spectrum.frequencies
     y = spectrum.y
@@ -505,16 +468,11 @@ def fit_bvd(spectrum: AdmittanceSpectrum, c_t: float | None = None):
         jac = -dz / (g0 * z[:, None] ** 2)
         return np.concatenate([res.real, res.imag]), np.vstack([jac.real, jac.imag])
 
-    logx, res, converged = _levenberg_marquardt(residuals, np.zeros(3))
-    c_s, l_s, r_s = np.exp(logx) * scale
-    residual = float(np.linalg.norm(res))
-    best = BvdParams(c_s=c_s, l_s=l_s, r_s=r_s, c_t=c_t)
-    if not converged:
-        raise ConvergenceError(
-            "BvD fit did not converge: a singular step or the evaluation cap",
-            best=best, residual=residual,
-        )
-    return best, residual
+    def bvd(logx):
+        return BvdParams(*np.exp(logx) * scale, c_t=c_t)
+
+    logx, res, _ = _lsq.solve(residuals, np.zeros(3), "BvD", bvd)
+    return bvd(logx), float(np.linalg.norm(res))
 
 
 def fit_resonance(spectrum: AdmittanceSpectrum, params: SawModelParams):

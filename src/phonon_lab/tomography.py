@@ -40,7 +40,7 @@ from .errors import (
     IdentifiabilityError,
     IllConditionedFitWarning,
 )
-from . import lindblad as lb
+from . import _lsq, lindblad as lb
 from .schema_io import document_text, load_schema, validate_document
 
 STATE_LEVELS = 4  # the reconstructed subspace: Fock levels 0 .. STATE_LEVELS - 1
@@ -291,27 +291,25 @@ def reconstruct_density_matrix(fits: list[PopulationFit]) -> ReconstructedState:
                   for f in fits])
     b = np.sum(np.abs(v) ** 2, axis=2).ravel() / STATE_LEVELS
     m = np.einsum("fni,kij,fnj->fnk", v, _GELL_MANN, v.conj()).real.reshape(-1, n_par)
-    y = np.concatenate([f.p_n for f in fits])
-
-    gram = m.T @ m
-    cond = np.linalg.cond(gram)
-    if cond > 1e10:
+    y = np.concatenate([f.p_n for f in fits]) - b
+    c = np.linalg.lstsq(m, y, rcond=None)[0]
+    r = m @ c - y
+    covariance, cond = _lsq.covariance(r, m)
+    # unlike a fit of physical parameters, this one warns: designs such as real
+    # displacements of a real state are singular by construction, and the
+    # minimum-norm solution leaves the parameters they never see at zero
+    if cond > _lsq.MAX_GRAM_COND:
         warnings.warn(
             f"reconstruction design is rank-deficient (cond {cond:.1e}); "
-            "the pseudo-inverse drops its null directions",
+            "the minimum-norm solution drops its null directions",
             IllConditionedFitWarning,
         )
-    gram_inv = np.linalg.pinv(gram)
-    c = gram_inv @ (m.T @ (y - b))
-    chi2 = float(np.sum((m @ c - (y - b)) ** 2))
-    dof = max(y.size - c.size, 1)
-    covariance = gram_inv * (chi2 / dof)
 
     return ReconstructedState(
         rho=np.pad(density_from_parameters(c), (0, dim - STATE_LEVELS)),
         parameters=c,
         covariance=covariance,
-        residual=chi2,
+        residual=float(r @ r),
     )
 
 
@@ -359,13 +357,11 @@ def fit_oscillation_amplitude(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     design = np.column_stack([np.ones_like(x), -0.5 * np.cos(math.pi * x)])
-    coef, res, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < 2:
+    coef = np.linalg.lstsq(design, y, rcond=None)[0]
+    cov, cond = _lsq.covariance(y - design @ coef, design)
+    if cond > _lsq.MAX_GRAM_COND:
         raise IdentifiabilityError("the amplitude fit needs two distinct cos(pi x) values")
-    dof = max(x.size - 2, 1)
-    s2 = float(res[0]) / dof if res.size else 0.0
-    cov = np.linalg.inv(design.T @ design) * s2
-    return float(coef[1]), math.sqrt(max(cov[1, 1], 0.0))
+    return float(coef[1]), math.sqrt(cov[1, 1])
 
 
 def rabi_population_estimate(a_e, a_g, sigma_e=0.0, sigma_g=0.0):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from phonon_lab import circuit, cli, saw
+from phonon_lab import _lsq, circuit, cli, saw
 from phonon_lab.errors import ConvergenceError, DomainError, GridError, IdentifiabilityError
 
 TWO_PI = 2 * math.pi
@@ -402,7 +402,7 @@ class TestFitCircuit:
 
     def test_evaluation_cap_raises(self, monkeypatch):
         data = self._synthetic(circuit.CircuitParams(), 40, 0.0)
-        monkeypatch.setattr(saw, "FIT_MAX_NFEV", 2)
+        monkeypatch.setattr(_lsq, "MAX_NFEV", 2)
         with pytest.raises(ConvergenceError, match="circuit fit"):
             circuit.fit_circuit(data)
 
@@ -436,6 +436,14 @@ class TestFitCircuit:
         phi = np.linspace(0.0, 0.3, 20)
         omega = np.array([circuit.qubit_frequency(x, truth) for x in phi])
         with pytest.raises(IdentifiabilityError):
+            circuit.fit_circuit(np.column_stack([phi, omega]))
+
+    def test_weak_divider_raises(self):
+        # at L_1 = 5 pH the divider barely bends the curve: the Gram matrix of
+        # the log-inductances has condition number 4.1e12 on noiseless data
+        phi = np.linspace(0.0, 0.5, 40)
+        omega = circuit.qubit_frequency(phi, circuit.CircuitParams(l_1=5e-12))
+        with pytest.raises(IdentifiabilityError, match="circuit fit's parameters"):
             circuit.fit_circuit(np.column_stack([phi, omega]))
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phonon_lab import cli, lindblad as lb, saw
+from phonon_lab import _lsq, cli, lindblad as lb, saw
 from phonon_lab.errors import ConfigError
 from phonon_lab.schema_io import document_text, load_schema, validate_document
 
@@ -291,6 +291,7 @@ class TestSummaryDomain:
     ({"kind": "thermometry", "params": {"n_points": 0}}, 3),
     ({"kind": "thermometry", "params": {"n_points": 2}}, 3),
     ({"kind": "thermometry", "params": {"noise": 1e300}}, 3),
+    ({"kind": "thermometry", "params": {"noise": 1e160}}, 3),
     ({"kind": "admittance", "params": {"v_t": -1.0}}, 3),
     ({"kind": "lifetimes", "params": {"t_max_s": 7.999999999999999e-09, "n_points": 5}}, 3),
     ({"kind": "lifetimes", "params": {"t_max_s": 20e-9, "n_points": 5}}, 3),
@@ -302,13 +303,15 @@ class TestSummaryDomain:
 ], ids=["chevron-n_tau-negative", "sweep_points-negative", "seed-negative", "m-nan",
         "fock2-n_tau-0", "lifetimes-n_points-0", "chevron-n_delta-0", "chevron-tau-overflow",
         "thermometry-n_points-0", "thermometry-n_points-2", "thermometry-noise-overflow",
+        "thermometry-variance-overflow",
         "admittance-v_t-negative", "lifetimes-8ns-singular-step", "lifetimes-20ns-unresolved",
         "lifetimes-n_points-2", "lifetimes-41ns-short-window", "lifetimes-130ns-short-window",
         "wigner-noise-negative", "thermometry-noise-negative"])
+@pytest.mark.filterwarnings("error")
 def test_unusable_config_exits_2_or_3_without_traceback(tmp_path, capsys, doc, code):
     # a negative count or seed and a non-finite number are configuration
     # errors; a count too small to run on, or a value outside the model's
-    # domain, is a numerical failure
+    # domain, is a numerical failure; none of them may warn on the way
     config = write_config(tmp_path, doc)
     assert cli.main(["run", str(config), "--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
@@ -521,7 +524,7 @@ class TestLifetimeFits:
             assert np.allclose(jac[:, k], fd, rtol=1e-6, atol=1e-9 * np.abs(fd).max())
 
     def test_evaluation_cap_exits_3(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(saw, "FIT_MAX_NFEV", 2)
+        monkeypatch.setattr(_lsq, "MAX_NFEV", 2)
         path = write_config(tmp_path, {"kind": "lifetimes", "params": {"n_points": 6}})
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
         assert "ConvergenceError" in capsys.readouterr().err

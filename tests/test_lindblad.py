@@ -704,6 +704,16 @@ class TestMatrixExponential:
             self.assert_matches_scipy(alpha * a.conj().T - np.conj(alpha) * a)
 
 
+@pytest.mark.filterwarnings("error")
+def test_span_key_rounds_any_finite_span_and_rejects_an_infinite_one():
+    # numpy's round(x, 21) multiplies by 1e21, which overflows above 1.8e287
+    assert lb._span_key(np.float64(1e300)) == 1e300
+    assert lb._span_key(np.float64(30e-9) - np.float64(20e-9)) == 1e-8
+    assert type(lb._span_key(np.float64(1e-9))) is float
+    with pytest.raises(GridError):
+        lb._span_key(np.float64(np.inf))
+
+
 class TestHermitianHalf:
     """The walker propagates k >= 0 and writes each -k sector from k."""
 

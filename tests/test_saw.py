@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from phonon_lab import saw
+from phonon_lab import _lsq, saw
 from phonon_lab.errors import ConvergenceError, DomainError, FitError, GridError
 
 TWO_PI = 2 * math.pi
@@ -402,7 +402,7 @@ class TestBvdFit:
             saw.fit_bvd(spec, c_t=0.75e-12)
 
     def test_evaluation_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(saw, "FIT_MAX_NFEV", 2)
+        monkeypatch.setattr(_lsq, "MAX_NFEV", 2)
         with pytest.raises(ConvergenceError, match="evaluation cap"):
             saw.fit_bvd(self._model_spectrum(n=2001))
 
@@ -413,9 +413,10 @@ def test_levenberg_marquardt_singular_step_is_not_converged():
     def fun(x):
         return np.array([x[0] - 1.0, x[0] + 1.0]), np.array([[1.0, 0.0], [1.0, 0.0]])
 
-    x, r, converged = saw._levenberg_marquardt(fun, np.array([3.0, 2.0]))
-    assert not converged
-    assert np.array_equal(x, [3.0, 2.0]) and np.array_equal(r, [2.0, 4.0])
+    with pytest.raises(ConvergenceError, match="toy fit did not converge") as info:
+        _lsq.solve(fun, np.array([3.0, 2.0]), "toy", lambda x: x)
+    assert np.array_equal(info.value.best, [3.0, 2.0])
+    assert info.value.residual == math.hypot(2.0, 4.0)
 
 
 def _log_cost(spec, bvd):
@@ -479,7 +480,7 @@ class TestBvdFitIsTheMinimum:
             c_s, l_s, r_s = np.exp(logx) * scale
             return _log_cost(spectrum, saw.BvdParams(c_s, l_s, r_s, bvd.c_t))[0]
 
-        sol = least_squares(residuals, np.zeros(3), max_nfev=saw.FIT_MAX_NFEV, method="lm",
+        sol = least_squares(residuals, np.zeros(3), max_nfev=_lsq.MAX_NFEV, method="lm",
                             ftol=1e-14, xtol=1e-14, gtol=1e-14)
         assert residual**2 <= float(sol.fun @ sol.fun)
         assert residual == pytest.approx(float(np.linalg.norm(_log_cost(spectrum, bvd)[0])),

@@ -326,6 +326,46 @@ class TestReconstruction:
         assert np.max(np.abs(recon.parameters[1:12:2])) < 1e-12
         assert np.max(np.abs(recon.rho_small - rho[:4, :4])) < 1e-9
 
+    @staticmethod
+    def _noisy_fits(rho, alphas, seed):
+        # populations of D(-alpha) rho D(-alpha)^dag with 1e-2 noise, kept on the simplex
+        rng = np.random.default_rng(seed)
+        fits = []
+        for a in alphas:
+            d = lb.displacement_operator(rho.shape[0], -a, check=False)
+            pn = np.clip(np.diag(d @ rho @ d.conj().T).real + 1e-2 * rng.random(rho.shape[0]),
+                         0.0, None)
+            fits.append(tg.PopulationFit(pn / pn.sum(), np.zeros(rho.shape[0]), 0.0, complex(a)))
+        return fits
+
+    @pytest.mark.parametrize("design", ["default-grid", "real-axis"])
+    def test_covariance_is_the_pseudo_inverse_formula(self, design):
+        # pinv(M^T M) chi2 / dof, with the design M rebuilt column by column
+        # from the populations that each generator adds
+        if design == "default-grid":
+            alphas = tg.default_alpha_grid()
+            rho = 0.5 * (lb.fock_state(10, 0) + lb.fock_state(10, 1))
+        else:
+            alphas, rho = np.linspace(-2.0, 2.0, 16), lb.fock_state(10, 1)
+        fits = self._noisy_fits(rho, alphas, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditionedFitWarning)
+            recon = tg.reconstruct_density_matrix(fits)
+
+        def populations(c):
+            rho_c = np.pad(tg.density_from_parameters(c), (0, 6))
+            ds = [lb.displacement_operator(10, -f.alpha, check=False) for f in fits]
+            return np.concatenate([np.diag(d @ rho_c @ d.conj().T).real for d in ds])
+
+        b = populations(np.zeros(15))
+        m = np.column_stack([populations(e) - b for e in np.eye(15)])
+        z = np.concatenate([f.p_n for f in fits]) - b
+        gram_inv = np.linalg.pinv(m.T @ m)
+        chi2 = float(np.sum((m @ (gram_inv @ (m.T @ z)) - z) ** 2))
+        want = gram_inv * (chi2 / (z.size - 15))
+        assert np.max(np.abs(recon.covariance - want)) <= 1e-12 * np.max(np.abs(want))
+        assert recon.residual == pytest.approx(chi2, rel=1e-12)
+
     def test_too_few_displacements(self, closed_params, closed_responses):
         t, resp = closed_responses
         alphas = tg.default_alpha_grid()[:12]
@@ -520,6 +560,17 @@ class TestRabiPopulation:
         p, sigma = tg.rabi_population_estimate(a_e, a_g, s_e, s_g)
         assert abs(p - population) < tol
         assert 0.5e-4 < sigma < 1e-3
+
+    def test_sigma_is_the_inverse_gram_formula(self):
+        rng = np.random.default_rng(5)
+        x, y_e, _ = self._traces(0.0169, rng, n=9)
+        a_e, s_e = tg.fit_oscillation_amplitude(x, y_e)
+        design = np.column_stack([np.ones_like(x), -0.5 * np.cos(math.pi * x)])
+        coef = np.linalg.inv(design.T @ design) @ (design.T @ y_e)
+        s2 = float(np.sum((design @ coef - y_e) ** 2)) / (x.size - 2)
+        assert a_e == pytest.approx(coef[1], rel=1e-12)
+        assert s_e == pytest.approx(math.sqrt(np.linalg.inv(design.T @ design)[1, 1] * s2),
+                                    rel=1e-12)
 
     def test_zero_excited_amplitude(self):
         p, sigma = tg.rabi_population_estimate(0.0, 0.95)
