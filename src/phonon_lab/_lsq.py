@@ -1,4 +1,4 @@
-"""Least squares with error bars: the one solver, covariance and conditioning bound of every fit."""
+"""Least squares with error bars: both solvers, covariance and conditioning bound of every fit."""
 
 from __future__ import annotations
 
@@ -15,25 +15,37 @@ MAX_NFEV = 200
 MAX_GRAM_COND = 1e12
 
 
-def covariance(r: np.ndarray, jac: np.ndarray) -> tuple[np.ndarray, float]:
-    """``(s^2 (J^T J)^+, cond(J^T J))`` at residual ``r`` and Jacobian ``jac``.
+def covariance(r: np.ndarray, sv: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(s^2 (J^T J)^+, cond(J^T J))`` at residual ``r``, from the thin SVD
+    ``J = U diag(sv) V^T`` of the Jacobian or design.
 
-    ``s^2 = r.r / max(n - p, 1)``.  Both come from one SVD ``J = U S V^T``,
-    as ``J^T J = V S^2 V^T``; like ``np.linalg.pinv(J^T J)``, the inverse
-    drops the directions with ``s^2 <= 1e-15 s_max^2``.  FitError when
-    ``s^2`` is not finite.
+    ``s^2 = r.r / max(n - p, 1)``.  As ``J^T J = V S^2 V^T``, like
+    ``np.linalg.pinv(J^T J)`` the inverse drops the directions with
+    ``s^2 <= 1e-15 s_max^2``.  FitError when ``s^2`` is not finite.
     """
     # math.hypot does not overflow where r @ r would
     norm = math.hypot(*r.tolist())
-    s2 = norm * norm / max(r.size - jac.shape[1], 1)
+    s2 = norm * norm / max(r.size - vt.shape[1], 1)
     if not math.isfinite(s2):
         raise FitError(f"the fit's residual norm {norm:.3g} has no finite variance")
-    _, sv, vt = np.linalg.svd(jac, full_matrices=False)
     keep = sv > math.sqrt(1e-15) * sv.max(initial=0.0)
     w = vt[keep].T / sv[keep]
     # J^T J is singular unless J has p nonzero singular values
-    ratio = float(sv[0]) / float(sv[-1]) if np.count_nonzero(sv) == jac.shape[1] else math.inf
+    ratio = float(sv[0]) / float(sv[-1]) if np.count_nonzero(sv) == vt.shape[1] else math.inf
     return (w @ w.T) * s2, ratio * ratio
+
+
+def linear(design: np.ndarray, y: np.ndarray):
+    """``(c, r, covariance of c, cond(D^T D))`` of ``D c ~ y``, ``D = design``, from one thin SVD.
+
+    ``c`` is the minimum-norm solution of ``np.linalg.lstsq(rcond=None)``, which drops
+    the singular values ``s <= eps max(n, p) s_max``; ``r = D c - y``.
+    """
+    u, sv, vt = np.linalg.svd(design, full_matrices=False)
+    keep = sv > np.finfo(float).eps * max(design.shape) * sv.max(initial=0.0)
+    c = vt[keep].T @ ((u[:, keep].T @ y) / sv[keep])
+    r = design @ c - y
+    return (c, r, *covariance(r, sv, vt))
 
 
 def solve(fun, x: np.ndarray, what: str, best):
@@ -62,7 +74,7 @@ def solve(fun, x: np.ndarray, what: str, best):
         if last or r_new @ r_new < r @ r:
             x, r, jac = x + dx, r_new, jac_new
             if last:
-                cov, cond = covariance(r, jac)
+                cov, cond = covariance(r, *np.linalg.svd(jac, full_matrices=False)[1:])
                 if cond > MAX_GRAM_COND:
                     raise IdentifiabilityError(f"the data cannot determine the {what} fit's "
                                                f"parameters: its Gram matrix has cond {cond:.1e}")

@@ -121,6 +121,20 @@ def _spectrum_csv(frequencies_hz, y) -> str:
     )
 
 
+def _tau_map(name, column, fmt, values, taus, z, y_axis, y_label, title) -> dict:
+    """``<name>.csv``, the rows ``column,tau_s,p_e`` of the P_e map ``z`` over
+    ``values`` x ``taus``, and ``<name>.svg``, its heatmap over the ns axis
+    of ``taus`` and ``y_axis``."""
+    return {
+        f"{name}.csv": _columns_csv(
+            [column, "tau_s", "p_e"], [fmt, "%.4e", "%.6f"],
+            np.repeat(values, taus.size), np.tile(taus, values.size), z.ravel(),
+        ),
+        f"{name}.svg": heatmap_svg(taus * 1e9, y_axis, z, x_label="interaction time (ns)",
+                                   y_label=y_label, title=title),
+    }
+
+
 def _write(path: Path, text: str) -> str:
     """Write ``text`` to ``path``; returns the SHA-256 of the bytes written."""
     data = text.encode()
@@ -189,7 +203,7 @@ def run_admittance(scn: Scenario) -> tuple[dict, dict]:
     gamma = saw.mirror_reflection(grid, p)
     files = {
         "admittance.csv": _spectrum_csv(spec.frequencies_hz, spec.y),
-        "params.json": document_text(spec.metadata),
+        "params.json": document_text({"params": p.to_dict()}),
         "transducer.csv": _spectrum_csv(spec.frequencies_hz, pm.p33 + 1j * grid * p.c_t),
         "mirror.csv": _columns_csv(
             ["freq_hz", "gamma_abs", "gamma_re", "gamma_im"],
@@ -202,15 +216,10 @@ def run_admittance(scn: Scenario) -> tuple[dict, dict]:
     mag = np.abs(gamma)
     f_hz = spec.frequencies_hz
     ic = int(np.argmin(np.abs(f_hz - p.mirror_center_hz)))
-    above = mag > 0.9
-    i = ic
-    while i > 0 and above[i - 1]:
-        i -= 1
-    lo = float(f_hz[i])
-    i = ic
-    while i < f_hz.size - 1 and above[i + 1]:
-        i += 1
-    hi = float(f_hz[i])
+    # the stop band: the runs of |gamma| > 0.9 on either side of ic; a NaN is outside
+    edges = np.concatenate([[-1], np.flatnonzero(~(mag > 0.9)), [mag.size]])
+    k = int(np.searchsorted(edges, ic))  # edges[k - 1] < ic <= edges[k]
+    lo, hi = float(f_hz[edges[k - 1] + 1]), float(f_hz[edges[k + (edges[k] == ic)] - 1])
     return files, {
         "resonance_hz": float(fine.frequencies_hz[int(np.argmax(fine.y.real))]),
         "peak_conductance_s": float(np.max(fine.y.real)),
@@ -301,20 +310,8 @@ def run_chevron(scn: Scenario) -> tuple[dict, dict]:
     z = np.array(
         [lb.batched_excited_traces([rho0], params, taus, delta=d)[0] for d in deltas]
     )  # (n_delta, n_tau)
-    files = {
-        "chevron.csv": _columns_csv(
-            ["delta_hz", "tau_s", "p_e"], ["%.3f", "%.4e", "%.6f"],
-            np.repeat(deltas / TWO_PI, taus.size), np.tile(taus, deltas.size), z.ravel(),
-        ),
-        "chevron.svg": heatmap_svg(
-            taus * 1e9,
-            deltas / TWO_PI / 1e6,
-            z,
-            x_label="interaction time (ns)",
-            y_label="detuning (MHz)",
-            title="qubit excited-state probability",
-        ),
-    }
+    files = _tau_map("chevron", "delta_hz", "%.3f", deltas / TWO_PI, taus, z,
+                     deltas / TWO_PI / 1e6, "detuning (MHz)", "qubit excited-state probability")
     i0 = int(np.argmin(np.abs(deltas)))
     i_min = int(np.argmin(z[i0]))
     return files, {"swap_time_s": float(taus[i_min]), "n_delta": s["n_delta"], "n_tau": s["n_tau"]}
@@ -469,9 +466,7 @@ def run_wigner(scn: Scenario) -> tuple[dict, dict]:
             phase = np.angle(recon.rho_small[0, 1])
             psi = np.array([1, np.exp(1j * phase), 0, 0], dtype=complex) / math.sqrt(2)
         value, sigma = tg.fidelity(recon.rho, psi, recon.covariance)
-        files[f"reconstruction_{tag}.json"] = document_text(
-            tg.reconstruction_report(recon, fidelity_value=(value, sigma))
-        )
+        files[f"reconstruction_{tag}.json"] = tg.reconstruction_report(recon, (value, sigma))
 
         files[f"wigner_{tag}.svg"] = heatmap_svg(
             axis,
@@ -514,20 +509,8 @@ def run_large_alpha(scn: Scenario) -> tuple[dict, dict]:
     base = lb.product_state(0.0, lb.fock_state(dim, initial_fock))
     rhos = [lb.displacement(base, complex(a), check=False) for a in mags]
     z = lb.batched_excited_traces(rhos, params, taus)
-    files = {
-        "large_alpha.csv": _columns_csv(
-            ["alpha_abs", "tau_s", "p_e"], ["%.4f", "%.4e", "%.6f"],
-            np.repeat(mags, taus.size), np.tile(taus, mags.size), z.ravel(),
-        ),
-        "large_alpha.svg": heatmap_svg(
-            taus * 1e9,
-            mags,
-            z,
-            x_label="interaction time (ns)",
-            y_label="|alpha|",
-            title=f"qubit response to displaced Fock |{initial_fock}>",
-        ),
-    }
+    files = _tau_map("large_alpha", "alpha_abs", "%.4f", mags, taus, z, mags, "|alpha|",
+                     f"qubit response to displaced Fock |{initial_fock}>")
     return files, {"n_alpha": s["n_alpha"], "n_tau": s["n_tau"], "dim": dim}
 
 

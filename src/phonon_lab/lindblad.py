@@ -518,7 +518,11 @@ def _propagator(key, k, delta, g, span, ramp=0.0, start=0.0) -> np.ndarray:
     if ramp > 0:
         return _magnus(key, k, delta, g, ramp, start, start + span)
     d, n_q, v = _generators(key, k)
-    return _expm(span * (d + delta * n_q + g * v))
+    gen = d + delta * n_q + g * v
+    # the norm _expm checks, taken before span * gen can overflow
+    if not math.isfinite(span * float(np.abs(gen).sum(axis=0).max())):
+        raise DomainError("a span's generator overflows: duration times rate is not finite")
+    return _expm(span * gen)
 
 
 def _advance(rho, key, sectors, delta, g, ramp, duration, t0, t1):

@@ -32,7 +32,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -166,7 +166,6 @@ class AdmittanceSpectrum:
 
     frequencies: np.ndarray
     y: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.frequencies = np.asarray(self.frequencies, dtype=float)
@@ -396,7 +395,7 @@ def resonator_admittance(grid, params: SawModelParams) -> AdmittanceSpectrum:
     y = total.p33 + 1j * omega * params.c_t
     # clip sub-femtosiemens negative excursions from roundoff
     y = np.where(y.real < 0, np.where(y.real > -1e-12, 1j * y.imag, y), y)
-    return AdmittanceSpectrum(omega, y, metadata={"params": params.to_dict()})
+    return AdmittanceSpectrum(omega, y)
 
 
 def default_grid(f_lo_hz: float = 3.5e9, f_hi_hz: float = 4.5e9, n: int = 2001) -> np.ndarray:
@@ -414,22 +413,18 @@ def _find_peak(conductance: np.ndarray) -> int:
     return idx
 
 
-def fit_bvd(spectrum: AdmittanceSpectrum, c_t: float | None = None):
+def fit_bvd(spectrum: AdmittanceSpectrum, c_t: float):
     """Least-squares BvD fit around the dominant conductance peak.
 
     The fit window is +-``FIT_HALF_WIDTH_HZ`` around the global Re[Y]
-    maximum.  ``c_t`` is held fixed (taken from the spectrum metadata when
-    not given) to remove the degenerate direction.  ``_lsq.solve`` minimises
+    maximum.  ``c_t``, the transducer capacitance of the spectrum's model,
+    is held fixed to remove the degenerate direction.  ``_lsq.solve`` minimises
     the log-parameter residual with its analytic Jacobian.  Returns
     ``(BvdParams, residual_norm)``; ``ConvergenceError`` when that does not
     converge, ``IdentifiabilityError`` when the window does not determine it.
     """
     omega = spectrum.frequencies
     y = spectrum.y
-    if c_t is None:
-        c_t = spectrum.metadata.get("params", {}).get("c_t")
-    if c_t is None:
-        raise FitError("c_t not provided and absent from spectrum metadata")
 
     peak_all = int(np.argmax(y.real))
     lo = omega[peak_all] - TWO_PI * FIT_HALF_WIDTH_HZ
@@ -484,7 +479,7 @@ def fit_resonance(spectrum: AdmittanceSpectrum, params: SawModelParams):
     """
     f_pk = spectrum.frequencies_hz[int(np.argmax(spectrum.y.real))]
     fine = resonator_admittance(TWO_PI * np.linspace(f_pk - 12e6, f_pk + 12e6, 2001), params)
-    bvd, residual = fit_bvd(fine)
+    bvd, residual = fit_bvd(fine, params.c_t)
     return fine, bvd, residual
 
 

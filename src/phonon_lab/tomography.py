@@ -41,7 +41,7 @@ from .errors import (
     IllConditionedFitWarning,
 )
 from . import _lsq, lindblad as lb
-from .schema_io import document_text, load_schema, validate_document
+from .schema_io import document_text
 
 STATE_LEVELS = 4  # the reconstructed subspace: Fock levels 0 .. STATE_LEVELS - 1
 
@@ -292,9 +292,7 @@ def reconstruct_density_matrix(fits: list[PopulationFit]) -> ReconstructedState:
     b = np.sum(np.abs(v) ** 2, axis=2).ravel() / STATE_LEVELS
     m = np.einsum("fni,kij,fnj->fnk", v, _GELL_MANN, v.conj()).real.reshape(-1, n_par)
     y = np.concatenate([f.p_n for f in fits]) - b
-    c = np.linalg.lstsq(m, y, rcond=None)[0]
-    r = m @ c - y
-    covariance, cond = _lsq.covariance(r, m)
+    c, r, covariance, cond = _lsq.linear(m, y)
     # unlike a fit of physical parameters, this one warns: designs such as real
     # displacements of a real state are singular by construction, and the
     # minimum-norm solution leaves the parameters they never see at zero
@@ -357,8 +355,7 @@ def fit_oscillation_amplitude(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     design = np.column_stack([np.ones_like(x), -0.5 * np.cos(math.pi * x)])
-    coef = np.linalg.lstsq(design, y, rcond=None)[0]
-    cov, cond = _lsq.covariance(y - design @ coef, design)
+    coef, _, cov, cond = _lsq.linear(design, y)
     if cond > _lsq.MAX_GRAM_COND:
         raise IdentifiabilityError("the amplitude fit needs two distinct cos(pi x) values")
     return float(coef[1]), math.sqrt(cov[1, 1])
@@ -462,8 +459,8 @@ def analyze_dataset(
     return fits, recon
 
 
-def reconstruction_report(recon: ReconstructedState, fidelity_value) -> dict:
-    """JSON-ready report with the density matrix, its smallest eigenvalue
+def reconstruction_report(recon: ReconstructedState, fidelity_value) -> str:
+    """JSON text of the report with the density matrix, its smallest eigenvalue
     (negative when the linear estimate is unphysical), parameters,
     covariance and the ``(value, sigma)`` of the state fidelity."""
     report = {
@@ -475,5 +472,4 @@ def reconstruction_report(recon: ReconstructedState, fidelity_value) -> dict:
         "residual": recon.residual,
         "fidelity": {"value": fidelity_value[0], "sigma": fidelity_value[1]},
     }
-    validate_document(report, load_schema("reconstruction"))
-    return report
+    return document_text(report, "reconstruction")

@@ -292,6 +292,9 @@ class TestSummaryDomain:
     ({"kind": "thermometry", "params": {"n_points": 2}}, 3),
     ({"kind": "thermometry", "params": {"noise": 1e300}}, 3),
     ({"kind": "thermometry", "params": {"noise": 1e160}}, 3),
+    ({"kind": "lifetimes", "params": {"t_max_s": 1e308}}, 3),
+    ({"kind": "fock2", "params": {"tau_hi_s": 1e308}}, 3),
+    ({"kind": "large-alpha", "params": {"tau_max_s": 1e308}}, 3),
     ({"kind": "admittance", "params": {"v_t": -1.0}}, 3),
     ({"kind": "lifetimes", "params": {"t_max_s": 7.999999999999999e-09, "n_points": 5}}, 3),
     ({"kind": "lifetimes", "params": {"t_max_s": 20e-9, "n_points": 5}}, 3),
@@ -303,7 +306,8 @@ class TestSummaryDomain:
 ], ids=["chevron-n_tau-negative", "sweep_points-negative", "seed-negative", "m-nan",
         "fock2-n_tau-0", "lifetimes-n_points-0", "chevron-n_delta-0", "chevron-tau-overflow",
         "thermometry-n_points-0", "thermometry-n_points-2", "thermometry-noise-overflow",
-        "thermometry-variance-overflow",
+        "thermometry-variance-overflow", "lifetimes-span-overflow", "fock2-span-overflow",
+        "large-alpha-span-overflow",
         "admittance-v_t-negative", "lifetimes-8ns-singular-step", "lifetimes-20ns-unresolved",
         "lifetimes-n_points-2", "lifetimes-41ns-short-window", "lifetimes-130ns-short-window",
         "wigner-noise-negative", "thermometry-noise-negative"])

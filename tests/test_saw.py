@@ -357,14 +357,14 @@ class TestBvdFit:
 
     def test_model_spectrum_regression(self):
         spec = self._model_spectrum()
-        bvd, _ = saw.fit_bvd(spec)
+        bvd, _ = saw.fit_bvd(spec, saw.SawModelParams().c_t)
         assert abs(bvd.c_s - 12.10e-15) / 12.10e-15 < 0.15
         assert abs(bvd.l_s - 131.8e-9) / 131.8e-9 < 0.15
         assert abs(bvd.r_s - 0.890) / 0.890 < 0.15
 
     def test_quality_factor_consistent_with_phonon_lifetime(self):
         spec = self._model_spectrum()
-        bvd, _ = saw.fit_bvd(spec)
+        bvd, _ = saw.fit_bvd(spec, saw.SawModelParams().c_t)
         q_target = bvd.omega_s * 148e-9
         assert abs(bvd.q - q_target) / q_target < 0.20
 
@@ -404,7 +404,7 @@ class TestBvdFit:
     def test_evaluation_cap_raises(self, monkeypatch):
         monkeypatch.setattr(_lsq, "MAX_NFEV", 2)
         with pytest.raises(ConvergenceError, match="evaluation cap"):
-            saw.fit_bvd(self._model_spectrum(n=2001))
+            saw.fit_bvd(self._model_spectrum(n=2001), saw.SawModelParams().c_t)
 
 
 def test_levenberg_marquardt_singular_step_is_not_converged():
@@ -472,7 +472,7 @@ class TestBvdFitIsTheMinimum:
     def test_cost_not_above_finite_difference_lm(self, spectrum):
         from scipy.optimize import least_squares
 
-        bvd, residual = saw.fit_bvd(spectrum)
+        bvd, residual = saw.fit_bvd(spectrum, saw.SawModelParams().c_t)
         start = _start_guess(spectrum, bvd.c_t)
         scale = np.array([start.c_s, start.l_s, start.r_s])
 

@@ -361,10 +361,30 @@ class TestReconstruction:
         m = np.column_stack([populations(e) - b for e in np.eye(15)])
         z = np.concatenate([f.p_n for f in fits]) - b
         gram_inv = np.linalg.pinv(m.T @ m)
-        chi2 = float(np.sum((m @ (gram_inv @ (m.T @ z)) - z) ** 2))
+        c = gram_inv @ (m.T @ z)  # the minimum-norm solution
+        chi2 = float(np.sum((m @ c - z) ** 2))
         want = gram_inv * (chi2 / (z.size - 15))
+        assert np.max(np.abs(recon.parameters - c)) <= 1e-12 * np.max(np.abs(c))
         assert np.max(np.abs(recon.covariance - want)) <= 1e-12 * np.max(np.abs(want))
         assert recon.residual == pytest.approx(chi2, rel=1e-12)
+
+    def test_one_factorization(self, monkeypatch):
+        # the solution and its covariance come from one SVD of the design
+        fits = self._noisy_fits(lb.fock_state(10, 1), tg.default_alpha_grid(), seed=3)
+        calls = {"svd": 0, "lstsq": 0}
+
+        def counting(name):
+            original = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        tg.reconstruct_density_matrix(fits)
+        assert calls == {"svd": 1, "lstsq": 0}
 
     def test_too_few_displacements(self, closed_params, closed_responses):
         t, resp = closed_responses
@@ -626,8 +646,7 @@ class TestDatasetIO:
             covariance=np.eye(15) * 1e-6,
             residual=0.1,
         )
-        report = tg.reconstruction_report(recon, fidelity_value=(0.9, 0.01))
+        report = json.loads(tg.reconstruction_report(recon, fidelity_value=(0.9, 0.01)))
         assert set(report) >= {"rho_re", "rho_im", "min_eigenvalue", "parameters",
                                "covariance", "residual", "fidelity"}
         assert report["min_eigenvalue"] == pytest.approx(np.linalg.eigvalsh(rho)[0], abs=1e-15)
-        json.dumps(report)
