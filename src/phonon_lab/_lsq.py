@@ -23,11 +23,10 @@ def covariance(r: np.ndarray, sv: np.ndarray, vt: np.ndarray) -> tuple[np.ndarra
     ``np.linalg.pinv(J^T J)`` the inverse drops the directions with
     ``s^2 <= 1e-15 s_max^2``.  FitError when ``s^2`` is not finite.
     """
-    # math.hypot does not overflow where r @ r would
-    norm = math.hypot(*r.tolist())
-    s2 = norm * norm / max(r.size - vt.shape[1], 1)
+    # r @ r overflows for residuals past about 1e154, leaving s^2 infinite
+    s2 = float(r @ r) / max(r.size - vt.shape[1], 1)
     if not math.isfinite(s2):
-        raise FitError(f"the fit's residual norm {norm:.3g} has no finite variance")
+        raise FitError(f"the fit's residual variance {s2:.3g} is not finite")
     keep = sv > math.sqrt(1e-15) * sv.max(initial=0.0)
     w = vt[keep].T / sv[keep]
     # J^T J is singular unless J has p nonzero singular values

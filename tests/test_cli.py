@@ -303,6 +303,17 @@ class TestSummaryDomain:
     ({"kind": "lifetimes", "params": {"t_max_s": 130e-9, "n_points": 4}}, 3),
     ({"kind": "wigner", "params": {"noise": -0.01, "states": ["1"]}}, 3),
     ({"kind": "thermometry", "params": {"noise": -0.001}}, 3),
+    ({"kind": "chevron", "params": {"delta_span_hz": 1e300}}, 3),
+    ({"kind": "large-alpha", "params": {"tau_max_s": 1e300}}, 3),
+    ({"kind": "lifetimes", "params": {"t_max_s": 1e300}}, 3),
+    ({"kind": "chevron", "params": {"delta_span_hz": 1e308}}, 3),
+    ({"kind": "large-alpha", "params": {"alpha_max": 1e300}}, 3),
+    ({"kind": "wigner", "params": {"alpha_radius": 1e300}}, 3),
+    ({"kind": "wigner", "params": {"noise": 1e300}}, 3),
+    ({"kind": "admittance", "params": {"f_hi_hz": 1e300}}, 3),
+    ({"kind": "thermometry", "params": {"resonator_population": -1.0}}, 3),
+    ({"kind": "thermometry", "params": {"qubit_population": 2.0}}, 3),
+    ({"kind": "wigner", "params": {"states": []}}, 3),
 ], ids=["chevron-n_tau-negative", "sweep_points-negative", "seed-negative", "m-nan",
         "fock2-n_tau-0", "lifetimes-n_points-0", "chevron-n_delta-0", "chevron-tau-overflow",
         "thermometry-n_points-0", "thermometry-n_points-2", "thermometry-noise-overflow",
@@ -310,16 +321,30 @@ class TestSummaryDomain:
         "large-alpha-span-overflow",
         "admittance-v_t-negative", "lifetimes-8ns-singular-step", "lifetimes-20ns-unresolved",
         "lifetimes-n_points-2", "lifetimes-41ns-short-window", "lifetimes-130ns-short-window",
-        "wigner-noise-negative", "thermometry-noise-negative"])
+        "wigner-noise-negative", "thermometry-noise-negative",
+        "chevron-detuning-overflow", "large-alpha-ns-overflow", "lifetimes-phase-overflow",
+        "chevron-span-overflow", "large-alpha-alpha-overflow", "wigner-radius-overflow",
+        "wigner-noise-overflow", "admittance-f_hi-overflow", "thermometry-population-negative",
+        "thermometry-population-above-1", "wigner-no-states"])
 @pytest.mark.filterwarnings("error")
 def test_unusable_config_exits_2_or_3_without_traceback(tmp_path, capsys, doc, code):
     # a negative count or seed and a non-finite number are configuration
-    # errors; a count too small to run on, or a value outside the model's
-    # domain, is a numerical failure; none of them may warn on the way
+    # errors; a count too small to run on, a value outside the model's
+    # domain, or a floating-point overflow on the way, is a numerical
+    # failure; none of them may warn, and none writes a summary
     config = write_config(tmp_path, doc)
     assert cli.main(["run", str(config), "--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     assert err and "Traceback" not in err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_failed_run_restores_the_floating_point_error_state(tmp_path):
+    before = np.geterr()
+    scn = cli.parse_scenario({"kind": "chevron", "params": {"delta_span_hz": 1e300}})
+    with pytest.raises(FloatingPointError):
+        cli.execute_scenario(scn, tmp_path)
+    assert np.geterr() == before
 
 
 class TestReproduce:

@@ -704,6 +704,13 @@ class TestMatrixExponential:
             self.assert_matches_scipy(alpha * a.conj().T - np.conj(alpha) * a)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_span_raises_domain_error_outside_the_cli():
+    # _expm's norm check, not the caller's floating-point state, owns this error
+    with pytest.raises(DomainError, match="overflows"):
+        lb.run_sequence(lb.PulseSequence([lb.Idle(1e308)]), lb.SystemParams())
+
+
 @pytest.mark.filterwarnings("error")
 def test_span_key_rounds_any_finite_span_and_rejects_an_infinite_one():
     # numpy's round(x, 21) multiplies by 1e21, which overflows above 1.8e287

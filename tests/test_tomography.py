@@ -617,6 +617,13 @@ class TestRabiPopulation:
         with pytest.raises(DomainError):
             tg.rabi_population_estimate(0.01, 0.0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_residual_raises_fit_error(self):
+        # r @ r overflows; the fit reports it as a FitError outside the CLI too
+        x, y_e, _ = self._traces(0.0169, np.random.default_rng(3), noise=1e160)
+        with pytest.raises(FitError):
+            tg.fit_oscillation_amplitude(x, y_e)
+
 
 class TestDatasetIO:
     def test_json_roundtrip(self):
