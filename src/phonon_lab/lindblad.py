@@ -248,8 +248,13 @@ def _expm(m: np.ndarray) -> np.ndarray:
     u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
     v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
     out = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        out = out @ out
+    # a finite but huge norm can still square into overflow: report it as a
+    # DomainError, whatever the caller's floating-point error state
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(squarings):
+            out = out @ out
+    if not np.isfinite(out).all():
+        raise DomainError(f"the matrix exponential overflows: generator norm {norm:.3g} is too large")
     return out
 
 

@@ -148,16 +148,21 @@ def _simplex_lstsq(r_mat: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]
     free[np.argmin(np.sum((r_mat - y[:, None]) ** 2, axis=0))] = True
     p, best, best_cost = free.astype(float), None, math.inf
     for _ in range(10 * dim):
-        idx = np.flatnonzero(free)
-        # sum(z) = 1 eliminates the last level; QR keeps cond(r_mat) unsquared
+        idx = free.nonzero()[0]
+        # sum(z) = 1 eliminates the last level; lstsq is LAPACK gelsd, an
+        # SVD solve, which keeps cond(r_mat) unsquared
         last = r_mat[:, idx[-1]]
-        w = np.linalg.lstsq(r_mat[:, idx[:-1]] - last[:, None], y - last, rcond=None)[0]
-        z = np.append(w, 1.0 - w.sum())
+        z = np.empty(idx.size)
+        z[:-1] = np.linalg.lstsq(r_mat[:, idx[:-1]] - last[:, None], y - last, rcond=None)[0]
+        z[-1] = 1.0 - z[:-1].sum()
         crossing = z < 0.0
         if crossing.any():
-            ratios = p[idx][crossing] / (p[idx][crossing] - z[crossing])
-            p[idx] = np.maximum(p[idx] + ratios.min() * (z - p[idx]), 0.0)
-            at_bound = idx[crossing][ratios == ratios.min()]
+            p_free = p[idx]
+            p_cross = p_free[crossing]
+            ratios = p_cross / (p_cross - z[crossing])
+            step = ratios.min()
+            p[idx] = np.maximum(p_free + step * (z - p_free), 0.0)
+            at_bound = idx[crossing][ratios == step]
             p[at_bound], free[at_bound] = 0.0, False
             continue
         p[idx] = z  # bound levels are exactly zero
@@ -168,8 +173,11 @@ def _simplex_lstsq(r_mat: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]
             return best, best_cost
         best, best_cost = p.copy(), cost
         gradient = r_mat.T @ residual
-        multipliers = np.where(free, np.inf, gradient - gradient[idx].mean())
-        j = int(np.argmin(multipliers))
+        g_free = gradient[idx]
+        # ndarray.mean's add.reduce and division, bitwise, without its Python wrapper
+        multipliers = gradient - g_free.sum() / g_free.size
+        multipliers[free] = np.inf
+        j = int(multipliers.argmin())
         if multipliers[j] >= 0.0:
             return best, best_cost
         free[j] = True

@@ -341,7 +341,7 @@ def test_unusable_config_exits_2_or_3_without_traceback(tmp_path, capsys, doc, c
 
 def test_failed_run_restores_the_floating_point_error_state(tmp_path):
     before = np.geterr()
-    scn = cli.parse_scenario({"kind": "chevron", "params": {"delta_span_hz": 1e300}})
+    scn = cli.parse_scenario({"kind": "chevron", "params": {"tau_max_s": 1e300}})
     with pytest.raises(FloatingPointError):
         cli.execute_scenario(scn, tmp_path)
     assert np.geterr() == before

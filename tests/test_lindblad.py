@@ -712,6 +712,14 @@ def test_overflowing_span_raises_domain_error_outside_the_cli():
 
 
 @pytest.mark.filterwarnings("error")
+def test_huge_finite_generator_raises_domain_error_not_nan():
+    # the norm is finite, so only the squarings overflow: no NaN trace, no warning
+    p = lb.SystemParams()
+    with pytest.raises(DomainError, match="overflows"):
+        lb.batched_excited_traces([lb.thermal_state(p)], p, [1e-9, 2e-9], delta=TWO_PI * 5e299)
+
+
+@pytest.mark.filterwarnings("error")
 def test_span_key_rounds_any_finite_span_and_rejects_an_infinite_one():
     # numpy's round(x, 21) multiplies by 1e21, which overflows above 1.8e287
     assert lb._span_key(np.float64(1e300)) == 1e300

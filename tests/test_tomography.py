@@ -11,6 +11,7 @@ from phonon_lab import lindblad as lb
 from phonon_lab import tomography as tg
 from phonon_lab.errors import (
     ConfigError,
+    ConvergenceError,
     DomainError,
     FitError,
     IdentifiabilityError,
@@ -155,6 +156,75 @@ class TestFitPopulations:
             tg.fit_populations(rec, device_params, responses=responses)
 
 
+def _reference_simplex_lstsq(r_mat, y):
+    """The active-set loop as it was before its per-step overhead was cut,
+    kept verbatim: the library's loop must give bitwise the same fit."""
+    dim = r_mat.shape[1]
+    free = np.zeros(dim, dtype=bool)
+    free[np.argmin(np.sum((r_mat - y[:, None]) ** 2, axis=0))] = True
+    p, best, best_cost = free.astype(float), None, math.inf
+    for _ in range(10 * dim):
+        idx = np.flatnonzero(free)
+        # sum(z) = 1 eliminates the last level; QR keeps cond(r_mat) unsquared
+        last = r_mat[:, idx[-1]]
+        w = np.linalg.lstsq(r_mat[:, idx[:-1]] - last[:, None], y - last, rcond=None)[0]
+        z = np.append(w, 1.0 - w.sum())
+        crossing = z < 0.0
+        if crossing.any():
+            ratios = p[idx][crossing] / (p[idx][crossing] - z[crossing])
+            p[idx] = np.maximum(p[idx] + ratios.min() * (z - p[idx]), 0.0)
+            at_bound = idx[crossing][ratios == ratios.min()]
+            p[at_bound], free[at_bound] = 0.0, False
+            continue
+        p[idx] = z  # bound levels are exactly zero
+        residual = r_mat @ p - y
+        cost = float(residual @ residual)
+        # exact steps strictly lower the cost: a stationary point that does not is round-off
+        if cost >= best_cost:
+            return best, best_cost
+        best, best_cost = p.copy(), cost
+        gradient = r_mat.T @ residual
+        multipliers = np.where(free, np.inf, gradient - gradient[idx].mean())
+        j = int(np.argmin(multipliers))
+        if multipliers[j] >= 0.0:
+            return best, best_cost
+        free[j] = True
+    raise ConvergenceError(f"population fit did not converge in {10 * dim} active-set steps",
+                           best=best, residual=best_cost)
+
+
+def assert_fit_is_the_reference(r_mat, y):
+    p, cost = tg._simplex_lstsq(r_mat, y)
+    p_ref, cost_ref = _reference_simplex_lstsq(r_mat, y)
+    assert np.array_equal(p, p_ref)
+    assert cost == cost_ref
+
+
+class TestSimplexLoopIsTheReference:
+    """Bitwise the reference loop's fit: the same vertex, free sets and solves."""
+
+    @pytest.mark.parametrize("noise", [0.0, 2e-4, 2e-2])
+    @pytest.mark.parametrize("n_t", [30, 90])
+    @pytest.mark.parametrize("dim", [10, 20])
+    def test_seeded_records(self, dim, n_t, noise):
+        params = lb.SystemParams(dim=dim)
+        t = np.linspace(2e-9, 360e-9, n_t)
+        r_mat = tg.basis_responses(params, t, initial_p_e=0.015).T
+        rng = np.random.default_rng(dim * 1000 + n_t)
+        for concentration in (0.2, 0.5, 1.0, 2.0):
+            p_true = rng.dirichlet(np.full(dim, concentration))
+            assert_fit_is_the_reference(r_mat, r_mat @ p_true + noise * rng.standard_normal(n_t))
+
+    @pytest.mark.parametrize("state", lb.PREPARABLE_STATES)
+    def test_fig4d_records(self, state):
+        # the noiseless default 5x5 grid that fig4d analyses
+        ds = tg.synthesize_dataset(state, lb.SystemParams())
+        r_mat = tg.basis_responses(ds.params, ds.records[0].t_s, ds.records[0].initial_p_e).T
+        assert len(ds.records) == 25
+        for rec in ds.records:
+            assert_fit_is_the_reference(r_mat, rec.p_e)
+
+
 @settings(deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -176,6 +246,7 @@ def test_fit_is_the_simplex_minimum(seed, concentration, noise, initial_p_e):
     p = fit.p_n
     assert np.all(p >= 0.0)
     assert abs(p.sum() - 1.0) <= 1e-12
+    assert_fit_is_the_reference(r_mat, y)
 
     gradient = 2.0 * r_mat.T @ (r_mat @ p - y)
     tol = 1e-10 * np.max(np.abs(2.0 * r_mat.T @ y))
