@@ -158,14 +158,14 @@ class TestFitPopulations:
 
 def _reference_simplex_lstsq(r_mat, y):
     """The active-set loop as it was before its per-step overhead was cut,
-    kept verbatim: the library's loop must give bitwise the same fit."""
+    its code kept verbatim: the library's loop must give bitwise the same fit."""
     dim = r_mat.shape[1]
     free = np.zeros(dim, dtype=bool)
     free[np.argmin(np.sum((r_mat - y[:, None]) ** 2, axis=0))] = True
     p, best, best_cost = free.astype(float), None, math.inf
     for _ in range(10 * dim):
         idx = np.flatnonzero(free)
-        # sum(z) = 1 eliminates the last level; QR keeps cond(r_mat) unsquared
+        # sum(z) = 1 eliminates the last level
         last = r_mat[:, idx[-1]]
         w = np.linalg.lstsq(r_mat[:, idx[:-1]] - last[:, None], y - last, rcond=None)[0]
         z = np.append(w, 1.0 - w.sum())
