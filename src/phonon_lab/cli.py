@@ -349,15 +349,18 @@ def run_lifetimes(scn: Scenario) -> tuple[dict, dict]:
         )
 
     def swap_back(held, pulse=None):
-        """P_e after swapping each held state back and applying ``pulse``,
-        whose axis carries the frame phase accumulated through the hold."""
+        """P_e after swapping every held state back in one stacked walk and
+        applying ``pulse``, whose axis carries the frame phase accumulated
+        through each state's hold."""
         res, back = held
-        p_e = []
-        for rho, theta in zip(res.states, res.phase):
-            tail = [] if pulse is None else [dataclasses.replace(pulse, phase=pulse.phase + theta)]
-            seq = lb.PulseSequence([swap, *tail, lb.Measure()])
-            p_e.append(lb.run_sequence(seq, params, rho).p_e[0])
-        return np.array(p_e)[back]
+        rho = lb.run_sequence(lb.PulseSequence([swap]), params, res.states).rho_final
+        if pulse is not None:
+            u = np.array([
+                lb.qubit_rotation(pulse.axis, pulse.angle, pulse.phase + theta, params.dim)
+                for theta in res.phase
+            ])
+            rho = u @ rho @ np.swapaxes(u, -1, -2).conj()
+        return lb.excited_probability(rho, params)[back]
 
     p_t1r = swap_back(hold(math.pi, waits))
     held = hold(math.pi / 2, waits)

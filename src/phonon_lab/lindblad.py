@@ -25,19 +25,20 @@ product of sixth-order Magnus steps on its ramps (Blanes, Casas, Oteo &
 Ros, Phys. Rep. 470, 151 (2009)) and one exponential on its flat top.  The
 ramps are the two windows of one cosine bump, so they do not depend on the
 pulse length.  Only the occupied sectors are propagated: those whose
-largest entry exceeds 1e-14 of the state's largest entry, so round-off left
-by a rotation does not count.  Every exponential is the degree-13 Pade
-approximant with scaling and squaring of ``_expm``.  Generators and
-propagators are cached one sector matrix at a time, in least-recently-used
-caches of 64 and 256 entries that hold at most 121 MB and 161 MB at dim 50,
-so each sector is built the first time it is occupied and a window's ramps
-stay cached while other spans come and go.
+largest entry exceeds 1e-14 of the state's largest entry, in any state of a
+stack, so round-off left by a rotation does not count.  Every exponential
+is the degree-13 Pade approximant with scaling and squaring of ``_expm``.
+Generators and propagators are cached one sector matrix at a time, in
+least-recently-used caches of 64 and 256 entries that hold at most 121 MB
+and 161 MB at dim 50, so each sector is built the first time it is
+occupied and a window's ramps stay cached while other spans come and go.
 
 Only the Hermitian half of the state is propagated.  The Liouvillian
 preserves Hermiticity, so sector -k of a state is the conjugate transpose
 of sector k: the walker propagates k >= 0, and adds the conjugate transpose
 of its result, which writes each -k sector from k.  States passed in must be
-Hermitian.
+Hermitian: one (2*dim, 2*dim) state, or a stack (B, 2*dim, 2*dim) of them,
+which the walker propagates together through the same sector propagators.
 """
 
 from __future__ import annotations
@@ -209,6 +210,8 @@ def _check_state(rho: np.ndarray, dim: int):
     state of the composite space at resonator dimension ``dim``."""
     if rho.shape[-2:] != (2 * dim, 2 * dim):
         raise DomainError(f"a state at dim {dim} must be {2 * dim} x {2 * dim}, not {rho.shape}")
+    if rho.size == 0:
+        raise DomainError("a stack of states must hold at least one state")
     _check_hermitian(rho)
 
 
@@ -276,8 +279,9 @@ def displacement_operator(dim: int, alpha: complex, *, check: bool = True) -> np
 
 
 def displacement(rho: np.ndarray, alpha: complex, *, check: bool = True) -> np.ndarray:
-    """Displace the resonator subsystem of a composite (qubit x resonator) state."""
-    size = rho.shape[0]
+    """Displace the resonator subsystem of a composite (qubit x resonator)
+    state, or of each state of a stack."""
+    size = rho.shape[-1]
     if size % 2 != 0:
         raise DomainError("composite state must have even dimension (qubit-major)")
     dim = size // 2
@@ -430,12 +434,23 @@ def _sector_indices(dim: int) -> dict:
 _OCCUPANCY_FLOOR = 1e-14
 
 
+@lru_cache(maxsize=16)
+def _sector_order(dim: int) -> tuple:
+    """The flat indices of sectors k = 0 ... dim, one sector after the
+    other, and the offset at which each sector starts."""
+    idx = [_sector_indices(dim)[k][2] for k in range(dim + 1)]
+    return np.concatenate(idx), np.cumsum([0] + [i.size for i in idx[:-1]])
+
+
 def _occupied(rho) -> tuple:
-    """The sectors k >= 0 that the Hermitian ``rho`` occupies."""
-    flat = np.abs(rho.reshape(-1))
-    floor = _OCCUPANCY_FLOOR * flat.max()
-    indices = _sector_indices(rho.shape[0] // 2)
-    return tuple(k for k, (_, _, idx) in indices.items() if k >= 0 and flat[idx].max() > floor)
+    """The sectors k >= 0 that the Hermitian ``rho``, or any state of a
+    stack of them, occupies; each state has its own floor."""
+    size = rho.shape[-1]
+    flat = np.abs(rho.reshape(-1, size * size))
+    order, starts = _sector_order(size // 2)
+    peaks = np.maximum.reduceat(flat[:, order], starts, axis=1)
+    floors = _OCCUPANCY_FLOOR * flat.max(axis=1, keepdims=True)
+    return tuple(np.flatnonzero((peaks > floors).any(axis=0)).tolist())
 
 
 def _liouvillian_key(params: SystemParams) -> SystemParams:
@@ -527,11 +542,12 @@ def _propagator(key, k, delta, g, span, ramp=0.0, start=0.0) -> np.ndarray:
 
 
 def _advance(rho, key, sectors, delta, g, ramp, duration, t0, t1):
-    """Propagate the Hermitian state's ``sectors`` k >= 0 over [t0, t1] of a
-    segment and write each -k sector as the conjugate transpose of k; every
-    other sector must be zero, and stays zero.  Sector 0 is written at half
-    weight before the conjugate transpose is added, so it comes out exactly
-    Hermitian.  ``key`` is the ``_liouvillian_key`` of the system.
+    """Propagate the ``sectors`` k >= 0 of the Hermitian state, or of each
+    state of a stack, over [t0, t1] of a segment and write each -k sector
+    as the conjugate transpose of k; every other sector must be zero, and
+    stays zero.  Sector 0 is written at half weight before the conjugate
+    transpose is added, so it comes out exactly Hermitian.  ``key`` is the
+    ``_liouvillian_key`` of the system.
 
     A ramped pulse is a cosine bump cut open at its peak by a flat top:
     pulse time t is bump time t on the rising edge and
@@ -550,17 +566,17 @@ def _advance(rho, key, sectors, delta, g, ramp, duration, t0, t1):
         windows = ((t0, t1, 0.0, 0.0),)
     spans = [(_span_key(hi - lo), bump, _span_key(tau)) for lo, hi, bump, tau in windows]
     spans = [span for span in spans if span[0] > 0]
-    flat = rho.reshape(-1)
+    flat = rho.reshape(*rho.shape[:-2], -1)
     out = np.zeros_like(flat)
     indices = _sector_indices(key.dim)
     for k in sectors:
         idx = indices[k][2]
-        vec = flat[idx]
+        vec = flat[..., idx]
         for span in spans:
-            vec = _propagator(key, k, delta, g, *span) @ vec
-        out[idx] = vec if k else 0.5 * vec
+            vec = vec @ _propagator(key, k, delta, g, *span).T
+        out[..., idx] = vec if k else 0.5 * vec
     out = out.reshape(rho.shape)
-    return out + out.conj().T
+    return out + np.swapaxes(out, -1, -2).conj()
 
 
 def qubit_rotation(axis: str, angle: float, phase: float, dim: int) -> np.ndarray:
@@ -573,7 +589,11 @@ def qubit_rotation(axis: str, angle: float, phase: float, dim: int) -> np.ndarra
         raise DomainError("rotation axis must be 'x' or 'y'")
     gen = math.cos(base) * SIGMA_X + math.sin(base) * SIGMA_Y
     u2 = math.cos(0.5 * angle) * np.eye(2) - 1j * math.sin(0.5 * angle) * gen
-    return np.kron(u2, np.eye(dim))
+    # u2 (x) 1, written entry by entry: the same values as np.kron, faster
+    u = np.zeros((2, dim, 2, dim), dtype=complex)
+    n = np.arange(dim)
+    u[:, n, :, n] = u2
+    return u.reshape(2 * dim, 2 * dim)
 
 
 def excited_probability(rho: np.ndarray, params: SystemParams, *, scaled: bool = True):
@@ -644,11 +664,15 @@ def batched_excited_traces(
 class SequenceResult:
     """Measurement record of one sequence execution.
 
-    ``p_e`` holds the P_e of each Measure.  ``states`` holds the state at
-    each time of the ``run_sequence`` grid, and ``phase[i]`` is the frame
-    phase, sum of delta*duration, up to the i-th time of that grid; a run
-    continued from ``states[i]`` adds it to the phase of each of its
-    rotations.  Both are empty for a run without a grid."""
+    ``p_e`` holds the P_e of each Measure: a float for a run from one
+    state, an array of shape (B,) for a run from a stack of B states.
+    ``rho_final`` has the shape of the start.  ``states`` holds the state
+    at each time of the ``run_sequence`` grid, of shape (T, 2*dim, 2*dim)
+    from one state or (T, B, 2*dim, 2*dim) from a stack, and ``phase[i]``
+    is the frame phase, sum of delta*duration, up to the i-th time of that
+    grid, shared by every state of a stack; a run continued from
+    ``states[i]`` adds it to the phase of each of its rotations.  Both are
+    empty for a run without a grid."""
 
     p_e: list
     rho_final: np.ndarray
@@ -664,6 +688,12 @@ def run_sequence(
 ) -> SequenceResult:
     """Execute a sequence from the thermal state, or from the Hermitian
     ``rho0``, recording each Measure; the one segment walker.
+
+    ``rho0`` is one state, (2*dim, 2*dim), or a stack of them,
+    (B, 2*dim, 2*dim), that walks the sequence together: each Measure then
+    records an array of shape (B,), and the sampled states have shape
+    (T, B, 2*dim, 2*dim).  The stack is propagated in every sector that
+    any of its states occupies.
 
     A non-empty ``t_grid`` (seconds from the start, increasing, within the
     sequence's duration) also samples the state at each of its times,

@@ -240,21 +240,28 @@ class TestScans:
             assert abs(p_x - full(np.pi / 2, [x90], w)) < 1e-6
             assert abs(p_y - full(np.pi / 2, [y90], w)) < 1e-6
 
-    @pytest.mark.parametrize("kind,walks", [("fock2", 1), ("lifetimes", 4)])
-    def test_each_scan_walks_its_prefix_once(self, monkeypatch, kind, walks):
+    @pytest.mark.parametrize("kind,overrides,walks,calls", [
+        pytest.param("fock2", {}, 1, 1, id="fock2-1"),
+        pytest.param("lifetimes", {}, 4, 10, id="lifetimes-4"),
+        pytest.param("lifetimes", {"n_points": 6}, 4, 10, id="lifetimes-4-at-6-points"),
+    ])
+    def test_each_scan_walks_its_prefix_once(self, monkeypatch, kind, overrides, walks, calls):
         # fock2 is one scan; lifetimes holds in four (T1r, T2r, the far
-        # points and the fine window), and only the swaps back run per point
-        sampled = []
+        # points and the fine window), and swaps each hold's states back in
+        # stacked walks, one per readout (six), however many points it holds
+        sampled, every = [], []
         run = lb.run_sequence
 
         def counting(seq, params, rho0=None, t_grid=()):
+            every.append(seq)
             if np.size(t_grid):
                 sampled.append(seq)
             return run(seq, params, rho0, t_grid)
 
         monkeypatch.setattr(lb, "run_sequence", counting)
-        cli.KINDS[kind][0](cli.parse_scenario({"kind": kind}))
+        cli.KINDS[kind][0](cli.parse_scenario({"kind": kind, "params": overrides}))
         assert len(sampled) == walks
+        assert len(every) == calls
 
 
 class TestSummaryDomain:

@@ -817,6 +817,18 @@ class TestHermitianHalf:
         with pytest.raises(DomainError, match="finite"):
             lb.batched_excited_traces([rho0], p, [1e-9])
 
+    @pytest.mark.parametrize("run", [
+        pytest.param(lambda p, rho: lb.batched_excited_traces(rho, p, [1e-9]), id="traces"),
+        pytest.param(lambda p, rho: lb.run_sequence(
+            lb.PulseSequence([lb.Couple(p.g, 10e-9), lb.Measure()]), p, rho), id="sequence"),
+    ])
+    def test_empty_stack_rejected(self, run):
+        # a stack without states used to escape as numpy's ValueError from
+        # the Hermiticity check's reduction
+        p = lb.SystemParams()
+        with pytest.raises(DomainError, match="at least one state"):
+            run(p, np.empty((0, 2 * p.dim, 2 * p.dim), dtype=complex))
+
     def test_non_hermitian_start_rejected(self):
         p = lb.SystemParams(dim=3)
         seq = lb.PulseSequence([lb.Couple(p.g, 10e-9)])
@@ -965,6 +977,92 @@ class TestRunSequence:
             assert stacked.shape == (7,)
             single = [lb.excited_probability(rho, p, scaled=scaled) for rho in states]
             assert np.array_equal(stacked, single)
+
+
+class TestStackedRun:
+    """A stack of states walks a sequence as each state would alone."""
+
+    def test_stack_matches_each_state_run_alone(self):
+        p = lb.SystemParams(delta=TWO_PI * 3e6)
+        dim = p.dim
+        thermal = lb.thermal_state(p)
+        rotated = [u @ thermal @ u.conj().T for u in (
+            lb.qubit_rotation("x", 1.1, 0.4, dim), lb.qubit_rotation("y", 2.3, -0.7, dim))]
+        displaced = lb.displacement(rotated[0], 0.5 - 0.3j)
+        # |e,0><g,0| coherence: weight in k = +-1 only
+        coherent = thermal.copy()
+        coherent[dim, 0] = coherent[0, dim] = 0.05
+        rhos = np.array([*rotated, displaced, coherent])
+        seq = lb.PulseSequence([
+            lb.Rotation("y", math.pi / 2, 0.3), lb.Detune(TWO_PI * 5e6, 12e-9), lb.Measure(),
+            lb.Couple(p.g, 40e-9, TWO_PI * 2e6, 5e-9), lb.Displace(0.3 - 0.2j),
+            lb.Idle(15e-9), lb.Rotation("x", 0.8), lb.Couple(p.g, 20e-9), lb.Measure(),
+        ])
+        t_grid = [4e-9, 12e-9, 15e-9, 40e-9, 50e-9, 62e-9, 80e-9, 87e-9]
+        stacked = lb.run_sequence(seq, p, rhos, t_grid)
+        assert stacked.states.shape == (len(t_grid), len(rhos), 2 * dim, 2 * dim)
+        assert [np.shape(m) for m in stacked.p_e] == [(len(rhos),)] * 2
+        for b, rho in enumerate(rhos):
+            alone = lb.run_sequence(seq, p, rho, t_grid)
+            assert np.max(np.abs(stacked.rho_final[b] - alone.rho_final)) < 1e-13
+            assert np.max(np.abs(stacked.states[:, b] - alone.states)) < 1e-13
+            assert np.array_equal(stacked.phase, alone.phase)
+            assert np.max(np.abs(np.array(stacked.p_e)[:, b] - alone.p_e)) < 1e-13
+
+
+def reference_occupied(rho) -> tuple:
+    """The loop over sectors that ``lb._occupied`` vectorises, for one state."""
+    flat = np.abs(rho.reshape(-1))
+    floor = lb._OCCUPANCY_FLOOR * flat.max()
+    indices = lb._sector_indices(rho.shape[0] // 2)
+    return tuple(k for k, (_, _, idx) in indices.items() if k >= 0 and flat[idx].max() > floor)
+
+
+def reference_rotation(axis: str, angle: float, phase: float, dim: int) -> np.ndarray:
+    """``lb.qubit_rotation`` through np.kron, the product it writes in place."""
+    if axis == "x":
+        base = phase
+    elif axis == "y":
+        base = phase + math.pi / 2.0
+    else:
+        raise DomainError("rotation axis must be 'x' or 'y'")
+    gen = math.cos(base) * lb.SIGMA_X + math.sin(base) * lb.SIGMA_Y
+    u2 = math.cos(0.5 * angle) * np.eye(2) - 1j * math.sin(0.5 * angle) * gen
+    return np.kron(u2, np.eye(dim))
+
+
+class TestLoopReferences:
+    """The vectorised helpers give the loop versions' exact results."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 10])
+    def test_occupied_sectors_match_the_loop(self, dim):
+        # each sector k >= 1 (with -k) is kept, zeroed, or scaled to just
+        # below or just above the occupancy floor
+        rng = np.random.default_rng(dim)
+        k = excitation_sectors(dim)
+        scales = (1.0, 0.0, 0.1 * lb._OCCUPANCY_FLOOR, 10.0 * lb._OCCUPANCY_FLOOR)
+        states = []
+        for _ in range(40):
+            a = rng.normal(size=(2 * dim,) * 2) + 1j * rng.normal(size=(2 * dim,) * 2)
+            rho = a + a.conj().T
+            for kk in range(1, dim + 1):
+                rho[np.abs(k) == kk] *= scales[rng.integers(len(scales))]
+            states.append(rho)
+            assert lb._occupied(rho) == reference_occupied(rho)
+        for size in (1, 2, 5):
+            for start in range(0, len(states) - size, 7):
+                stack = np.array(states[start:start + size])
+                union = set().union(*(reference_occupied(rho) for rho in stack))
+                assert lb._occupied(stack) == tuple(sorted(union))
+
+    @pytest.mark.parametrize("dim", [2, 10, 50])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_rotation_matches_the_kron_product(self, axis, dim):
+        angles = [*np.linspace(-TWO_PI, TWO_PI, 17), math.pi / 2, -math.pi, 1e-300]
+        for angle in angles:
+            for phase in np.linspace(-math.pi, TWO_PI, 11):
+                expected = reference_rotation(axis, angle, phase, dim)
+                assert np.array_equal(lb.qubit_rotation(axis, angle, phase, dim), expected)
 
 
 def bloch_vector(rho):
