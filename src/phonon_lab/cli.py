@@ -341,30 +341,34 @@ def run_lifetimes(scn: Scenario) -> tuple[dict, dict]:
     swap = lb.swap_segment(params)
     x90, y90 = lb.TOMOGRAPHY_PULSES["x90"], lb.TOMOGRAPHY_PULSES["y90"]
 
-    def hold(angle, holds):
-        """The states after a rotation, swap and each hold, from one walk."""
-        return _scan(
+    def read(angle, holds, *pulses):
+        """P_e at each hold after a rotation, swap, hold and swap back, and
+        then after each of ``pulses`` if any, whose axis carries the frame
+        phase accumulated through the hold: one walk over every hold and one
+        stacked swap-back serve every readout."""
+        res, back = _scan(
             lambda w: lb.PulseSequence([lb.Rotation("x", angle), swap, lb.Idle(w)]),
             holds, params,
         )
-
-    def swap_back(held, pulse=None):
-        """P_e after swapping every held state back in one stacked walk and
-        applying ``pulse``, whose axis carries the frame phase accumulated
-        through each state's hold."""
-        res, back = held
         rho = lb.run_sequence(lb.PulseSequence([swap]), params, res.states).rho_final
-        if pulse is not None:
+        pulsed = []
+        for pulse in pulses:
             u = np.array([
                 lb.qubit_rotation(pulse.axis, pulse.angle, pulse.phase + theta, params.dim)
                 for theta in res.phase
             ])
-            rho = u @ rho @ np.swapaxes(u, -1, -2).conj()
-        return lb.excited_probability(rho, params)[back]
+            pulsed.append(u @ rho @ np.swapaxes(u, -1, -2).conj())
+        return [lb.excited_probability(r, params)[back] for r in pulsed or [rho]]
 
-    p_t1r = swap_back(hold(math.pi, waits))
-    held = hold(math.pi / 2, waits)
-    p_x, p_y = swap_back(held, x90), swap_back(held, y90)
+    # the spiral center is measured at two waits long past the phonon
+    # lifetime, half an idle oscillation apart; a finely sampled short window
+    # resolves the oscillation itself
+    far = np.array([1.5e-6, 1.5e-6 + math.pi / params.delta])
+    fine = np.linspace(2e-9, 42e-9, 17)
+    [p_t1r] = read(math.pi, waits)
+    p_x, p_y = read(math.pi / 2, np.concatenate([waits, far, fine]), x90, y90)
+    groups = [waits.size, waits.size + far.size]
+    (p_x, far_x, p_fine), (p_y, far_y, _) = np.split(p_x, groups), np.split(p_y, groups)
 
     files = {
         "t1r.csv": _columns_csv(["t_s", "p_e"], ["%.4e", "%.6f"], waits, p_t1r),
@@ -376,14 +380,11 @@ def run_lifetimes(scn: Scenario) -> tuple[dict, dict]:
     t1r_fit = float(_fit_decay(_exponential_decay, waits, p_t1r, [0.9, params.t1r, 0.02])[1])
 
     # the coarsely sampled scan aliases the 53 MHz idle oscillation, so the
-    # phase memory comes from the decay of the transverse Bloch magnitude;
-    # the spiral center is measured at waits long past the phonon lifetime,
-    # half an idle oscillation apart
+    # phase memory comes from the decay of the transverse Bloch magnitude
     sx = 2.0 * p_y - 1.0
     sy = 1.0 - 2.0 * p_x
-    held = hold(math.pi / 2, np.array([1.5e-6, 1.5e-6 + math.pi / params.delta]))
-    cx = float(np.mean(2.0 * swap_back(held, y90) - 1.0))
-    cy = float(np.mean(1.0 - 2.0 * swap_back(held, x90)))
+    cx = float(np.mean(2.0 * far_y - 1.0))
+    cy = float(np.mean(1.0 - 2.0 * far_x))
     envelope = np.hypot(sx - cx, sy - cy)
     popt2 = _fit_decay(_exponential_decay, waits, envelope, [envelope[0], 2.0 * params.t1r, 0.0])
     t2r_fit = float(abs(popt2[1]))
@@ -396,9 +397,6 @@ def run_lifetimes(scn: Scenario) -> tuple[dict, dict]:
             f"T1r {t1r_fit:.3g} s or T2r {t2r_fit:.3g} s"
         )
 
-    # separate finely sampled short window resolves the oscillation itself
-    fine = np.linspace(2e-9, 42e-9, 17)
-    p_fine = swap_back(hold(math.pi / 2, fine), x90)
     popt3 = _fit_decay(
         _damped_cosine_decay, fine, p_fine, [0.45, params.delta / TWO_PI, 0.0, 400e-9, 0.5]
     )

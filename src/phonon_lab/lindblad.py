@@ -700,7 +700,7 @@ def run_sequence(
     within the continuous segment that reaches it; instantaneous segments
     act at their position in the sequence.
     """
-    rho = thermal_state(params) if rho0 is None else rho0.astype(complex)
+    rho = thermal_state(params) if rho0 is None else np.array(rho0, dtype=complex)
     _check_state(rho, params.dim)
     pending = list(_check_grid(t_grid, seq.duration())) if np.size(t_grid) else []
     dim = params.dim

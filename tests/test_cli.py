@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,10 @@ import numpy as np
 import pytest
 
 from phonon_lab import _lsq, cli, lindblad as lb, saw
-from phonon_lab.errors import ConfigError
+from phonon_lab.cli import (
+    TWO_PI, Scenario, _columns_csv, _damped_cosine_decay, _exponential_decay, _scan,
+)
+from phonon_lab.errors import ConfigError, DomainError, IdentifiabilityError
 from phonon_lab.schema_io import document_text, load_schema, validate_document
 
 
@@ -242,13 +246,14 @@ class TestScans:
 
     @pytest.mark.parametrize("kind,overrides,walks,calls", [
         pytest.param("fock2", {}, 1, 1, id="fock2-1"),
-        pytest.param("lifetimes", {}, 4, 10, id="lifetimes-4"),
-        pytest.param("lifetimes", {"n_points": 6}, 4, 10, id="lifetimes-4-at-6-points"),
+        pytest.param("lifetimes", {}, 2, 4, id="lifetimes-4"),
+        pytest.param("lifetimes", {"n_points": 6}, 2, 4, id="lifetimes-4-at-6-points"),
     ])
     def test_each_scan_walks_its_prefix_once(self, monkeypatch, kind, overrides, walks, calls):
-        # fock2 is one scan; lifetimes holds in four (T1r, T2r, the far
-        # points and the fine window), and swaps each hold's states back in
-        # stacked walks, one per readout (six), however many points it holds
+        # fock2 is one scan; lifetimes holds in one walk per preparation
+        # (T1r's pi; T2r's pi/2 over its scan, the far points and the fine
+        # window) and swaps each one's states back in one stacked walk that
+        # every readout shares, however many points it holds
         sampled, every = [], []
         run = lb.run_sequence
 
@@ -564,6 +569,127 @@ class TestLifetimeFits:
         path = write_config(tmp_path, {"kind": "lifetimes", "params": {"n_points": 6}})
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
         assert "ConvergenceError" in capsys.readouterr().err
+
+
+def _fit_decay(model, t, y, start):
+    """``cli._fit_decay``, looked up at each call so that a test's wrapper of
+    it sees the fits of ``reference_lifetimes`` too."""
+    return cli._fit_decay(model, t, y, start)
+
+
+# the lifetimes runner as it was when it walked once per hold and swapped
+# back once per readout: ten walks, four of them sampled
+def reference_lifetimes(scn: Scenario) -> tuple[dict, dict]:
+    params = lb.SystemParams(delta=TWO_PI * 53e6)
+    first_hold = 2e-9
+    # a grid that does not rise from the first hold leaves nothing to fit
+    if not scn.params["t_max_s"] > first_hold:
+        raise DomainError(f"t_max_s must exceed the first hold, {first_hold:g} s")
+    waits = np.linspace(first_hold, scn.params["t_max_s"], scn.params["n_points"])
+    swap = lb.swap_segment(params)
+    x90, y90 = lb.TOMOGRAPHY_PULSES["x90"], lb.TOMOGRAPHY_PULSES["y90"]
+
+    def hold(angle, holds):
+        """The states after a rotation, swap and each hold, from one walk."""
+        return _scan(
+            lambda w: lb.PulseSequence([lb.Rotation("x", angle), swap, lb.Idle(w)]),
+            holds, params,
+        )
+
+    def swap_back(held, pulse=None):
+        """P_e after swapping every held state back in one stacked walk and
+        applying ``pulse``, whose axis carries the frame phase accumulated
+        through each state's hold."""
+        res, back = held
+        rho = lb.run_sequence(lb.PulseSequence([swap]), params, res.states).rho_final
+        if pulse is not None:
+            u = np.array([
+                lb.qubit_rotation(pulse.axis, pulse.angle, pulse.phase + theta, params.dim)
+                for theta in res.phase
+            ])
+            rho = u @ rho @ np.swapaxes(u, -1, -2).conj()
+        return lb.excited_probability(rho, params)[back]
+
+    p_t1r = swap_back(hold(math.pi, waits))
+    held = hold(math.pi / 2, waits)
+    p_x, p_y = swap_back(held, x90), swap_back(held, y90)
+
+    files = {
+        "t1r.csv": _columns_csv(["t_s", "p_e"], ["%.4e", "%.6f"], waits, p_t1r),
+        "t2r.csv": _columns_csv(
+            ["t_s", "p_e_x90", "p_e_y90"], ["%.4e", "%.6f", "%.6f"], waits, p_x, p_y
+        ),
+    }
+
+    t1r_fit = float(_fit_decay(_exponential_decay, waits, p_t1r, [0.9, params.t1r, 0.02])[1])
+
+    # the coarsely sampled scan aliases the 53 MHz idle oscillation, so the
+    # phase memory comes from the decay of the transverse Bloch magnitude;
+    # the spiral center is measured at waits long past the phonon lifetime,
+    # half an idle oscillation apart
+    sx = 2.0 * p_y - 1.0
+    sy = 1.0 - 2.0 * p_x
+    held = hold(math.pi / 2, np.array([1.5e-6, 1.5e-6 + math.pi / params.delta]))
+    cx = float(np.mean(2.0 * swap_back(held, y90) - 1.0))
+    cy = float(np.mean(1.0 - 2.0 * swap_back(held, x90)))
+    envelope = np.hypot(sx - cx, sy - cy)
+    popt2 = _fit_decay(_exponential_decay, waits, envelope, [envelope[0], 2.0 * params.t1r, 0.0])
+    t2r_fit = float(abs(popt2[1]))
+    # a hold window under half a decay time fits well-conditioned but biased
+    # lifetimes: the single exponentials do not describe its early samples
+    window = waits[-1] - waits[0]
+    if window < 0.5 * max(t1r_fit, t2r_fit):
+        raise IdentifiabilityError(
+            f"the {window:.3g} s hold window is shorter than half the fitted "
+            f"T1r {t1r_fit:.3g} s or T2r {t2r_fit:.3g} s"
+        )
+
+    # separate finely sampled short window resolves the oscillation itself
+    fine = np.linspace(2e-9, 42e-9, 17)
+    p_fine = swap_back(hold(math.pi / 2, fine), x90)
+    popt3 = _fit_decay(
+        _damped_cosine_decay, fine, p_fine, [0.45, params.delta / TWO_PI, 0.0, 400e-9, 0.5]
+    )
+    return files, {
+        "t1r_s": t1r_fit,
+        "t2r_s": t2r_fit,
+        "t2r_over_t1r": t2r_fit / t1r_fit,
+        "idle_oscillation_hz": float(abs(popt3[1])),
+    }
+
+
+class TestLifetimesMatchTheReference:
+    """``run_lifetimes`` shares one hold walk and one swap-back per
+    preparation among the readouts ``reference_lifetimes`` walked apart."""
+
+    @pytest.mark.parametrize("overrides", [
+        pytest.param({}, id="defaults"),
+        pytest.param({"t_max_s": 200e-9, "n_points": 6}, id="6-points"),
+    ])
+    def test_same_artifacts_and_fits(self, monkeypatch, overrides):
+        inputs = []
+        fit_decay = cli._fit_decay
+
+        def recording(model, t, y, start):
+            inputs.append((model, t, y, np.asarray(start, dtype=float)))
+            return fit_decay(model, t, y, start)
+
+        monkeypatch.setattr(cli, "_fit_decay", recording)
+        scn = cli.parse_scenario({"kind": "lifetimes", "params": overrides})
+        files, summary = cli.run_lifetimes(scn)
+        got = inputs.copy()
+        inputs.clear()
+        want_files, want = reference_lifetimes(scn)
+        assert files == want_files
+        assert len(got) == len(inputs) == 3
+        for (model, *arrays), (want_model, *want_arrays) in zip(got, inputs):
+            assert model is want_model
+            for a, b in zip(arrays, want_arrays):
+                assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-13
+        assert summary.keys() == want.keys()
+        assert summary["t1r_s"] == want["t1r_s"]
+        for key, value in want.items():
+            assert abs(summary[key] - value) <= 1e-9 * abs(value)
 
 
 # in a fresh process: import the CLI, run the lifetimes scenario and a

@@ -1009,6 +1009,23 @@ class TestStackedRun:
             assert np.array_equal(stacked.phase, alone.phase)
             assert np.max(np.abs(np.array(stacked.p_e)[:, b] - alone.p_e)) < 1e-13
 
+    @pytest.mark.parametrize("seq", [
+        pytest.param(lb.PulseSequence(), id="empty"),
+        pytest.param(lb.PulseSequence([lb.Rotation("x", 0.7), lb.Idle(5e-9), lb.Measure()]),
+                     id="rotate-idle-measure"),
+    ])
+    def test_nested_list_start_runs_as_the_array(self, seq):
+        # a list start used to fail on the missing .astype
+        p = lb.SystemParams(dim=2)
+        rho0 = lb.thermal_state(p)
+        for start in (rho0, np.array([rho0, rho0])):
+            from_list = lb.run_sequence(seq, p, start.tolist())
+            from_array = lb.run_sequence(seq, p, start)
+            assert np.array_equal(from_list.rho_final, from_array.rho_final)
+            assert np.array_equal(from_list.p_e, from_array.p_e)
+        # the final state of an empty sequence is a copy, never the caller's array
+        assert not np.shares_memory(lb.run_sequence(lb.PulseSequence(), p, rho0).rho_final, rho0)
+
 
 def reference_occupied(rho) -> tuple:
     """The loop over sectors that ``lb._occupied`` vectorises, for one state."""
